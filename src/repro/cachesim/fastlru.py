@@ -44,6 +44,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.cachesim.lru import FLAG_DIRTY
 from repro.config import CacheConfig
 from repro.errors import SimulationError
 
@@ -51,8 +52,11 @@ __all__ = [
     "FastLRUCache",
     "OP_DEMAND",
     "OP_FILL",
+    "OP_PFILL",
     "OP_PROBE",
     "OP_TOUCH",
+    "OP_LOOKUP",
+    "OP_INVAL",
 ]
 
 #: Tag value marking an empty way.
@@ -65,12 +69,26 @@ EMPTY = -1
 #:   in (``lookup``); on miss install with the op's flags, evicting the
 #:   LRU way (``install``).  The demand path of every level.
 #: * ``OP_FILL``   — probe; on hit do nothing (``contains``); on miss
-#:   install with the op's flags.  Hardware-prefetch fills.
+#:   install with the op's flags.  Hardware-prefetch fills and software
+#:   prefetches at the L1.
+#: * ``OP_PFILL``  — on hit promote without OR-ing flags (``lookup``);
+#:   on miss install with the op's flags.  Software prefetches that
+#:   fetch through L2/LLC.
 #: * ``OP_PROBE``  — pure residency probe, no state change.
 #: * ``OP_TOUCH``  — on hit OR the op's flags in without refreshing LRU
 #:   (``touch_flags``); on miss do nothing.  Dirty-victim write-back
 #:   absorption.
-OP_DEMAND, OP_FILL, OP_PROBE, OP_TOUCH = 0, 1, 2, 3
+#: * ``OP_LOOKUP`` — on hit promote without OR-ing flags; on miss do
+#:   nothing.  Software prefetches that must not install (NTA).
+#: * ``OP_INVAL``  — on hit empty the way (``invalidate``); on miss do
+#:   nothing.  Non-temporal stores.
+#:
+#: The kinds that install on a miss are exactly those ``<= OP_PFILL``.
+OP_DEMAND, OP_FILL, OP_PFILL, OP_PROBE, OP_TOUCH, OP_LOOKUP, OP_INVAL = range(7)
+
+#: Per-kind behaviour on a hit, indexed by op kind.
+_PROMOTES = np.array([1, 0, 1, 0, 0, 1, 0], dtype=bool)
+_ORS_FLAGS = np.array([1, 0, 0, 0, 1, 0, 0], dtype=bool)
 
 #: Minimum number of concurrently active sets for a wavefront round to
 #: beat the scalar dict loop; below this the batch kernel switches to
@@ -504,9 +522,9 @@ class FastLRUCache:
         path: every element of the stream carries an op kind (see
         :data:`OP_DEMAND` …) and a flags word, so one call replays the
         exact scalar sequence a cache level sees — demand lookups,
-        hardware-prefetch fills, residency probes and dirty touches —
-        with the same set-wavefront rounds and the same scalar-tail
-        fallback as the homogeneous kernel.
+        prefetch fills and lookups, residency probes, dirty touches and
+        invalidations — with the same set-wavefront rounds and the same
+        scalar-tail fallback as the homogeneous kernel.
 
         Returns ``(hit, prior, vic_idx, vic_line, vic_flags)``:
 
@@ -557,6 +575,7 @@ class FastLRUCache:
         wtags = self.tags[uniq_d]
         wstamp = self.stamp[uniq_d]
         wflags = self.flags[uniq_d]
+        any_inval = bool((kinds == OP_INVAL).any())
 
         r_stop = 0
         band = 256
@@ -596,16 +615,23 @@ class FastLRUCache:
                     hv = a[h]
                     hw = way[h]
                     priorm[r, :k][h] = wflags[hv, hw]
-                    orm = h & ((kind_r == OP_DEMAND) | (kind_r == OP_TOUCH))
+                    orm = h & _ORS_FLAGS[kind_r]
                     if orm.any():
                         ov = a[orm]
                         ow = way[orm]
                         wflags[ov, ow] |= of_r[orm]
-                    prom = h & (kind_r == OP_DEMAND)
+                    prom = h & _PROMOTES[kind_r]
                     if prom.any():
                         pv = a[prom]
                         wstamp[pv, way[prom]] = stampm[r, :k][prom]
-                inst = ~h & (kind_r <= OP_FILL)
+                    if any_inval:
+                        inv = h & (kind_r == OP_INVAL)
+                        xv = a[inv]
+                        xw = way[inv]
+                        wtags[xv, xw] = EMPTY
+                        wstamp[xv, xw] = EMPTY
+                        wflags[xv, xw] = 0
+                inst = ~h & (kind_r <= OP_PFILL)
                 if inst.any():
                     vway = wstamp[:k].argmin(axis=1)
                     iv = a[inst]
@@ -885,14 +911,17 @@ class FastLRUCache:
                 if ent is not None:
                     hit[p] = True
                     prior[p] = ent[1]
-                    if kd == OP_DEMAND:
+                    if kd == OP_DEMAND or kd == OP_PFILL or kd == OP_LOOKUP:
                         del resident[line]
                         ent[0] = clock + p
-                        ent[1] |= int(oflags[p])
+                        if kd == OP_DEMAND:
+                            ent[1] |= int(oflags[p])
                         resident[line] = ent
                     elif kd == OP_TOUCH:
                         ent[1] |= int(oflags[p])
-                elif kd <= OP_FILL:
+                    elif kd == OP_INVAL:
+                        del resident[line]
+                elif kd <= OP_PFILL:
                     if len(resident) >= ways:
                         victim = next(iter(resident))
                         v_ent = resident.pop(victim)
@@ -926,6 +955,27 @@ class FastLRUCache:
             for w in np.argsort(self.stamp[s], kind="stable").tolist():
                 if row_tags[w] != EMPTY:
                     yield int(row_tags[w])
+
+    def dirty_lines(self) -> np.ndarray:
+        """Resident line numbers carrying ``FLAG_DIRTY`` (any order)."""
+        return self.tags[((self.flags & FLAG_DIRTY) != 0) & (self.tags != EMPTY)]
+
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of the state matrices, for :meth:`restore_sets`."""
+        return self.tags.copy(), self.stamp.copy(), self.flags.copy()
+
+    def restore_sets(
+        self, snap: tuple[np.ndarray, np.ndarray, np.ndarray], sets: np.ndarray
+    ) -> None:
+        """Roll the given sets back to their state in ``snap``.
+
+        The clock is left alone: ops replayed afterwards get stamps
+        above every stamp in the snapshot, so LRU order stays exact.
+        """
+        tags, stamp, flags = snap
+        self.tags[sets] = tags[sets]
+        self.stamp[sets] = stamp[sets]
+        self.flags[sets] = flags[sets]
 
     def occupancy(self) -> float:
         """Fraction of capacity currently filled."""

@@ -34,6 +34,9 @@ from repro.cachesim.bandwidth import BandwidthModel
 from repro.cachesim.fastlru import (
     OP_DEMAND,
     OP_FILL,
+    OP_INVAL,
+    OP_LOOKUP,
+    OP_PFILL,
     OP_PROBE,
     OP_TOUCH,
     FastLRUCache,
@@ -55,18 +58,30 @@ from repro.trace.events import MemOp, MemoryTrace
 
 __all__ = ["CacheHierarchy"]
 
-#: Demand runs shorter than this are replayed through the scalar event
-#: handlers: the batched pipeline's fixed per-call cost (a dozen array
-#: allocations and sorts) outweighs its throughput below this length.
-MIN_BATCH_RUN = 48
-
-#: Stream minor key of the demand access itself; hardware-prefetch
-#: requests use their per-event issue index (< this) so they sort first,
-#: and the L1-victim touch sorts after the demand at ``+ 1``.
+#: L2/LLC stream minor key of an event's own op (demand access,
+#: software prefetch or NT store); hardware-prefetch requests use their
+#: per-event issue index (< this) so they sort first, and the L1-victim
+#: touch sorts after the event's op at ``+ 1``.
 _MINOR_DA = 1 << 20
 
-#: Timing-op sequence key of the demand access within one event.
+#: Timing-op sequence key of an event's own op within the event.
 _SEQ_DA = 1 << 22
+
+#: Batch-path L2 op categories: hardware-prefetch request, demand
+#: access, NTA / T0 software prefetch, NT store, L1-victim dirty touch.
+_CAT_HW, _CAT_DEMAND, _CAT_NTA, _CAT_T0, _CAT_NT, _CAT_TOUCH = range(6)
+
+#: LLC op kind of each category; also the L2 kind, except that a
+#: hardware request that does not fill L2 probes it and a T0 prefetch
+#: is speculated (see ``CacheHierarchy._l2_llc_passes``).
+_OP_OF_CAT = np.array(
+    [OP_FILL, OP_DEMAND, OP_LOOKUP, OP_PFILL, OP_INVAL, OP_TOUCH], dtype=np.uint8
+)
+
+
+def _unreferenced(flags: np.ndarray, bit: int) -> np.ndarray:
+    """Lines carrying ``bit`` that no demand access has touched."""
+    return ((flags & bit) != 0) & ((flags & FLAG_REFERENCED) == 0)
 
 
 class CacheHierarchy:
@@ -122,6 +137,7 @@ class CacheHierarchy:
         self.bandwidth = (
             bandwidth if bandwidth is not None else BandwidthModel(machine.bytes_per_cycle())
         )
+        self._shared_llc = llc is not None
         self.now: float = 0.0
         self.last_run_path: str | None = None
         self._inflight: dict[int, float] = {}
@@ -166,22 +182,7 @@ class CacheHierarchy:
             stats = RunStats(line_bytes=self.machine.line_bytes)
         opts = resolve_options(self._explicit_options, self.machine.sim_backend)
         backend = opts.backend
-        if backend == "fast":
-            if (
-                opts.batch_hierarchy
-                and isinstance(self.l1, FastLRUCache)
-                and self.prefetcher.batch_safe
-            ):
-                path = "batch"
-            elif isinstance(self.l1, LRUCache):
-                path = "chunked"
-            else:
-                # Array-backed caches but a prefetcher that turned
-                # batch-unsafe after construction: fall back to the
-                # scalar loop (correct on either cache class).
-                path = "scalar"
-        else:
-            path = "scalar"
+        path, reason = self._select_path(opts)
         self.last_run_path = path
         with obs.span(
             "cachesim.run",
@@ -191,7 +192,9 @@ class CacheHierarchy:
             path=path,
         ) as run_span:
             if path == "batch":
-                self._run_events_batch(trace, work_per_memop, mlp, stats)
+                rounds, groups = self._run_events_batch(
+                    trace, work_per_memop, mlp, stats
+                )
             elif path == "chunked":
                 self._run_events_fast(trace, work_per_memop, mlp, stats)
             else:
@@ -200,8 +203,35 @@ class CacheHierarchy:
                 metrics = obs.metrics()
                 metrics.counter(f"sim.hierarchy.events.{backend}").inc(len(trace))
                 metrics.counter(f"sim.hierarchy.path.{path}").inc()
+                if path == "batch":
+                    metrics.counter("sim.hierarchy.spec_rounds").inc(rounds)
+                    metrics.counter("sim.hierarchy.spec_groups").inc(groups)
+                    run_span.set(spec_rounds=rounds, spec_groups=groups)
+                else:
+                    metrics.counter(f"sim.hierarchy.reason.{reason}").inc()
+                    run_span.set(reason=reason)
             run_span.set(cycles=stats.cycles)
         return stats
+
+    def _select_path(self, opts: SimOptions) -> tuple[str, str | None]:
+        """The driver for one run and, off the batch path, the reason."""
+        if opts.backend != "fast":
+            return "scalar", "reference-backend"
+        if self._shared_llc:
+            reason = "shared-llc"
+        elif not opts.batch_hierarchy:
+            reason = "batch-hierarchy-off"
+        elif not self.prefetcher.batch_safe:
+            reason = "prefetcher-not-batch-safe"
+        elif isinstance(self.l1, FastLRUCache):
+            return "batch", None
+        else:
+            # Dict-backed caches built while the reference backend was
+            # in force.
+            reason = "reference-backend"
+        # Array-backed caches whose batch conditions lapsed after
+        # construction run the scalar loop (correct on either class).
+        return ("chunked" if isinstance(self.l1, LRUCache) else "scalar"), reason
 
     def _run_events(
         self,
@@ -351,136 +381,87 @@ class CacheHierarchy:
         work_per_memop: float,
         mlp: float,
         stats: RunStats,
-    ) -> None:
+    ) -> tuple[int, int]:
         """Batched whole-hierarchy event loop (the ``batch`` path).
 
-        The trace is split into maximal *demand runs* (consecutive
-        loads/stores); software prefetches and NT stores between runs go
-        through the exact scalar handlers.  Each long run is replayed as
-        five array passes — L1 wavefront, batched prefetcher
-        observation, an ordered L2 op stream, an ordered LLC op stream,
-        and a merged timing stream — constructed so that every cache
-        probe, install, writeback and bandwidth reservation happens in
-        precisely the order the scalar loop would produce it.  Timing is
-        then accumulated over *interesting* events only (misses,
-        prefetch fills, in-flight-line hits); the hit gaps between them
-        are pure ``+= demand_cost`` sequences.  Bit-identity with the
-        reference loop is enforced by ``tests/test_sim_backend_diff.py``.
+        The whole trace — loads, stores, software prefetches and NT
+        stores together — is replayed as five array passes: an L1 op
+        wavefront, batched prefetcher observation of the demand events,
+        an ordered L2 op stream, an ordered LLC op stream, and a merged
+        timing stream.  They are constructed so that every cache probe,
+        install, invalidation, writeback and bandwidth reservation
+        happens in precisely the order the scalar loop would produce it;
+        the one L2 op that depends on an LLC outcome is speculated and
+        repaired per set group (:meth:`_l2_llc_passes`).  Timing is then
+        accumulated over *interesting* events only (misses, software
+        prefetches, writebacks, in-flight-line hits); the gaps between
+        them are pure ``+= demand_cost`` sequences.  Bit-identity with
+        the reference loop is enforced by ``tests/test_sim_backend_diff.py``.
+
+        Returns the speculation's ``(rounds, groups)``.
         """
-        shift = self._line_shift
-        demand_cost = (
-            self.machine.cycles_per_memop + self.machine.cpi_base * work_per_memop
-        )
-        store_op = int(MemOp.STORE)
-        nta_op = int(MemOp.PREFETCH_NTA)
-        store_nt_op = int(MemOp.STORE_NT)
+        machine = self.machine
+        n = len(trace)
         ops = trace.op
         pcs = trace.pc
-        lines_arr = trace.addr >> shift
-        n = len(trace)
-
-        n_demand = 0
-        n_prefetch = 0
-        seg_start = 0
-        for p in np.nonzero(ops > store_op)[0].tolist():
-            if p > seg_start:
-                self._batch_demand_run(
-                    trace, lines_arr, seg_start, p, demand_cost, mlp, stats
-                )
-                n_demand += p - seg_start
-            op = int(ops[p])
-            if op == store_nt_op:
-                n_demand += 1
-                self._nt_store(int(pcs[p]), int(lines_arr[p]), demand_cost, stats)
-            else:
-                n_prefetch += 1
-                self._sw_prefetch(int(lines_arr[p]), op == nta_op, stats)
-            seg_start = p + 1
-        if n > seg_start:
-            self._batch_demand_run(
-                trace, lines_arr, seg_start, n, demand_cost, mlp, stats
-            )
-            n_demand += n - seg_start
-
-        stats.instructions += int(n_demand * (1.0 + work_per_memop)) + n_prefetch
-        stats.cycles = self.now
-
-    def _batch_demand_run(
-        self,
-        trace: MemoryTrace,
-        lines_arr: np.ndarray,
-        a: int,
-        b: int,
-        demand_cost: float,
-        mlp: float,
-        stats: RunStats,
-    ) -> None:
-        """Replay demand events ``[a, b)`` through the array pipeline."""
-        n_run = b - a
+        addrs = trace.addr
+        lines = addrs >> self._line_shift
         store_op = int(MemOp.STORE)
-        if n_run < MIN_BATCH_RUN:
-            pcs_l = trace.pc[a:b].tolist()
-            addrs_l = trace.addr[a:b].tolist()
-            lines_l = lines_arr[a:b].tolist()
-            ops_l = trace.op[a:b].tolist()
-            for j in range(n_run):
-                self._demand_access(
-                    pcs_l[j],
-                    addrs_l[j],
-                    lines_l[j],
-                    ops_l[j] == store_op,
-                    demand_cost,
-                    mlp,
-                    stats,
-                )
-            return
+        is_dm = ops <= store_op
+        is_nt = ops == int(MemOp.STORE_NT)
+        is_pf = ~(is_dm | is_nt)
+        is_nta = ops == int(MemOp.PREFETCH_NTA)
+        n_dm = int(np.count_nonzero(is_dm))
+        n_nt = int(np.count_nonzero(is_nt))
+        n_pf = n - n_dm - n_nt
+        demand_cost = machine.cycles_per_memop + machine.cpi_base * work_per_memop
+        stats.instructions += int((n_dm + n_nt) * (1.0 + work_per_memop)) + n_pf
+        stats.sw_prefetches += n_pf
+        if n == 0:
+            stats.cycles = self.now
+            return 0, 0
 
-        machine = self.machine
-        pcs = trace.pc[a:b]
-        addrs = trace.addr[a:b]
-        lines = lines_arr[a:b]
-        is_store = trace.op[a:b] == store_op
-        oflags_da = np.where(
-            is_store, FLAG_REFERENCED | FLAG_DIRTY, FLAG_REFERENCED
-        ).astype(np.int64)
-
-        # ---- pass 1: L1 demand wavefront --------------------------------
-        hit1, prior1, v1i, v1l, v1f = self.l1.ops_batch(
-            lines, np.zeros(n_run, dtype=np.uint8), oflags_da
+        # ---- pass 1: L1 op wavefront ------------------------------------
+        # Loads and stores are demand lookups, software prefetches
+        # contains-then-install fills, NT stores invalidations.
+        of_da = np.where(
+            ops == store_op, FLAG_REFERENCED | FLAG_DIRTY, FLAG_REFERENCED
         )
-        miss1 = ~hit1
-        mp = np.nonzero(miss1)[0]
-        stats.l1.accesses += n_run
-        stats.l1.misses += len(mp)
-        stats.pc_l1.record_bulk(pcs, miss1)
+        kind1 = np.where(
+            is_dm, OP_DEMAND, np.where(is_nt, OP_INVAL, OP_FILL)
+        ).astype(np.uint8)
+        of_pf = np.where(is_nta, FLAG_SW_PREFETCH | FLAG_NTA, FLAG_SW_PREFETCH)
+        of1 = np.where(is_dm, of_da, np.where(is_nt, 0, of_pf))
+        hit1, prior1, v1i, v1l, v1f = self.l1.ops_batch(lines, kind1, of1)
+        miss1 = is_dm & ~hit1
+        stats.l1.accesses += n_dm + n_nt
+        stats.l1.misses += int(np.count_nonzero(miss1))
+        counted = ~is_pf  # NT stores count as L1 hits
+        stats.pc_l1.record_bulk(pcs[counted], miss1[counted])
         stats.sw_useful += int(
-            np.count_nonzero(
-                hit1
-                & ((prior1 & FLAG_SW_PREFETCH) != 0)
-                & ((prior1 & FLAG_REFERENCED) == 0)
-            )
+            np.count_nonzero(is_dm & hit1 & _unreferenced(prior1, FLAG_SW_PREFETCH))
         )
         stats.sw_useless += int(
-            np.count_nonzero(
-                ((v1f & FLAG_SW_PREFETCH) != 0) & ((v1f & FLAG_REFERENCED) == 0)
-            )
+            np.count_nonzero(_unreferenced(v1f, FLAG_SW_PREFETCH))
         )
-        v1_nta = (v1f & FLAG_NTA) != 0
-        v1_dirty = (v1f & FLAG_DIRTY) != 0
 
         # ---- pass 2: batched prefetcher observation ---------------------
+        # The prefetcher trains on demand events only: the scalar loop
+        # calls _hw_observe from _demand_access alone.
         if isinstance(self.prefetcher, NullPrefetcher):
             h_ev = np.empty(0, dtype=np.int64)
             h_line = np.empty(0, dtype=np.int64)
             h_fill = np.empty(0, dtype=bool)
         else:
+            dm_idx = np.nonzero(is_dm)[0]
             h_ev, h_line, h_fill = self.prefetcher.observe_batch(
-                pcs, addrs, lines, hit1
+                pcs[dm_idx], addrs[dm_idx], lines[dm_idx], hit1[dm_idx]
             )
+            h_ev = dm_idx[h_ev]
         m_h = len(h_ev)
         if m_h:
             # Per-event issue index j of each request: requests sort
-            # before the demand access (minor j < _MINOR_DA) and encode
+            # before the event's own op (minor j < _MINOR_DA) and encode
             # their within-event timing slots as (j + 1) * 8.
             hm_idx = np.arange(m_h)
             new_grp = np.empty(m_h, dtype=bool)
@@ -490,255 +471,230 @@ class CacheHierarchy:
         else:
             h_j = np.empty(0, dtype=np.int64)
 
-        # ---- pass 3: ordered L2 op stream -------------------------------
-        # Per event, in scalar order: prefetch requests (fill or probe,
-        # by issue index), then the demand access, then the L1 victim's
-        # dirty touch.  OP_FILL reproduces _hw_observe's contains-then-
-        # install; OP_TOUCH reproduces touch_flags.
-        td1 = (~v1_nta) & v1_dirty
-        n_td1 = int(np.count_nonzero(td1))
-        l2_pos = np.concatenate((h_ev, mp, v1i[td1]))
-        l2_minor = np.concatenate(
+        # ---- passes 3-4: ordered L2 and LLC op streams ------------------
+        # Per event, in scalar order: hardware-prefetch requests (fill or
+        # probe, by issue index), then the event's own op — a demand
+        # access or software prefetch that missed L1, or an NT store —
+        # then the L1 victim's dirty touch.
+        mp = np.nonzero(~hit1 | is_nt)[0]
+        cat_p = np.where(
+            is_dm[mp],
+            _CAT_DEMAND,
+            np.where(is_nt[mp], _CAT_NT, np.where(is_nta[mp], _CAT_NTA, _CAT_T0)),
+        ).astype(np.int8)
+        td1 = ((v1f & FLAG_NTA) == 0) & ((v1f & FLAG_DIRTY) != 0)
+        vt = v1i[td1]
+        m_p = len(mp)
+        m_t = len(vt)
+        pos2 = np.concatenate((h_ev, mp, vt))
+        minor2 = np.concatenate(
             (
                 h_j,
-                np.full(len(mp), _MINOR_DA, dtype=np.int64),
-                np.full(n_td1, _MINOR_DA + 1, dtype=np.int64),
+                np.full(m_p, _MINOR_DA, dtype=np.int64),
+                np.full(m_t, _MINOR_DA + 1, dtype=np.int64),
             )
         )
-        l2_line = np.concatenate((h_line, lines[mp], v1l[td1]))
-        l2_kind = np.concatenate(
+        # One sort key per op: minor keys stay below 1 << 21.
+        o2 = np.argsort((pos2 << 21) | minor2, kind="stable")
+        pos2 = pos2[o2]
+        minor2 = minor2[o2]
+        cat2 = np.concatenate(
+            (
+                np.full(m_h, _CAT_HW, dtype=np.int8),
+                cat_p,
+                np.full(m_t, _CAT_TOUCH, dtype=np.int8),
+            )
+        )[o2]
+        line2 = np.concatenate((h_line, lines[mp], v1l[td1]))[o2]
+        kind2 = np.concatenate(
             (
                 np.where(h_fill, OP_FILL, OP_PROBE).astype(np.uint8),
-                np.full(len(mp), OP_DEMAND, dtype=np.uint8),
-                np.full(n_td1, OP_TOUCH, dtype=np.uint8),
+                _OP_OF_CAT[cat_p],
+                np.full(m_t, OP_TOUCH, dtype=np.uint8),
             )
-        )
-        l2_of = np.concatenate(
+        )[o2]
+        of2 = np.concatenate(
             (
                 np.full(m_h, FLAG_HW_PREFETCH, dtype=np.int64),
-                oflags_da[mp],
-                np.full(n_td1, FLAG_DIRTY, dtype=np.int64),
+                np.where(
+                    cat_p == _CAT_DEMAND,
+                    of_da[mp],
+                    np.where(cat_p == _CAT_T0, FLAG_SW_PREFETCH, 0),
+                ),
+                np.full(m_t, FLAG_DIRTY, dtype=np.int64),
             )
+        )[o2]
+        hit2, prior2, hit3, prior3, v3f, wb2, rounds, groups = self._l2_llc_passes(
+            line2, kind2, of2, cat2
         )
-        o2 = np.lexsort((l2_minor, l2_pos))
-        sp2 = l2_pos[o2]
-        sm2 = l2_minor[o2]
-        sl2 = l2_line[o2]
-        so2 = l2_of[o2]
-        hit2, prior2, v2i, v2l, v2f = self.l2.ops_batch(sl2, l2_kind[o2], so2)
 
-        is_h2 = sm2 < _MINOR_DA
-        is_da2 = sm2 == _MINOR_DA
-        is_td2 = sm2 > _MINOR_DA
-        da2_hit = hit2[is_da2]
-        n_l2_miss = int(np.count_nonzero(~da2_hit))
-        stats.l2.accesses += len(mp)
+        is_h2 = cat2 == _CAT_HW
+        is_d2 = cat2 == _CAT_DEMAND
+        is_p2 = (cat2 == _CAT_T0) | (cat2 == _CAT_NTA)
+        miss2 = ~hit2
+        dram = miss2 & ~hit3  # reached the LLC and missed it
+        d_miss2 = is_d2 & miss2
+        n_l2_miss = int(np.count_nonzero(d_miss2))
+        stats.l2.accesses += int(np.count_nonzero(is_d2))
         stats.l2.misses += n_l2_miss
         stats.llc.accesses += n_l2_miss
-        stats.hw_prefetches += int(np.count_nonzero(is_h2 & ~hit2))
-        da2_prior = prior2[is_da2]
+        stats.llc.misses += int(np.count_nonzero(is_d2 & dram))
+        stats.hw_prefetches += int(np.count_nonzero(is_h2 & miss2))
         stats.hw_useful += int(
-            np.count_nonzero(
-                da2_hit
-                & ((da2_prior & FLAG_HW_PREFETCH) != 0)
-                & ((da2_prior & FLAG_REFERENCED) == 0)
-            )
-        )
-        v2_dirty = (v2f & FLAG_DIRTY) != 0
-        v2d = np.nonzero(v2_dirty)[0]
-        v2_evpos = sp2[v2i[v2d]]
-        v2_evminor = sm2[v2i[v2d]]
-
-        # ---- pass 4: ordered LLC op stream ------------------------------
-        # Sub-key 1 places each L2 victim's dirty touch right after the
-        # install that evicted it, exactly where the scalar chain runs.
-        h2m = is_h2 & ~hit2
-        d2m = is_da2 & ~hit2
-        t2m = is_td2 & ~hit2
-        n_h2m = int(np.count_nonzero(h2m))
-        n_t2m = int(np.count_nonzero(t2m))
-        llc_pos = np.concatenate((sp2[h2m], sp2[d2m], sp2[t2m], v2_evpos))
-        llc_minor = np.concatenate((sm2[h2m], sm2[d2m], sm2[t2m], v2_evminor))
-        llc_sub = np.concatenate(
-            (
-                np.zeros(n_h2m + n_l2_miss + n_t2m, dtype=np.int64),
-                np.ones(len(v2d), dtype=np.int64),
-            )
-        )
-        llc_line = np.concatenate((sl2[h2m], sl2[d2m], sl2[t2m], v2l[v2d]))
-        llc_kind = np.concatenate(
-            (
-                np.full(n_h2m, OP_FILL, dtype=np.uint8),
-                np.full(n_l2_miss, OP_DEMAND, dtype=np.uint8),
-                np.full(n_t2m + len(v2d), OP_TOUCH, dtype=np.uint8),
-            )
-        )
-        llc_of = np.concatenate(
-            (
-                np.full(n_h2m, FLAG_HW_PREFETCH, dtype=np.int64),
-                so2[d2m],
-                np.full(n_t2m + len(v2d), FLAG_DIRTY, dtype=np.int64),
-            )
-        )
-        o3 = np.lexsort((llc_sub, llc_minor, llc_pos))
-        sp3 = llc_pos[o3]
-        sm3 = llc_minor[o3]
-        sb3 = llc_sub[o3]
-        sl3 = llc_line[o3]
-        hit3, prior3, v3i, v3l, v3f = self.llc.ops_batch(sl3, llc_kind[o3], llc_of[o3])
-
-        is_h3 = (sm3 < _MINOR_DA) & (sb3 == 0)
-        is_da3 = (sm3 == _MINOR_DA) & (sb3 == 0)
-        is_t1_3 = (sm3 > _MINOR_DA) & (sb3 == 0)
-        is_t2_3 = sb3 == 1
-        da3_hit = hit3[is_da3]
-        stats.llc.misses += int(np.count_nonzero(~da3_hit))
-        da3_prior = prior3[is_da3]
-        stats.hw_useful += int(
-            np.count_nonzero(
-                da3_hit
-                & ((da3_prior & FLAG_HW_PREFETCH) != 0)
-                & ((da3_prior & FLAG_REFERENCED) == 0)
-            )
+            np.count_nonzero(is_d2 & hit2 & _unreferenced(prior2, FLAG_HW_PREFETCH))
+        ) + int(
+            np.count_nonzero(d_miss2 & hit3 & _unreferenced(prior3, FLAG_HW_PREFETCH))
         )
         stats.hw_useless += int(
-            np.count_nonzero(
-                ((v3f & FLAG_HW_PREFETCH) != 0) & ((v3f & FLAG_REFERENCED) == 0)
-            )
+            np.count_nonzero(_unreferenced(v3f, FLAG_HW_PREFETCH))
         )
-        h3m = is_h3 & ~hit3
-        stats.dram_fills += int(np.count_nonzero(~da3_hit)) + int(
-            np.count_nonzero(h3m)
-        )
+        stats.dram_fills += int(np.count_nonzero((is_d2 | is_h2 | is_p2) & dram))
+        stats.nta_fills += int(np.count_nonzero((cat2 == _CAT_NTA) & dram))
 
         # ---- pass 5: merged timing stream -------------------------------
-        # Codes: 0 prefetch DRAM fill, 1 writeback, 2/3/4 demand served
-        # from L2/LLC/DRAM, 5 L1-victim in-flight drop, 6 in-flight check
-        # on an L1 hit.  Sequence keys replicate the scalar within-event
-        # order (requests, demand, victim chain).
-        if self._inflight or m_h:
-            if self._inflight:
-                keys = np.fromiter(
-                    self._inflight.keys(), dtype=np.int64, count=len(self._inflight)
-                )
-                cand = np.concatenate((keys, h_line)) if m_h else keys
-            else:
-                cand = h_line
-            # Sorted-membership helper: lines outside this candidate set
-            # can never be in flight (only prefetches create entries),
-            # so their events skip the dict probes entirely.
-            cand = np.sort(cand)
-
-            def in_cand(arr: np.ndarray) -> np.ndarray:
-                pos = np.searchsorted(cand, arr).clip(0, len(cand) - 1)
-                return cand[pos] == arr
-
-            hp = np.nonzero(hit1)[0]
-            inf_ev = hp[in_cand(lines[hp])]
-            # L1 victims drop their in-flight entry (code 5); only lines
-            # that were ever prefetched can carry one, so the rest of
-            # the victims need no timing event at all.
-            v5 = in_cand(v1l)
-            v5i = v1i[v5]
-            v5l = v1l[v5]
-            da_inf = in_cand(lines[mp])
-        else:
-            inf_ev = np.empty(0, dtype=np.int64)
-            v5i = np.empty(0, dtype=np.int64)
-            v5l = np.empty(0, dtype=np.int64)
-            da_inf = np.zeros(len(mp), dtype=bool)
-
-        ev_h = sp3[h3m]
-        seq_h = (sm3[h3m] + 1) * 8
-        arg_h = sl3[h3m]
-
-        # Demand codes: 2/3 check the in-flight map before charging the
-        # L2/LLC hit latency; the 7/8 variants are the common case where
-        # the line cannot be in flight and the charge is unconditional.
-        da_code = np.where(da_inf, 2, 7)
-        da_code[~da2_hit] = np.where(
-            da3_hit, np.where(da_inf[~da2_hit], 3, 8), 4
-        )
-
-        v3_dirty = (v3f & FLAG_DIRTY) != 0
-        v3d = np.nonzero(v3_dirty)[0]
-        wb1_ev = sp3[v3i[v3d]]
-        ev1m = sm3[v3i[v3d]]
-        wb1_seq = np.where(ev1m < _MINOR_DA, (ev1m + 1) * 8 + 1, _SEQ_DA + 1)
-        w2 = is_t2_3 & ~hit3
-        wb2_ev = sp3[w2]
-        ev2m = sm3[w2]
-        wb2_seq = np.where(ev2m < _MINOR_DA, (ev2m + 1) * 8 + 2, _SEQ_DA + 2)
-        w3 = is_t1_3 & ~hit3
-        wb3_ev = sp3[w3]
-        w4 = v1_nta & v1_dirty
-        wb4_ev = v1i[w4]
-        n_wb = len(wb1_ev) + len(wb2_ev) + len(wb3_ev) + len(wb4_ev)
-
-        ev_t = np.concatenate(
-            (inf_ev, ev_h, mp, wb1_ev, wb2_ev, wb3_ev, wb4_ev, v5i)
-        )
-        seq_t = np.concatenate(
-            (
-                np.zeros(len(inf_ev), dtype=np.int64),
-                seq_h,
-                np.full(len(mp), _SEQ_DA, dtype=np.int64),
-                wb1_seq,
-                wb2_seq,
-                np.full(len(wb3_ev) + len(wb4_ev), _SEQ_DA + 4, dtype=np.int64),
-                np.full(len(v5i), _SEQ_DA + 3, dtype=np.int64),
+        # Codes: 0 hardware-prefetch DRAM fill, 1 off-chip write
+        # (writeback or NT store), 2/3/4 demand served from L2/LLC/DRAM,
+        # 5 in-flight drop (L1 victim or NT store), 6 in-flight check on
+        # an L1 hit, 7/8 demand served from L2/LLC with the line provably
+        # not in flight, 9 software prefetch hitting L1, 10/11/12
+        # software prefetch served from L2/LLC/DRAM.  Sequence keys
+        # replicate the scalar within-event order (hardware requests,
+        # the event's own op, the victim chain).
+        inflight = self._inflight
+        cand_parts = [h_line, lines[is_pf & ~hit1]]
+        keys0 = None
+        if inflight:
+            keys0 = np.sort(
+                np.fromiter(inflight.keys(), dtype=np.int64, count=len(inflight))
             )
+            cand_parts.append(keys0)
+        # Sorted-membership helper: lines outside this candidate set can
+        # never be in flight (only prefetches create entries), so their
+        # events skip the dict probes entirely.
+        cand = np.sort(np.concatenate(cand_parts))
+
+        def in_cand(arr: np.ndarray) -> np.ndarray:
+            if not len(cand):
+                return np.zeros(len(arr), dtype=bool)
+            pos = np.searchsorted(cand, arr).clip(0, len(cand) - 1)
+            return cand[pos] == arr
+
+        ev_parts: list[np.ndarray] = []
+        seq_parts: list[np.ndarray] = []
+        code_parts: list[np.ndarray] = []
+        arg_parts: list[np.ndarray] = []
+
+        def emit(ev, seq, code, arg) -> None:
+            """Queue timing ops at events ``ev`` (scalars broadcast)."""
+            ev_parts.append(ev)
+            for parts, value in ((seq_parts, seq), (code_parts, code), (arg_parts, arg)):
+                parts.append(np.broadcast_to(np.asarray(value, dtype=np.int64), len(ev)))
+
+        # L1 hits of demand events on lines that may be in flight.
+        hp = np.nonzero(is_dm & hit1)[0]
+        inf_ev = hp[in_cand(lines[hp])]
+        emit(inf_ev, 0, 6, lines[inf_ev])
+        # Software prefetches: L1 hits only cost their issue slot.
+        emit(np.nonzero(is_pf & hit1)[0], _SEQ_DA, 9, 0)
+        # Hardware-prefetch DRAM fills.
+        hd = np.nonzero(is_h2 & dram)[0]
+        emit(pos2[hd], (minor2[hd] + 1) * 8, 0, line2[hd])
+        # Demand L1 misses: 2/3 check the in-flight map before charging
+        # the L2/LLC hit latency; 7/8 are the common case where the line
+        # cannot be in flight and the charge is unconditional.
+        di = np.nonzero(is_d2)[0]
+        d_line = line2[di]
+        d_code = np.where(hit2[di], 2, np.where(hit3[di], 3, 4))
+        d_code[(d_code != 4) & ~in_cand(d_line)] += 5
+        emit(pos2[di], _SEQ_DA, d_code, d_line)
+        # Software prefetches that missed L1.
+        pi = np.nonzero(is_p2)[0]
+        emit(
+            pos2[pi],
+            _SEQ_DA,
+            np.where(hit2[pi], 10, np.where(hit3[pi], 11, 12)),
+            line2[pi],
         )
-        code_t = np.concatenate(
-            (
-                np.full(len(inf_ev), 6, dtype=np.int64),
-                np.zeros(len(ev_h), dtype=np.int64),
-                da_code,
-                np.ones(n_wb, dtype=np.int64),
-                np.full(len(v5i), 5, dtype=np.int64),
-            )
+        # Writebacks: LLC victims of installs, L2 victims whose dirty
+        # touch missed the LLC, L1 victims' dirty touches that missed
+        # both levels, and dirty NTA L1 victims (straight to DRAM).
+        hw_minor = minor2 < _MINOR_DA
+        w1 = np.nonzero((v3f & FLAG_DIRTY) != 0)[0]
+        emit(
+            pos2[w1],
+            np.where(hw_minor[w1], (minor2[w1] + 1) * 8 + 1, _SEQ_DA + 1),
+            1,
+            0,
         )
-        arg_t = np.concatenate(
-            (
-                lines[inf_ev],
-                arg_h,
-                lines[mp],
-                np.zeros(n_wb, dtype=np.int64),
-                v5l,
-            )
+        w2 = np.nonzero(wb2)[0]
+        emit(
+            pos2[w2],
+            np.where(hw_minor[w2], (minor2[w2] + 1) * 8 + 2, _SEQ_DA + 2),
+            1,
+            0,
         )
-        t_order = np.lexsort((seq_t, ev_t))
+        w3 = np.nonzero((cat2 == _CAT_TOUCH) & dram)[0]
+        emit(pos2[w3], _SEQ_DA + 4, 1, 0)
+        w4 = v1i[((v1f & FLAG_NTA) != 0) & ((v1f & FLAG_DIRTY) != 0)]
+        emit(w4, _SEQ_DA + 4, 1, 0)
+        n_wb = len(w1) + len(w2) + len(w3) + len(w4)
+        # L1 victims drop their in-flight entry.
+        v5 = in_cand(v1l)
+        emit(v1i[v5], _SEQ_DA + 3, 5, v1l[v5])
+        # NT stores drop the line's in-flight entry; the 4-entry
+        # write-combining FIFO depends only on the NT line sequence, so
+        # which of them write off-chip is decided up front.
+        n_ntw = 0
+        if n_nt:
+            nt_idx = np.nonzero(is_nt)[0]
+            nt_line = lines[nt_idx]
+            nt_write = np.zeros(n_nt, dtype=bool)
+            wc = self._wc_buffer
+            for j, line in enumerate(nt_line.tolist()):
+                if line in wc:
+                    continue  # merged into an open write-combining entry
+                wc.append(line)
+                if len(wc) > 4:
+                    wc.pop(0)
+                nt_write[j] = True
+            n_ntw = int(np.count_nonzero(nt_write))
+            nt_inf = in_cand(nt_line)
+            emit(nt_idx[nt_inf], _SEQ_DA, 5, nt_line[nt_inf])
+            emit(nt_idx[nt_write], _SEQ_DA + 1, 1, 0)
+
+        ev_t = np.concatenate(ev_parts)
+        # Sequence keys stay below 1 << 23 (_SEQ_DA + 4 at most).
+        t_order = np.argsort(
+            ev_t * (1 << 23) + np.concatenate(seq_parts), kind="stable"
+        )
         ev_s = ev_t[t_order]
-        code_s = code_t[t_order]
-        arg_s = arg_t[t_order]
+        code_s = np.concatenate(code_parts)[t_order]
+        arg_s = np.concatenate(arg_parts)[t_order]
 
-        # Liveness pass: a pop can only find an in-flight entry when the
-        # immediately preceding inflight-relevant event on the same line
-        # (in processing order) was a prefetch fill, or the line entered
-        # the run already in flight.  Pops that provably find nothing
-        # become unconditional-latency codes (2 -> 7, 3 -> 8) or vanish
-        # (5, 6), keeping the serial loop to the events that matter.
-        infl_rel = (code_s == 0) | ((code_s >= 2) & (code_s != 4) & (code_s <= 6))
+        # Liveness pass: a pop (2, 3, 5, 6) can only find an in-flight
+        # entry when the immediately preceding inflight-relevant event
+        # on the same line (in processing order) was a set — a
+        # hardware-prefetch fill (0) or a software prefetch that missed
+        # L1 (10-12) — or the line entered the batch already in flight.
+        # Pops that provably find nothing become unconditional-latency
+        # codes (2 -> 7, 3 -> 8) or vanish (5, 6), keeping the serial
+        # loop to the events that matter.
+        is_set = (code_s == 0) | (code_s >= 10)
+        infl_rel = is_set | (
+            (code_s >= 2) & (code_s <= 6) & (code_s != 4)
+        )
         ri = np.nonzero(infl_rel)[0]
         if len(ri):
             gsel = arg_s[ri]
             csel = code_s[ri]
             go = np.argsort(gsel, kind="stable")
             gg = gsel[go]
-            cg = csel[go]
             first = np.empty(len(go), dtype=bool)
             first[0] = True
             first[1:] = gg[1:] != gg[:-1]
             live_g = np.zeros(len(go), dtype=bool)
-            live_g[1:] = ~first[1:] & (cg[:-1] == 0)
-            if self._inflight:
-                keys0 = np.sort(
-                    np.fromiter(
-                        self._inflight.keys(),
-                        dtype=np.int64,
-                        count=len(self._inflight),
-                    )
-                )
+            live_g[1:] = ~first[1:] & is_set[ri][go][:-1]
+            if keys0 is not None:
                 pos0 = np.searchsorted(keys0, gg).clip(0, len(keys0) - 1)
                 live_g |= first & (keys0[pos0] == gg)
             dead = np.empty(len(ri), dtype=bool)
@@ -767,26 +723,50 @@ class CacheHierarchy:
         dur = line_bytes / bw.peak
         bpw = line_bytes / window
         dram_latency = machine.dram_latency
-        l2_lat = machine.l2.hit_latency / mlp
-        llc_lat = machine.llc.hit_latency / mlp
+        pf_cost = machine.prefetch_cost
+        l2_hit = machine.l2.hit_latency
+        llc_hit = machine.llc.hit_latency
+        l2_lat = l2_hit / mlp
+        llc_lat = llc_hit / mlp
         dram_term = (dur + dram_latency) / mlp
-        inflight = self._inflight
         now = self.now
         sw_late = 0
-        wb_count = 0
         prev = -1
         for e, c, g in zip(ev_l, code_l, arg_l):
-            # Hit-gap events and the interesting event itself each charge
-            # demand_cost; the repeated addition keeps float identity
-            # with the scalar loop.
+            # Hit-gap events each charge demand_cost, as does the
+            # interesting event itself unless it is a software prefetch
+            # (codes 9-12, always its event's only or first op), which
+            # charges prefetch_cost; the repeated addition keeps float
+            # identity with the scalar loop.
             if e != prev:
-                for _ in range(e - prev):
-                    now += demand_cost
-                prev = e
-            if c == 7:
-                now += l2_lat
-            elif c == 8:
-                now += llc_lat
+                if c < 9:
+                    for _ in range(e - prev):
+                        now += demand_cost
+                    prev = e
+                else:
+                    for _ in range(e - prev - 1):
+                        now += demand_cost
+                    now += pf_cost
+                    prev = e
+                    if c == 9:
+                        continue
+            if c == 6:
+                completion = inflight.pop(g, None)
+                if completion is not None and completion > now:
+                    now += (completion - now) / mlp
+                    sw_late += 1
+            elif c == 12:
+                start = now if now > free else free
+                free = start + dur
+                totb += line_bytes
+                tott += 1
+                t = now if now > last else last
+                dt = t - last
+                if dt > 0:
+                    ewma *= 1.0 - min(dt / window, 1.0)
+                    last = t
+                ewma += bpw
+                inflight[g] = start + dur + dram_latency
             elif c == 4:
                 start = now if now > free else free
                 free = start + dur
@@ -799,6 +779,25 @@ class CacheHierarchy:
                     last = t
                 ewma += bpw
                 now = start + dram_term
+            elif c == 7:
+                now += l2_lat
+            elif c == 5:
+                inflight.pop(g, None)
+            elif c == 1:  # off-chip write
+                start = now if now > free else free
+                free = start + dur
+                totb += line_bytes
+                tott += 1
+                t = now if now > last else last
+                dt = t - last
+                if dt > 0:
+                    ewma *= 1.0 - min(dt / window, 1.0)
+                    last = t
+                ewma += bpw
+            elif c == 10:
+                inflight[g] = now + l2_hit
+            elif c == 8:
+                now += llc_lat
             elif c == 2:
                 completion = inflight.pop(g, None)
                 if completion is not None and completion > now:
@@ -811,12 +810,9 @@ class CacheHierarchy:
                     now += (completion - now) / mlp
                 else:
                     now += llc_lat
-            elif c == 6:
-                completion = inflight.pop(g, None)
-                if completion is not None and completion > now:
-                    now += (completion - now) / mlp
-                    sw_late += 1
-            elif c == 0:
+            elif c == 11:
+                inflight[g] = now + llc_hit
+            else:  # c == 0
                 start = now if now > free else free
                 free = start + dur
                 totb += line_bytes
@@ -828,21 +824,7 @@ class CacheHierarchy:
                     last = t
                 ewma += bpw
                 inflight[g] = start + dur + dram_latency
-            elif c == 5:
-                inflight.pop(g, None)
-            else:  # c == 1: writeback
-                start = now if now > free else free
-                free = start + dur
-                totb += line_bytes
-                tott += 1
-                t = now if now > last else last
-                dt = t - last
-                if dt > 0:
-                    ewma *= 1.0 - min(dt / window, 1.0)
-                    last = t
-                ewma += bpw
-                wb_count += 1
-        for _ in range(n_run - 1 - prev):
+        for _ in range(n - 1 - prev):
             now += demand_cost
 
         self.now = now
@@ -852,7 +834,136 @@ class CacheHierarchy:
         bw.total_bytes = totb
         bw.total_transfers = tott
         stats.sw_late += sw_late
-        stats.dram_writebacks += wb_count
+        stats.dram_writebacks += n_wb
+        stats.nt_store_writes += n_ntw
+        stats.cycles = now
+        return rounds, groups
+
+    def _l2_llc_passes(
+        self,
+        line2: np.ndarray,
+        kind2: np.ndarray,
+        of2: np.ndarray,
+        cat2: np.ndarray,
+    ) -> tuple:
+        """Run the ordered L2 and LLC op streams of one batch.
+
+        Every L2 op passes one op on to the LLC when it misses (an NT
+        store's invalidation always does), in :data:`_OP_OF_CAT` form
+        and right after it in LLC order; an L2 victim's dirty touch
+        follows that op.
+
+        ``_sw_prefetch`` installs a T0 line into L2 only when it also
+        misses the LLC: the one L2 op that depends on an LLC outcome.
+        Each T0 prefetch's LLC outcome is guessed first — a miss
+        (``OP_PFILL`` at L2, installing on an L2 miss) for a line no
+        earlier op of the batch touched, a hit (``OP_LOOKUP``) otherwise
+        — and each guess that reached the LLC is then compared with its
+        LLC result.  A consistent set of guesses reproduces the scalar
+        run exactly, by induction over the stream.
+
+        Every L2 and LLC op on a line, victim touches included, stays
+        inside the line's *group* ``line & min(l2_mask, llc_mask)``, so
+        wrong guesses (set to their outcome) re-run only their groups'
+        sub-streams, from a pre-batch snapshot of those sets; every
+        other group's result is already final.  A group's ops before its
+        first wrong guess ran on exact state, so each round fixes at
+        least that guess and the loop terminates.
+
+        Returns per-L2-op arrays ``(hit2, prior2, hit3, prior3, v3f,
+        wb2)`` — the op's L2 result; the result of the LLC op it passed
+        on (meaningless where it passed none) and that op's victim flags
+        (0 when nothing was evicted); and whether its L2 victim's dirty
+        touch missed the LLC — plus the speculation's ``(rounds,
+        groups)``: L2/LLC passes run, and groups re-run over all rounds.
+        """
+        l2 = self.l2
+        llc = self.llc
+        m2 = len(line2)
+        hit2 = np.zeros(m2, dtype=bool)
+        prior2 = np.zeros(m2, dtype=np.int64)
+        hit3 = np.zeros(m2, dtype=bool)
+        prior3 = np.zeros(m2, dtype=np.int64)
+        v3f = np.zeros(m2, dtype=np.int64)
+        wb2 = np.zeros(m2, dtype=bool)
+        kind3 = _OP_OF_CAT[cat2]
+
+        def run(sel: np.ndarray) -> None:
+            lsel = line2[sel]
+            ksel = kind3[sel]
+            h, p, vi, vl, vf = l2.ops_batch(lsel, kind2[sel], of2[sel])
+            hit2[sel] = h
+            prior2[sel] = p
+            # LLC order: each L2 op's own LLC op, then its dirty L2
+            # victim's touch.
+            has_a = ~h | (ksel == OP_INVAL)
+            dirty_v = (vf & FLAG_DIRTY) != 0
+            ib = vi[dirty_v]
+            cnt = has_a.astype(np.int64)
+            cnt[ib] += 1
+            off = np.cumsum(cnt) - cnt
+            ia = np.nonzero(has_a)[0]
+            pa = off[ia]
+            pb = off[ib] + has_a[ib]
+            m3 = int(cnt.sum())
+            l3 = np.empty(m3, dtype=np.int64)
+            k3 = np.empty(m3, dtype=np.uint8)
+            f3 = np.empty(m3, dtype=np.int64)
+            l3[pa] = lsel[ia]
+            k3[pa] = ksel[ia]
+            f3[pa] = of2[sel[ia]]
+            l3[pb] = vl[dirty_v]
+            k3[pb] = OP_TOUCH
+            f3[pb] = FLAG_DIRTY
+            h3, p3, vi3, _, vf3 = llc.ops_batch(l3, k3, f3)
+            sa = sel[ia]
+            hit3[sel] = False
+            hit3[sa] = h3[pa]
+            prior3[sa] = p3[pa]
+            wb2[sel] = False
+            wb2[sel[ib]] = ~h3[pb]
+            v3f[sel] = 0
+            # Only installs evict, and touches never install.
+            owner = np.empty(m3, dtype=np.int64)
+            owner[pa] = sa
+            v3f[owner[vi3]] = vf3
+
+        t0 = np.nonzero(cat2 == _CAT_T0)[0]
+        if len(t0):
+            snap2 = l2.snapshot()
+            snap3 = llc.snapshot()
+            # Re-fetches are the common LLC hits; a line no earlier op
+            # of the batch touched hits only if it entered the batch
+            # resident.
+            by_line = np.argsort(line2, kind="stable")
+            sorted_lines = line2[by_line]
+            seen = np.zeros(m2, dtype=bool)
+            seen[by_line[1:]] = sorted_lines[1:] == sorted_lines[:-1]
+            guess_miss = ~seen[t0]
+            kind2[t0] = np.where(guess_miss, OP_PFILL, OP_LOOKUP)
+        run(np.arange(m2))
+        rounds, groups = 1, 0
+        if not len(t0):
+            return hit2, prior2, hit3, prior3, v3f, wb2, rounds, groups
+        gmask = min(l2.config.num_sets, llc.config.num_sets) - 1
+        while True:
+            out_miss = ~hit3[t0]
+            bad = ~hit2[t0] & (guess_miss != out_miss)
+            if not bad.any():
+                break
+            guess_miss[bad] = out_miss[bad]
+            kind2[t0[bad]] = np.where(out_miss[bad], OP_PFILL, OP_LOOKUP)
+            bad_grp = np.zeros(gmask + 1, dtype=bool)
+            bad_grp[line2[t0[bad]] & gmask] = True
+            for cache, snap in ((l2, snap2), (llc, snap3)):
+                cache.restore_sets(
+                    snap,
+                    np.nonzero(bad_grp[np.arange(cache.config.num_sets) & gmask])[0],
+                )
+            run(np.nonzero(bad_grp[line2 & gmask])[0])
+            rounds += 1
+            groups += int(np.count_nonzero(bad_grp))
+        return hit2, prior2, hit3, prior3, v3f, wb2, rounds, groups
 
     def drain_writebacks(self, stats: RunStats) -> int:
         """Account writebacks of dirty lines still resident at run end.
@@ -862,15 +973,16 @@ class CacheHierarchy:
         the bytes must reach DRAM either way.  Returns the number of
         lines drained.
         """
-        dirty: set[int] = set()
-        for cache in (self.l1, self.l2, self.llc):
-            for line in cache.resident_lines():
-                flags = cache.peek_flags(line)
-                if flags is not None and flags & FLAG_DIRTY:
-                    dirty.add(line)
-        self.bandwidth.charge_batch(self.now, self.machine.line_bytes, len(dirty))
-        stats.dram_writebacks += len(dirty)
-        return len(dirty)
+        count = len(
+            np.unique(
+                np.concatenate(
+                    [cache.dirty_lines() for cache in (self.l1, self.l2, self.llc)]
+                )
+            )
+        )
+        self.bandwidth.charge_batch(self.now, self.machine.line_bytes, count)
+        stats.dram_writebacks += count
+        return count
 
     # ------------------------------------------------------------------
     # event handlers

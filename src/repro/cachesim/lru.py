@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from repro.config import CacheConfig
 from repro.errors import SimulationError
 
@@ -124,6 +126,13 @@ class LRUCache:
         """Iterate all resident line numbers (LRU→MRU within each set)."""
         for s in self._sets:
             yield from s
+
+    def dirty_lines(self) -> np.ndarray:
+        """Resident line numbers carrying ``FLAG_DIRTY`` (any order)."""
+        return np.fromiter(
+            (line for s in self._sets for line, f in s.items() if f & FLAG_DIRTY),
+            dtype=np.int64,
+        )
 
     def occupancy(self) -> float:
         """Fraction of capacity currently filled."""

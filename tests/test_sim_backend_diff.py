@@ -14,8 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.cachesim import BandwidthModel, CacheHierarchy, FunctionalCacheSim
-from repro.cachesim.fastlru import FastLRUCache
+from repro.cachesim import BandwidthModel, CacheHierarchy, FunctionalCacheSim, RunStats
+from repro.cachesim.fastlru import EMPTY, FastLRUCache
 from repro.cachesim.lru import FLAG_DIRTY, FLAG_NTA, LRUCache
 from repro.cachesim.options import (
     BACKENDS,
@@ -67,6 +67,34 @@ def random_trace(rng, n, footprint_lines, prefetch_share=0.0, all_ops=False):
     elif prefetch_share:
         op[rng.random(n) < prefetch_share] = int(MemOp.PREFETCH)
     return MemoryTrace(pc, addr, op)
+
+
+def lru_state(cache):
+    """Each set's ``(line, flags)`` pairs in LRU -> MRU order."""
+    if isinstance(cache, FastLRUCache):
+        order = np.argsort(cache.stamp, axis=1, kind="stable")
+        tags = np.take_along_axis(cache.tags, order, axis=1).tolist()
+        flags = np.take_along_axis(cache.flags, order, axis=1).tolist()
+        return [
+            [(t, f) for t, f in zip(row_t, row_f) if t != EMPTY]
+            for row_t, row_f in zip(tags, flags)
+        ]
+    return [list(s.items()) for s in cache._sets]
+
+
+BANDWIDTH_STATE = ("_free_time", "_ewma_bpc", "_last_time", "total_bytes", "total_transfers")
+
+
+def assert_same_state(ref_h, fast_h):
+    """Hierarchy state after a run: time, in-flight map, every set's
+    ``(line, flags)`` in LRU order, write-combining buffer, bandwidth."""
+    assert ref_h.now == fast_h.now
+    assert ref_h._inflight == fast_h._inflight
+    for lvl in ("l1", "l2", "llc"):
+        assert lru_state(getattr(ref_h, lvl)) == lru_state(getattr(fast_h, lvl)), lvl
+    assert ref_h._wc_buffer == fast_h._wc_buffer
+    for name in BANDWIDTH_STATE:
+        assert getattr(ref_h.bandwidth, name) == getattr(fast_h.bandwidth, name), name
 
 
 def run_functional(backend, config, trace, honor):
@@ -157,32 +185,7 @@ class TestScalarAPIParity:
 
 class TestHierarchyDifferential:
     def _compare(self, machine, trace, prefetcher_factory=None, **run_kw):
-        results = {}
-        for backend in BACKENDS:
-            m = replace(machine, sim_backend=backend)
-            pf = prefetcher_factory() if prefetcher_factory else None
-            hier = CacheHierarchy(m, prefetcher=pf)
-            stats = hier.run(trace, **run_kw)
-            results[backend] = (stats, hier)
-        ref, ref_h = results["reference"]
-        fast, fast_h = results["fast"]
-        assert ref.cycles == fast.cycles  # bit-identical, not approx
-        assert ref.instructions == fast.instructions
-        assert (ref.l1, ref.l2, ref.llc) == (fast.l1, fast.l2, fast.llc)
-        assert ref.pc_l1.accesses == fast.pc_l1.accesses
-        assert ref.pc_l1.misses == fast.pc_l1.misses
-        for name in (
-            "sw_prefetches", "sw_useful", "sw_useless", "sw_late",
-            "hw_prefetches", "hw_useful", "hw_useless",
-            "dram_fills", "nta_fills", "dram_writebacks", "nt_store_writes",
-        ):
-            assert getattr(ref, name) == getattr(fast, name), name
-        assert ref_h.now == fast_h.now
-        assert ref_h._inflight == fast_h._inflight
-        for lvl in ("l1", "l2", "llc"):
-            assert sorted(getattr(ref_h, lvl).resident_lines()) == sorted(
-                getattr(fast_h, lvl).resident_lines()
-            )
+        compare_hierarchies(machine, [trace], prefetcher_factory or NullPrefetcher, **run_kw)
 
     def test_all_event_kinds(self, tiny_machine, rng):
         trace = random_trace(rng, 6000, 512, all_ops=True)
@@ -228,33 +231,32 @@ RUNSTAT_FIELDS = (
 )
 
 
-def compare_hierarchies(machine, traces, factory, bandwidth=False, **run_kw):
+def compare_hierarchies(machine, traces, factory, bandwidth=False, accumulate=False, **run_kw):
     """Run the same traces under both backends; assert bit-identity.
 
+    With ``accumulate`` every run adds to one ``RunStats`` per backend,
+    as ``core/online.py`` drives a hierarchy through successive slices.
     Returns the fast hierarchy so callers can assert on the path taken.
     """
     hiers = {}
+    acc = {}
     for backend in BACKENDS:
         m = replace(machine, sim_backend=backend)
         bw = BandwidthModel(m.bytes_per_cycle()) if bandwidth else None
         hiers[backend] = CacheHierarchy(m, prefetcher=factory(), bandwidth=bw)
+        acc[backend] = RunStats(line_bytes=m.line_bytes) if accumulate else None
     for trace in traces:
-        stats = {b: h.run(trace, **run_kw) for b, h in hiers.items()}
+        stats = {b: h.run(trace, stats=acc[b], **run_kw) for b, h in hiers.items()}
         ref, fast = stats["reference"], stats["fast"]
         assert ref.cycles == fast.cycles  # bit-identical, not approx
+        assert ref.instructions == fast.instructions
         assert (ref.l1, ref.l2, ref.llc) == (fast.l1, fast.l2, fast.llc)
         for name in RUNSTAT_FIELDS:
             assert getattr(ref, name) == getattr(fast, name), name
         assert ref.pc_l1.accesses == fast.pc_l1.accesses
         assert ref.pc_l1.misses == fast.pc_l1.misses
-    ref_h, fast_h = hiers["reference"], hiers["fast"]
-    assert ref_h.now == fast_h.now
-    assert ref_h._inflight == fast_h._inflight
-    for lvl in ("l1", "l2", "llc"):
-        assert sorted(getattr(ref_h, lvl).resident_lines()) == sorted(
-            getattr(fast_h, lvl).resident_lines()
-        )
-    return fast_h
+        assert_same_state(hiers["reference"], hiers["fast"])
+    return hiers["fast"]
 
 
 class TestHierarchyBatchParity:
@@ -298,6 +300,195 @@ class TestHierarchyBatchParity:
         assert ref.cycles == fast.cycles
         assert ref.hw_prefetches == fast.hw_prefetches
         assert results["fast"][1].last_run_path != "batch"
+
+
+def prefetch_after_load_trace(rng, n, kind, distance=6):
+    """Every load followed by a software prefetch ``distance`` lines
+    ahead at the same pc, as the paper's rewrite emits them."""
+    base = pc_correlated_trace(rng, n)
+    loads = base.op == int(MemOp.LOAD)
+    if kind == "t0":
+        pf_op = np.full(n, int(MemOp.PREFETCH))
+    elif kind == "nta":
+        pf_op = np.full(n, int(MemOp.PREFETCH_NTA))
+    else:
+        pf_op = rng.choice([int(MemOp.PREFETCH), int(MemOp.PREFETCH_NTA)], n)
+    pc = np.stack((base.pc, base.pc), axis=1)
+    addr = np.stack((base.addr, base.addr + distance * 64), axis=1)
+    op = np.stack((base.op, pf_op), axis=1)
+    keep = np.stack((np.ones(n, dtype=bool), loads), axis=1)
+    return MemoryTrace(pc[keep], addr[keep], op[keep])
+
+
+def crafted_trace(lines, ops, line_bytes=64):
+    return MemoryTrace(
+        np.full(len(lines), 7, dtype=np.int64),
+        np.asarray(lines, dtype=np.int64) * line_bytes,
+        np.asarray([int(o) for o in ops], dtype=np.int64),
+    )
+
+
+def chain_machine():
+    """L1 2 sets x 2 ways, L2 16 x 2, LLC 4 x 16: an LLC set spans four
+    L2 sets, so a line can leave the LLC while L2 keeps it.  A group
+    (``line & 3``) is one LLC set."""
+    return MachineConfig(
+        name="chain",
+        l1=CacheConfig("L1", 256, ways=2, line_bytes=64, hit_latency=2),
+        l2=CacheConfig("L2", 2048, ways=2, line_bytes=64, hit_latency=8),
+        llc=CacheConfig("LLC", 4096, ways=16, line_bytes=64, hit_latency=20),
+        cores=1,
+        freq_ghz=1.0,
+        dram_latency=100,
+        peak_bandwidth_gbs=8.0,
+        prefetch_cost=1.0,
+        cpi_base=0.5,
+        cycles_per_memop=2.0,
+    )
+
+
+def speculation_chain_trace():
+    """T0 prefetches chained inside one group of :func:`chain_machine`.
+
+    Lines ``p, z1, z2`` of L2 set 3 are loaded (``z2`` evicts ``p`` from
+    L2), then sixteen lines of the same LLC set that live in other L2
+    sets evict all three from the LLC while L2 keeps ``z1, z2``.  The
+    batch guesses that a prefetch of a line it has already seen hits
+    the LLC, so re-fetching ``p`` first skips its L2 install.  Until
+    that guess is corrected ``p`` cannot evict ``z1``, so the prefetch of
+    ``z1`` hits L2 and its own wrong guess stays hidden for a round; the
+    same then holds for ``z2``.  Four rounds in all.
+    """
+    load, pf = MemOp.LOAD, MemOp.PREFETCH
+    chain = [3, 19, 35]  # p, z1, z2
+    fillers = [line for line in range(3, 200, 4) if line % 16 != 3][:16]
+    lines = chain + fillers + chain
+    ops = [load] * (len(chain) + len(fillers)) + [pf] * len(chain)
+    return crafted_trace(lines, ops)
+
+
+def nt_store_trace(rng, n=3000):
+    """Random traffic around NT stores to WC-merged, in-flight and
+    dirty lines (tiny machine geometry: L1 set = ``line & 7``)."""
+    load, store, nt = MemOp.LOAD, MemOp.STORE, MemOp.STORE_NT
+    pf = MemOp.PREFETCH
+    a, b, c, d, e = 1000, 1001, 1002, 1003, 1004
+    crafted = crafted_trace(
+        # WC merges, then a FIFO overflow that re-opens line a
+        [a, a, b, a, 2000, 2001, 2002, 2003, a]
+        # prefetch in flight, then NT-stored, then loaded
+        + [c, c, c]
+        # dirty in L1, NT-stored
+        + [d, d, d]
+        # dirty in L2 (evicted from L1 by two same-set loads), NT-stored
+        + [e, e, e + 8, e + 16, e, e],
+        [nt, nt, nt, nt, nt, nt, nt, nt, nt]
+        + [pf, nt, load]
+        + [store, nt, load]
+        + [store, store, load, load, nt, load],
+    )
+    return MemoryTrace.concat(
+        [
+            random_trace(rng, n, 256, all_ops=True),
+            crafted,
+            random_trace(rng, n, 256, all_ops=True),
+            crafted,
+        ]
+    )
+
+
+def traced_run_attrs(hier, trace, **run_kw):
+    """Run with tracing on; the ``cachesim.run`` span's attributes."""
+    from repro import obs
+
+    obs.disable()
+    obs.reset_metrics()
+    obs.enable()
+    try:
+        hier.run(trace, **run_kw)
+        return [s["attrs"] for s in obs.drain_spans() if s["name"] == "cachesim.run"][-1]
+    finally:
+        obs.disable()
+        obs.reset_metrics()
+
+
+class TestRewrittenTraceBatch:
+    """Whole rewritten traces — software prefetches and NT stores folded
+    into the batch — against the scalar reference."""
+
+    @pytest.mark.parametrize("kind", ["t0", "nta", "mixed"])
+    @pytest.mark.parametrize("model", sorted(PREFETCHER_FACTORIES))
+    def test_prefetch_after_every_load(self, amd, rng, model, kind):
+        traces = [prefetch_after_load_trace(rng, 3000, kind) for _ in range(2)]
+        fast_h = compare_hierarchies(
+            amd, traces, PREFETCHER_FACTORIES[model], work_per_memop=2.0, mlp=2.0
+        )
+        assert fast_h.last_run_path == "batch"
+
+    def test_speculation_chain_needs_several_rounds(self):
+        machine = chain_machine()
+        trace = speculation_chain_trace()
+        compare_hierarchies(machine, [trace], NullPrefetcher)
+        fast = CacheHierarchy(replace(machine, sim_backend="fast"))
+        attrs = traced_run_attrs(fast, trace)
+        assert attrs["spec_rounds"] >= 3
+        assert attrs["spec_groups"] >= 2
+
+    @pytest.mark.parametrize("model", ["null", "ghb"])
+    def test_nt_stores_merged_inflight_and_dirty(self, tiny_machine, rng, model):
+        traces = [nt_store_trace(rng) for _ in range(2)]
+        fast_h = compare_hierarchies(
+            tiny_machine, traces, PREFETCHER_FACTORIES[model], work_per_memop=3.0
+        )
+        assert fast_h.last_run_path == "batch"
+
+    @pytest.mark.parametrize("model", ["null", "stride"])
+    def test_repeated_runs_accumulate_into_one_stats(self, tiny_machine, rng, model):
+        trace = random_trace(rng, 6000, 512, all_ops=True)
+        fast_h = compare_hierarchies(
+            tiny_machine,
+            list(trace.iter_chunks(1500)),
+            PREFETCHER_FACTORIES[model],
+            accumulate=True,
+            work_per_memop=2.0,
+            mlp=2.0,
+        )
+        assert fast_h.last_run_path == "batch"
+
+
+class TestDrainWritebacks:
+    def test_fast_matches_reference(self, tiny_machine, rng):
+        load, store, nta = MemOp.LOAD, MemOp.STORE, MemOp.PREFETCH_NTA
+        n_line, x = 3000, 3001
+        # An NTA line dirtied in L1; then x dirty in L2 (evicted from
+        # L1 by two same-set loads) and dirty again in L1.
+        tail = crafted_trace(
+            [n_line, n_line, x, x + 8, x + 16, x, x],
+            [nta, store, store, load, load, load, store],
+        )
+        for _ in range(3):
+            trace = MemoryTrace.concat([random_trace(rng, 4000, 512, all_ops=True), tail])
+            drained = {}
+            for backend in BACKENDS:
+                h = CacheHierarchy(replace(tiny_machine, sim_backend=backend))
+                st = h.run(trace, work_per_memop=2.0, mlp=2.0)
+                assert h.l1.peek_flags(n_line) & (FLAG_NTA | FLAG_DIRTY) == FLAG_NTA | FLAG_DIRTY
+                assert h.l1.peek_flags(x) & FLAG_DIRTY
+                assert h.l2.peek_flags(x) & FLAG_DIRTY
+                dirty = {
+                    line
+                    for cache in (h.l1, h.l2, h.llc)
+                    for line in cache.resident_lines()
+                    if cache.peek_flags(line) & FLAG_DIRTY
+                }
+                count = h.drain_writebacks(st)
+                assert count == len(dirty)  # a line dirty twice drains once
+                drained[backend] = (
+                    count,
+                    st.dram_writebacks,
+                    [getattr(h.bandwidth, name) for name in BANDWIDTH_STATE],
+                )
+            assert drained["reference"] == drained["fast"]
 
 
 class TestObserveBatchParity:
@@ -406,6 +597,53 @@ class TestDemand2WayKernel:
             for line in kern.resident_lines():
                 assert kern.peek_flags(line) == oracle.peek_flags(line)
             kern.check_invariants()
+
+
+class TestOpsBatchKinds:
+    """Every ``ops_batch`` kind against the dict cache's scalar calls."""
+
+    @staticmethod
+    def scalar_replay(cache, lines, kinds, oflags):
+        from repro.cachesim import fastlru as f
+
+        hit, prior, victims = [], [], []
+        for i, (line, kind, of) in enumerate(zip(lines.tolist(), kinds.tolist(), oflags.tolist())):
+            flags = cache.peek_flags(line)
+            hit.append(flags is not None)
+            prior.append(flags or 0)
+            if kind == f.OP_DEMAND:
+                victim = None if cache.lookup(line, of) else cache.install(line, of)
+            elif kind in (f.OP_FILL, f.OP_PFILL):
+                present = cache.contains(line) if kind == f.OP_FILL else cache.lookup(line)
+                victim = None if present else cache.install(line, of)
+            else:
+                victim = None
+                if kind == f.OP_TOUCH:
+                    cache.touch_flags(line, of)
+                elif kind == f.OP_LOOKUP:
+                    cache.lookup(line)
+                elif kind == f.OP_INVAL:
+                    cache.invalidate(line)
+            if victim is not None:
+                victims.append((i, *victim))
+        return hit, prior, victims
+
+    @pytest.mark.parametrize("n_sets", [4, 512])  # scalar tail, wavefront
+    def test_every_kind_matches_scalar_calls(self, rng, n_sets):
+        config = CacheConfig("T", n_sets * 4 * 64, ways=4, line_bytes=64)
+        fast, ref = FastLRUCache(config), LRUCache(config)
+        for _ in range(3):  # state carries across batches
+            n = 40 * n_sets
+            lines = rng.integers(0, 8 * n_sets, n)
+            kinds = rng.integers(0, 7, n).astype(np.uint8)
+            oflags = rng.integers(1, 32, n)
+            h, p, vi, vl, vf = fast.ops_batch(lines, kinds, oflags)
+            rh, rp, rv = self.scalar_replay(ref, lines, kinds, oflags)
+            assert h.tolist() == rh
+            assert p.tolist() == rp
+            assert list(zip(vi.tolist(), vl.tolist(), vf.tolist())) == rv
+            assert lru_state(fast) == lru_state(ref)
+            fast.check_invariants()
 
 
 class TestSimOptionsPrecedence:
@@ -519,6 +757,57 @@ class TestPathObservability:
         finally:
             obs.disable()
             obs.reset_metrics()
+
+    def test_fallback_reasons_and_speculation_fields(self, amd, rng):
+        from repro import obs
+
+        fast_m = replace(amd, sim_backend="fast")
+        bw = BandwidthModel(fast_m.bytes_per_cycle())
+        hierarchies = {
+            "reference-backend": CacheHierarchy(replace(amd, sim_backend="reference")),
+            "prefetcher-not-batch-safe": CacheHierarchy(
+                fast_m,
+                prefetcher=amd_hw_prefetcher(fast_m.line_bytes, bw.utilisation),
+                bandwidth=bw,
+            ),
+            "shared-llc": CacheHierarchy(fast_m, llc=LRUCache(fast_m.llc)),
+            "batch-hierarchy-off": CacheHierarchy(
+                fast_m, options=SimOptions(batch_hierarchy=False)
+            ),
+        }
+        trace = prefetch_after_load_trace(rng, 2000, "mixed")
+        obs.disable()
+        obs.reset_metrics()
+        obs.enable()
+        try:
+            for h in hierarchies.values():
+                h.run(trace, work_per_memop=2.0, mlp=2.0)
+            batch = CacheHierarchy(fast_m)
+            batch.run(trace, work_per_memop=2.0, mlp=2.0)
+            spans = [s["attrs"] for s in obs.drain_spans() if s["name"] == "cachesim.run"]
+            snap = obs.metrics().snapshot()
+        finally:
+            obs.disable()
+            obs.reset_metrics()
+        assert [a.get("reason") for a in spans] == list(hierarchies) + [None]
+        for reason in hierarchies:
+            assert snap[f"sim.hierarchy.reason.{reason}"]["value"] == 1
+        *fallbacks, batched = spans
+        assert batched["path"] == "batch"
+        assert batched["spec_rounds"] >= 1 and batched["spec_groups"] >= 0
+        assert all("spec_rounds" not in a for a in fallbacks)
+        assert snap["sim.hierarchy.spec_rounds"]["value"] == batched["spec_rounds"]
+        assert snap["sim.hierarchy.spec_groups"]["value"] == batched["spec_groups"]
+
+    def test_disabled_tracing_touches_no_counters(self, amd, rng):
+        from repro import obs
+
+        obs.disable()
+        obs.reset_metrics()
+        trace = prefetch_after_load_trace(rng, 1000, "t0")
+        CacheHierarchy(replace(amd, sim_backend="fast")).run(trace)
+        CacheHierarchy(replace(amd, sim_backend="reference")).run(trace)
+        assert not [k for k in obs.metrics().snapshot() if k.startswith("sim.hierarchy")]
 
 
 class TestBackendSelection:
