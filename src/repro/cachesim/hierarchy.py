@@ -20,9 +20,13 @@ This is the workhorse simulator behind the single-benchmark experiments
 * off-chip traffic and bandwidth-dependent DRAM latency through
   :class:`~repro.cachesim.bandwidth.BandwidthModel`.
 
-The per-event loop is deliberately written with localised variables and
-O(1) dict-based cache operations; simulating a 500k-event trace through
-all three levels takes on the order of a second.
+Two drivers replay a trace.  The scalar loop (``path="scalar"``) feeds
+each event to the per-event handlers below; it is the reference oracle
+and the fast backend's fallback.  The batched pipeline
+(``path="batch"``) replays a whole trace as five array passes over
+:class:`~repro.cachesim.fastlru.FastLRUCache` levels, bit-identical to
+the scalar loop; it runs when the backend is ``fast``, the LLC is
+private and the hardware prefetcher is batch-safe.
 """
 
 from __future__ import annotations
@@ -105,6 +109,7 @@ class CacheHierarchy:
         :class:`~repro.cachesim.options.SimOptions` (or a bare backend
         name) overriding ``machine.sim_backend`` and the process
         default.  Precedence: explicit arg > spec > process default.
+        Resolved once, here: the backend also picks the cache class.
     """
 
     def __init__(
@@ -117,18 +122,14 @@ class CacheHierarchy:
     ) -> None:
         self.machine = machine
         self.prefetcher = prefetcher if prefetcher is not None else NullPrefetcher()
-        self._explicit_options = options
-        opts = resolve_options(options, machine.sim_backend)
+        self.backend = resolve_options(options, machine.sim_backend).backend
         # The batched whole-hierarchy path needs array-backed levels; it
         # is only worth building them when the attached prefetcher can be
         # observed in batch (throttled prefetchers cannot — they sample
         # time-varying bandwidth utilisation per access) and the LLC is
         # private (a shared LLC interleaves accesses from other cores).
         batch_capable = (
-            opts.backend == "fast"
-            and opts.batch_hierarchy
-            and llc is None
-            and self.prefetcher.batch_safe
+            self.backend == "fast" and llc is None and self.prefetcher.batch_safe
         )
         cache_cls = FastLRUCache if batch_capable else LRUCache
         self.l1 = cache_cls(machine.l1)
@@ -180,28 +181,24 @@ class CacheHierarchy:
             raise SimulationError("work_per_memop must be non-negative")
         if stats is None:
             stats = RunStats(line_bytes=self.machine.line_bytes)
-        opts = resolve_options(self._explicit_options, self.machine.sim_backend)
-        backend = opts.backend
-        path, reason = self._select_path(opts)
+        path, reason = self._select_path()
         self.last_run_path = path
         with obs.span(
             "cachesim.run",
             machine=self.machine.name,
             events=len(trace),
-            backend=backend,
+            backend=self.backend,
             path=path,
         ) as run_span:
             if path == "batch":
                 rounds, groups = self._run_events_batch(
                     trace, work_per_memop, mlp, stats
                 )
-            elif path == "chunked":
-                self._run_events_fast(trace, work_per_memop, mlp, stats)
             else:
                 self._run_events(trace, work_per_memop, mlp, stats)
             if obs.enabled():
                 metrics = obs.metrics()
-                metrics.counter(f"sim.hierarchy.events.{backend}").inc(len(trace))
+                metrics.counter(f"sim.hierarchy.events.{self.backend}").inc(len(trace))
                 metrics.counter(f"sim.hierarchy.path.{path}").inc()
                 if path == "batch":
                     metrics.counter("sim.hierarchy.spec_rounds").inc(rounds)
@@ -213,25 +210,23 @@ class CacheHierarchy:
             run_span.set(cycles=stats.cycles)
         return stats
 
-    def _select_path(self, opts: SimOptions) -> tuple[str, str | None]:
-        """The driver for one run and, off the batch path, the reason."""
-        if opts.backend != "fast":
+    def _select_path(self) -> tuple[str, str | None]:
+        """The driver for one run and, off the batch path, the reason.
+
+        The backend and the cache class were fixed at construction; the
+        prefetcher is checked per run because its tuning can change
+        between runs.  Array-backed caches run the scalar loop exactly
+        like dict-backed ones, so a lapsed condition only costs speed.
+        """
+        if self.backend != "fast":
             return "scalar", "reference-backend"
         if self._shared_llc:
-            reason = "shared-llc"
-        elif not opts.batch_hierarchy:
-            reason = "batch-hierarchy-off"
-        elif not self.prefetcher.batch_safe:
-            reason = "prefetcher-not-batch-safe"
-        elif isinstance(self.l1, FastLRUCache):
-            return "batch", None
-        else:
-            # Dict-backed caches built while the reference backend was
-            # in force.
-            reason = "reference-backend"
-        # Array-backed caches whose batch conditions lapsed after
-        # construction run the scalar loop (correct on either class).
-        return ("chunked" if isinstance(self.l1, LRUCache) else "scalar"), reason
+            return "scalar", "shared-llc"
+        # Dict-backed caches under ``fast`` mean the prefetcher was not
+        # batch-safe when they were built.
+        if not (self.prefetcher.batch_safe and isinstance(self.l1, FastLRUCache)):
+            return "scalar", "prefetcher-not-batch-safe"
+        return "batch", None
 
     def _run_events(
         self,
@@ -244,134 +239,25 @@ class CacheHierarchy:
         demand_cost = (
             self.machine.cycles_per_memop + self.machine.cpi_base * work_per_memop
         )
-        pcs = trace.pc
-        addrs = trace.addr
-        ops = trace.op
         store_op = int(MemOp.STORE)
         nta_op = int(MemOp.PREFETCH_NTA)
         store_nt_op = int(MemOp.STORE_NT)
 
         n_demand = 0
         n_prefetch = 0
-        for i in range(len(trace)):
-            op = ops[i]
-            addr = int(addrs[i])
+        # Plain Python lists: no per-event NumPy scalar extraction.
+        for op, pc, addr in zip(trace.op.tolist(), trace.pc.tolist(), trace.addr.tolist()):
             line = addr >> shift
             if op <= store_op:
                 n_demand += 1
-                self._demand_access(int(pcs[i]), addr, line, op == store_op, demand_cost, mlp, stats)
+                self._demand_access(pc, addr, line, op == store_op, demand_cost, mlp, stats)
             elif op == store_nt_op:
                 n_demand += 1
-                self._nt_store(int(pcs[i]), line, demand_cost, stats)
+                self._nt_store(pc, line, demand_cost, stats)
             else:
                 n_prefetch += 1
                 self._sw_prefetch(line, op == nta_op, stats)
 
-        stats.instructions += int(n_demand * (1.0 + work_per_memop)) + n_prefetch
-        stats.cycles = self.now
-
-    def _run_events_fast(
-        self,
-        trace: MemoryTrace,
-        work_per_memop: float,
-        mlp: float,
-        stats: RunStats,
-    ) -> None:
-        """Chunked fast event loop (``sim_backend="fast"``).
-
-        The trace is staged chunk by chunk into plain Python lists (one
-        vectorised line-number conversion, no per-event NumPy scalar
-        extraction) and the dominant L1 demand path is inlined against
-        the set dicts with every attribute hoisted into locals.  Only
-        the rare events — L1 misses, software prefetches, NT stores and
-        hardware-prefetcher observation — fall back to the exact same
-        methods the reference loop uses, with ``self.now`` synced around
-        the call, so timing and statistics stay bit-identical (enforced
-        by ``tests/test_sim_backend_diff.py``).
-        """
-        shift = self._line_shift
-        demand_cost = (
-            self.machine.cycles_per_memop + self.machine.cpi_base * work_per_memop
-        )
-        store_op = int(MemOp.STORE)
-        nta_op = int(MemOp.PREFETCH_NTA)
-        store_nt_op = int(MemOp.STORE_NT)
-        lines_arr = trace.addr >> shift
-
-        l1_sets = self.l1._sets
-        l1_mask = self.l1._set_mask
-        inflight = self._inflight
-        null_pf = isinstance(self.prefetcher, NullPrefetcher)
-        hw_observe = self._hw_observe
-        demand_miss = self._demand_miss
-        pc_acc = stats.pc_l1.accesses
-        pc_miss = stats.pc_l1.misses
-        ref_flag = FLAG_REFERENCED
-        dirty_flag = FLAG_DIRTY
-        sw_flag = FLAG_SW_PREFETCH
-
-        n_demand = 0
-        n_prefetch = 0
-        l1_accesses = 0
-        l1_misses = 0
-        sw_useful = 0
-        sw_late = 0
-        now = self.now
-        chunk = 1 << 16
-        for start in range(0, len(trace), chunk):
-            end = start + chunk
-            ops_c = trace.op[start:end].tolist()
-            pcs_c = trace.pc[start:end].tolist()
-            lines_c = lines_arr[start:end].tolist()
-            addrs_c = trace.addr[start:end].tolist() if not null_pf else None
-            for j, op in enumerate(ops_c):
-                line = lines_c[j]
-                if op <= store_op:
-                    n_demand += 1
-                    now += demand_cost
-                    l1_accesses += 1
-                    pc = pcs_c[j]
-                    write_flag = dirty_flag if op == store_op else 0
-                    s = l1_sets[line & l1_mask]
-                    flags = s.pop(line, None)
-                    if flags is not None:
-                        if inflight:
-                            completion = inflight.pop(line, None)
-                            if completion is not None and completion > now:
-                                now += (completion - now) / mlp
-                                sw_late += 1
-                        if flags & sw_flag and not flags & ref_flag:
-                            sw_useful += 1
-                        s[line] = flags | ref_flag | write_flag
-                        pc_acc[pc] = pc_acc.get(pc, 0) + 1
-                        if not null_pf:
-                            self.now = now
-                            hw_observe(pc, addrs_c[j], line, True, stats)
-                    else:
-                        l1_misses += 1
-                        pc_acc[pc] = pc_acc.get(pc, 0) + 1
-                        pc_miss[pc] = pc_miss.get(pc, 0) + 1
-                        self.now = now
-                        if not null_pf:
-                            hw_observe(pc, addrs_c[j], line, False, stats)
-                        demand_miss(line, write_flag, mlp, stats)
-                        now = self.now
-                elif op == store_nt_op:
-                    n_demand += 1
-                    self.now = now
-                    self._nt_store(pcs_c[j], line, demand_cost, stats)
-                    now = self.now
-                else:
-                    n_prefetch += 1
-                    self.now = now
-                    self._sw_prefetch(line, op == nta_op, stats)
-                    now = self.now
-
-        self.now = now
-        stats.l1.accesses += l1_accesses
-        stats.l1.misses += l1_misses
-        stats.sw_useful += sw_useful
-        stats.sw_late += sw_late
         stats.instructions += int(n_demand * (1.0 + work_per_memop)) + n_prefetch
         stats.cycles = self.now
 
@@ -1034,9 +920,9 @@ class CacheHierarchy:
     ) -> None:
         """Service an L1 miss from L2, the LLC or DRAM.
 
-        Shared by both backends: the fast event loop inlines only the
-        L1 probe and delegates every miss here, so the two paths cannot
-        drift apart below the L1.
+        Reached from :meth:`_demand_access`, so the scalar loop on both
+        backends and the multicore simulator share it; the batch path
+        reproduces it pass by pass.
         """
         stats.l2.accesses += 1
         l2_flags = self.l2.peek_flags(line)

@@ -14,6 +14,10 @@ carrier for all of them, resolved with one documented precedence:
    ``repro.api.configure(sim_options=...)`` and the CLI, and shipped to
    engine worker processes.
 
+Simulators resolve their options once, at construction: changing the
+process default afterwards does not move a simulator that already
+exists.
+
 The migration is complete: the legacy :mod:`repro.cachesim.backend`
 shim module and the ``repro.api.configure(sim_backend=...)`` kwarg are
 gone, and the removed names raise :class:`~repro.errors.ExperimentError`
@@ -57,17 +61,12 @@ class SimOptions:
     backend:
         Cache-simulation backend: ``"reference"`` (dict-based oracle),
         ``"fast"`` (array-native, bit-identical), or ``None`` to defer
-        to the spec / process default.
-    batch_hierarchy:
-        Allow :class:`~repro.cachesim.hierarchy.CacheHierarchy` to use
-        the batched whole-hierarchy fast path when the backend is
-        ``"fast"`` and the attached prefetcher supports batch
-        observation.  Disable to force the chunked per-event fast loop
-        (debugging aid; results are bit-identical either way).
+        to the spec / process default.  The backend is the only
+        option: the fast backend picks its execution path per run (see
+        :class:`~repro.cachesim.hierarchy.CacheHierarchy`).
     """
 
     backend: str | None = None
-    batch_hierarchy: bool = True
 
     def __post_init__(self) -> None:
         validate_backend(self.backend)
@@ -117,16 +116,10 @@ def resolve_options(
     (the classic ``backend="fast"`` constructor argument), or ``None``.
     The result always carries a concrete backend name.
     """
-    if explicit is None:
-        validate_backend(spec_backend)
-        if spec_backend is not None:
-            return replace(_DEFAULT, backend=spec_backend)
-        return replace(_DEFAULT, backend=_DEFAULT.backend or "reference")
-    if isinstance(explicit, str):
-        validate_backend(explicit)
-        return replace(_DEFAULT, backend=explicit)
-    if not isinstance(explicit, SimOptions):
+    if explicit is None or isinstance(explicit, str):
+        explicit = SimOptions(backend=explicit)
+    elif not isinstance(explicit, SimOptions):
         raise ConfigError(
             f"expected SimOptions, backend name or None, got {type(explicit).__name__}"
         )
-    return replace(explicit, backend=explicit.resolved_backend(spec_backend))
+    return SimOptions(backend=explicit.resolved_backend(spec_backend))

@@ -32,6 +32,7 @@ from repro.hwpref import (
     GHBPrefetcher,
     NullPrefetcher,
     PCStridePrefetcher,
+    PrefetchTuning,
     StreamerPrefetcher,
     amd_hw_prefetcher,
     intel_hw_prefetcher,
@@ -299,7 +300,45 @@ class TestHierarchyBatchParity:
         ref, fast = results["reference"][0], results["fast"][0]
         assert ref.cycles == fast.cycles
         assert ref.hw_prefetches == fast.hw_prefetches
-        assert results["fast"][1].last_run_path != "batch"
+        assert results["fast"][1].last_run_path == "scalar"
+
+    @pytest.mark.parametrize("model", ["ghb", "stride"])
+    def test_prefetcher_tuned_after_construction_runs_scalar(self, amd, rng, model):
+        # Untuned at construction, the fast hierarchy gets array-backed
+        # caches; a coordinator tuning applied afterwards makes the
+        # prefetcher unsafe to batch, so the run must take the scalar
+        # loop on those caches and still match the reference.
+        from repro import obs
+
+        trace = pc_correlated_trace(rng, 4000)
+        hiers = {
+            backend: CacheHierarchy(
+                replace(amd, sim_backend=backend), prefetcher=PREFETCHER_FACTORIES[model]()
+            )
+            for backend in BACKENDS
+        }
+        assert isinstance(hiers["fast"].l1, FastLRUCache)
+        for h in hiers.values():
+            h.prefetcher.apply_tuning(PrefetchTuning(degree_scale=0.5))
+        obs.disable()
+        obs.reset_metrics()
+        obs.enable()
+        try:
+            stats = {b: h.run(trace, work_per_memop=2.0, mlp=2.0) for b, h in hiers.items()}
+            spans = [s["attrs"] for s in obs.drain_spans() if s["name"] == "cachesim.run"]
+        finally:
+            obs.disable()
+            obs.reset_metrics()
+        assert [(a["backend"], a["path"], a.get("reason")) for a in spans] == [
+            ("reference", "scalar", "reference-backend"),
+            ("fast", "scalar", "prefetcher-not-batch-safe"),
+        ]
+        ref, fast = stats["reference"], stats["fast"]
+        assert ref.cycles == fast.cycles
+        assert (ref.l1, ref.l2, ref.llc) == (fast.l1, fast.l2, fast.llc)
+        for name in RUNSTAT_FIELDS:
+            assert getattr(ref, name) == getattr(fast, name), name
+        assert_same_state(hiers["reference"], hiers["fast"])
 
 
 def prefetch_after_load_trace(rng, n, kind, distance=6):
@@ -574,7 +613,7 @@ class TestDemand2WayKernel:
             n = 500 + trial * 331
             lines = rng.integers(0, 48, n) * (1 + rng.integers(0, 4, n))
             flags = rng.integers(0, 4, n) * FLAG_DIRTY
-            kinds = np.zeros(n, dtype=np.int64)
+            kinds = np.full(n, OP_DEMAND, dtype=np.int64)
             kh, kp, kvi, kvl, kvf = kern.ops_batch(lines, kinds, flags)
             oh = np.empty(0, dtype=bool)
             op_ = np.empty(0, dtype=np.int64)
@@ -670,15 +709,6 @@ class TestSimOptionsPrecedence:
         finally:
             set_default_options(previous)
 
-    def test_options_carry_batch_hierarchy_flag(self):
-        previous = set_default_options(
-            SimOptions(backend="fast", batch_hierarchy=False)
-        )
-        try:
-            assert resolve_options(None, None).batch_hierarchy is False
-        finally:
-            set_default_options(previous)
-
     def test_frozen_and_validated(self):
         opts = SimOptions(backend="fast")
         with pytest.raises(Exception):
@@ -688,16 +718,31 @@ class TestSimOptionsPrecedence:
         with pytest.raises(ConfigError):
             set_default_options("fast")  # type: ignore[arg-type]
 
-    def test_batch_hierarchy_false_forces_chunked_path(self, amd, rng):
-        trace = pc_correlated_trace(rng, 3000)
-        m = replace(amd, sim_backend="fast")
-        h_off = CacheHierarchy(m, options=SimOptions(batch_hierarchy=False))
-        s_off = h_off.run(trace, work_per_memop=2.0, mlp=2.0)
-        h_on = CacheHierarchy(m)
-        s_on = h_on.run(trace, work_per_memop=2.0, mlp=2.0)
-        assert h_off.last_run_path != "batch"
-        assert h_on.last_run_path == "batch"
-        assert s_off.cycles == s_on.cycles  # path choice never changes results
+    def test_backend_pinned_at_construction(self, amd, rng):
+        # The default in force when the hierarchy is built decides its
+        # backend; switching the default before the run moves nothing.
+        from repro import obs
+
+        trace = pc_correlated_trace(rng, 2000)
+        previous = set_default_options(SimOptions(backend="reference"))
+        try:
+            h = CacheHierarchy(amd)
+            set_default_options(SimOptions(backend="fast"))
+            obs.disable()
+            obs.reset_metrics()
+            obs.enable()
+            try:
+                h.run(trace, work_per_memop=2.0, mlp=2.0)
+                (span,) = [s["attrs"] for s in obs.drain_spans() if s["name"] == "cachesim.run"]
+            finally:
+                obs.disable()
+                obs.reset_metrics()
+        finally:
+            set_default_options(previous)
+        assert h.last_run_path == "scalar"
+        assert (span["backend"], span["path"], span.get("reason")) == (
+            "reference", "scalar", "reference-backend"
+        )
 
     def test_api_configure_sim_options(self):
         from repro import api
@@ -771,9 +816,6 @@ class TestPathObservability:
                 bandwidth=bw,
             ),
             "shared-llc": CacheHierarchy(fast_m, llc=LRUCache(fast_m.llc)),
-            "batch-hierarchy-off": CacheHierarchy(
-                fast_m, options=SimOptions(batch_hierarchy=False)
-            ),
         }
         trace = prefetch_after_load_trace(rng, 2000, "mixed")
         obs.disable()
@@ -949,4 +991,4 @@ class TestCrossCorePrefetcherDiff:
         ref, fast = results["reference"][0], results["fast"][0]
         assert ref.cycles == fast.cycles
         assert ref.hw_prefetches == fast.hw_prefetches
-        assert results["fast"][1].last_run_path != "batch"
+        assert results["fast"][1].last_run_path == "scalar"
