@@ -25,9 +25,10 @@ def test_fig10_fair_speedup(benchmark, bench_scale, bench_mixes, results_dir):
     save_artifact(results_dir, "fig10_fair_speedup.txt", render_fig10(cells))
 
     for c in cells:
-        benchmark.extra_info[f"{c.machine}/{c.inputs}/sw"] = round(c.sw_fs, 4)
-        benchmark.extra_info[f"{c.machine}/{c.inputs}/hw"] = round(c.hw_fs, 4)
+        sw, hw = c.fair_speedup["swnt"], c.fair_speedup["hw"]
+        benchmark.extra_info[f"{c.machine}/{c.inputs}/sw"] = round(sw, 4)
+        benchmark.extra_info[f"{c.machine}/{c.inputs}/hw"] = round(hw, 4)
         # Paper Fig 10: the software scheme's Fair-Speedup exceeds
         # hardware prefetching's in every column.
-        assert c.sw_fs > c.hw_fs
-        assert c.sw_fs > 1.0
+        assert sw > hw
+        assert sw > 1.0

@@ -25,9 +25,10 @@ def test_fig11_qos(benchmark, bench_scale, bench_mixes, results_dir):
     save_artifact(results_dir, "fig11_qos.txt", render_fig11(cells))
 
     for c in cells:
-        benchmark.extra_info[f"{c.machine}/{c.inputs}/sw"] = round(c.sw_qos, 4)
-        benchmark.extra_info[f"{c.machine}/{c.inputs}/hw"] = round(c.hw_qos, 4)
+        sw, hw = c.qos["swnt"], c.qos["hw"]
+        benchmark.extra_info[f"{c.machine}/{c.inputs}/sw"] = round(sw, 4)
+        benchmark.extra_info[f"{c.machine}/{c.inputs}/hw"] = round(hw, 4)
         # QoS is a non-positive metric; the software scheme degrades it
         # less than hardware prefetching in every column (paper Fig 11).
-        assert c.sw_qos <= 0.0 and c.hw_qos <= 0.0
-        assert c.sw_qos >= c.hw_qos
+        assert sw <= 0.0 and hw <= 0.0
+        assert sw >= hw

@@ -44,6 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import WorkloadProfile
 
 __all__ = [
+    "PrefetchConfig",
+    "PREFETCH_CONFIGS",
     "CONFIGS",
     "PLAN_KINDS",
     "DEFAULT_MACHINE",
@@ -71,22 +73,57 @@ __all__ = [
     "RetryPolicy",
 ]
 
-#: The four prefetching configurations of Figs. 4–6, plus the baseline,
-#: the combined HW+SW configuration of §VIII-B (Lee et al.'s
-#: observation, which the paper confirms: combining the two can hurt),
-#: and the coordinated hardware configurations (``hwcoord``/``hwrl``):
-#: solo cells identical to ``hw``, but mixed-workload evaluation runs a
-#: :mod:`repro.multicore.coordinator` policy over the mix.  The irregular
-#: frontier adds ``swi`` (the indirect ``prefetch B[i+d]; prefetch
-#: A[B[i+d]]`` software rewrite) and ``hwx`` (the cross-core helper LLC
-#: prefetcher of :mod:`repro.hwpref.xcore`).
-CONFIGS = (
-    "baseline", "hw", "sw", "swnt", "stride", "hwsw", "hwcoord", "hwrl",
-    "swi", "hwx",
-)
 
-#: Configurations that require a software prefetch plan.
-PLAN_KINDS = ("sw", "swnt", "stride", "swi")
+@dataclass(frozen=True)
+class PrefetchConfig:
+    """One prefetching configuration: what a cell under it runs.
+
+    ``plan`` is the software plan kind the program is rewritten with
+    (``None``: the original program runs).  ``hw`` is the hardware
+    prefetcher on each core: ``None``, ``"machine"`` (the machine's own
+    model) or ``"xcore"`` (the cross-core helper LLC prefetcher of
+    :mod:`repro.hwpref.xcore`).  ``coordinator`` is the multicore
+    policy of :mod:`repro.multicore.coordinator` (``None``,
+    ``"heuristic"`` or ``"rl"``); it acts only where cores share a chip.
+    ``label`` is the config's column header in every figure.
+    """
+
+    name: str
+    label: str
+    plan: str | None = None
+    hw: str | None = None
+    coordinator: str | None = None
+
+
+#: Every prefetching configuration, declared once.  The paper's §VII
+#: grid (Baseline, Hardware Pref., Software Pref., Soft.Pref.+NT,
+#: Stride-centric), §VIII-B's combined HW+SW (Lee et al.'s observation,
+#: which the paper confirms: combining the two can hurt), coordinated
+#: hardware prefetching (after arXiv 2509.10719) and the irregular
+#: frontier: the indirect ``prefetch B[i+d]; prefetch A[B[i+d]]``
+#: rewrite and the cross-core helper prefetcher (after Pickle, arXiv
+#: 2511.19973).  Adding a config is adding a row.
+PREFETCH_CONFIGS: dict[str, PrefetchConfig] = {
+    row.name: row
+    for row in (
+        PrefetchConfig("baseline", "Baseline"),
+        PrefetchConfig("hw", "Hardware Pref.", hw="machine"),
+        PrefetchConfig("sw", "Software Pref.", plan="sw"),
+        PrefetchConfig("swnt", "Soft.Pref.+NT", plan="swnt"),
+        PrefetchConfig("stride", "Stride-centric", plan="stride"),
+        PrefetchConfig("hwsw", "HW+SW", plan="swnt", hw="machine"),
+        PrefetchConfig("hwcoord", "HW+Coord", hw="machine", coordinator="heuristic"),
+        PrefetchConfig("hwrl", "HW+RL", hw="machine", coordinator="rl"),
+        PrefetchConfig("swi", "Soft.Pref.+Indirect", plan="swi"),
+        PrefetchConfig("hwx", "Cross-core HW", hw="xcore"),
+    )
+}
+
+#: Config names, in table order.
+CONFIGS = tuple(PREFETCH_CONFIGS)
+
+#: Software plan kinds some config rewrites with.
+PLAN_KINDS = tuple(dict.fromkeys(r.plan for r in PREFETCH_CONFIGS.values() if r.plan))
 
 #: Machine used when a spec is only a carrier for machine-independent
 #: work (profiling); any valid machine name would do.
@@ -104,7 +141,7 @@ class ExperimentSpec:
     machine:
         Target machine model name (key of :data:`repro.config.MACHINES`).
     config:
-        Prefetching configuration, one of :data:`CONFIGS`.
+        Prefetching configuration, a key of :data:`PREFETCH_CONFIGS`.
     input_set:
         Input set the *evaluated* run uses; profiling always uses
         ``"ref"`` (the paper's single-profile methodology).
@@ -123,7 +160,7 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not isinstance(value, str) or not value:
                 raise ExperimentError(f"{name} must be a non-empty string, got {value!r}")
-        if self.config not in CONFIGS:
+        if self.config not in PREFETCH_CONFIGS:
             raise ExperimentError(
                 f"unknown config {self.config!r}; valid: {CONFIGS}"
             )
@@ -148,12 +185,8 @@ class ExperimentSpec:
 
     @property
     def plan_kind(self) -> str | None:
-        """Software plan this config needs (``None`` for baseline/hw)."""
-        if self.config == "hwsw":
-            return "swnt"
-        if self.config in PLAN_KINDS:
-            return self.config
-        return None
+        """Plan kind the program is rewritten with (``None``: it is not)."""
+        return PREFETCH_CONFIGS[self.config].plan
 
     def with_config(self, config: str) -> "ExperimentSpec":
         """Copy of this spec under another prefetching configuration."""
@@ -253,7 +286,7 @@ class AdvisorRequest:
     machine:
         Target machine model name (key of :data:`repro.config.MACHINES`).
     config:
-        Prefetching configuration, one of :data:`CONFIGS`.
+        Prefetching configuration, a key of :data:`PREFETCH_CONFIGS`.
     input_set, scale:
         As on :class:`ExperimentSpec`.
     tenant:
@@ -261,8 +294,8 @@ class AdvisorRequest:
     request_id:
         Client-chosen correlation id echoed on every response/event.
     want_plan / want_stats:
-        Select the artefacts to compute.  Plans exist only for
-        plan-bearing configs (:data:`PLAN_KINDS` plus ``hwsw``).
+        Select the artefacts to compute.  Plans exist only for configs
+        whose :attr:`PrefetchConfig.plan` is set.
     stream:
         Ask the daemon to stream progress events before the response.
     """
@@ -290,7 +323,7 @@ class AdvisorRequest:
             raise ExperimentError(
                 f"workload must be a non-empty string, got {self.workload!r}"
             )
-        if self.config not in CONFIGS:
+        if self.config not in PREFETCH_CONFIGS:
             raise ExperimentError(f"unknown config {self.config!r}; valid: {CONFIGS}")
         if not isinstance(self.scale, (int, float)) or isinstance(self.scale, bool):
             raise ExperimentError(f"scale must be a number, got {self.scale!r}")

@@ -67,6 +67,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.api import CONFIGS
 from repro.cli_options import EngineCLIOptions, cli_parent, parse_size
 from repro.config import MACHINES, get_machine
 from repro.errors import ReproError, RunInterrupted
@@ -128,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--configs",
         default="baseline,hw,swnt",
-        help="comma-separated configs (baseline,hw,sw,swnt,stride,hwsw,swi,hwx)",
+        help=f"comma-separated configs ({','.join(CONFIGS)})",
     )
 
     p_chr = sub.add_parser(
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--configs",
         default="baseline,hw,swnt",
-        help="comma-separated configs (baseline,hw,sw,swnt,stride,hwsw,swi,hwx)",
+        help=f"comma-separated configs ({','.join(CONFIGS)})",
     )
     add_common(p_run)
     p_run.add_argument(

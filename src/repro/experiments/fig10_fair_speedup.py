@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api import PREFETCH_CONFIGS
 from repro.experiments.fig7_mixes import Fig7Result
 from repro.experiments.tables import render_table
 
@@ -20,60 +21,42 @@ __all__ = ["FairSpeedupCell", "fair_speedup_from", "render_fig10"]
 
 @dataclass(frozen=True)
 class FairSpeedupCell:
-    """One bar of Fig. 10.
+    """One bar group of Fig. 10: every config the sweep ran.
 
-    The coordinated columns (``hwcoord_fs``/``hwrl_fs``) are filled in
-    when the sweep was run with the corresponding configurations and
-    rendered as extra bars — the repo's extension of the paper's figure
-    to coordinated hardware prefetching.
+    Configs beyond the paper's two (e.g. the coordinated ``hwcoord`` /
+    ``hwrl``) render as extra bars, the repo's extension of the figure.
     """
 
     machine: str
     inputs: str  # "orig" or "diff-in"
-    sw_fs: float
-    hw_fs: float
-    hwcoord_fs: float | None = None
-    hwrl_fs: float | None = None
-
-
-def _mean_fs(result: Fig7Result, config: str) -> float | None:
-    if config not in result.raw:
-        return None
-    base = result.raw["baseline"]
-    return float(
-        np.mean([o.fair_speedup_vs(b) for o, b in zip(result.raw[config], base)])
-    )
+    fair_speedup: dict[str, float]  # config -> mean Fair-Speedup
 
 
 def fair_speedup_from(result: Fig7Result, inputs_label: str) -> FairSpeedupCell:
     """Average Fair-Speedup of one mix sweep."""
+    base = result.raw["baseline"]
     return FairSpeedupCell(
         machine=result.machine,
         inputs=inputs_label,
-        sw_fs=_mean_fs(result, "swnt"),
-        hw_fs=_mean_fs(result, "hw"),
-        hwcoord_fs=_mean_fs(result, "hwcoord"),
-        hwrl_fs=_mean_fs(result, "hwrl"),
+        fair_speedup={
+            config: float(np.mean([o.fair_speedup_vs(b) for o, b in zip(outcomes, base)]))
+            for config, outcomes in result.raw.items()
+            if config != "baseline"
+        },
     )
 
 
 def render_fig10(cells: list[FairSpeedupCell]) -> str:
-    coordinated = any(c.hwcoord_fs is not None or c.hwrl_fs is not None for c in cells)
-    headers = ["machine/inputs", "Soft Pref.+NT", "Hardware Pref."]
-    if coordinated:
-        headers += ["HW+Coord", "HW+RL"]
+    configs = list(dict.fromkeys(c for cell in cells for c in cell.fair_speedup))
 
     def fmt(value: float | None) -> str:
         return "-" if value is None else f"{value:.3f}"
 
-    rows = []
-    for c in cells:
-        row = [f"{c.machine}/{c.inputs}", fmt(c.sw_fs), fmt(c.hw_fs)]
-        if coordinated:
-            row += [fmt(c.hwcoord_fs), fmt(c.hwrl_fs)]
-        rows.append(tuple(row))
     return render_table(
-        tuple(headers),
-        rows,
+        ("machine/inputs", *(PREFETCH_CONFIGS[c].label for c in configs)),
+        [
+            (f"{c.machine}/{c.inputs}", *(fmt(c.fair_speedup.get(k)) for k in configs))
+            for c in cells
+        ],
         title="Fig 10: Fair-Speedup (normalised to baseline), average of mixes",
     )

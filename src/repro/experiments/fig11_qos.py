@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api import PREFETCH_CONFIGS
 from repro.experiments.fig7_mixes import Fig7Result
 from repro.experiments.tables import render_table
 
@@ -21,60 +22,39 @@ __all__ = ["QosCell", "qos_from", "render_fig11"]
 
 @dataclass(frozen=True)
 class QosCell:
-    """One bar pair of Fig. 11.
+    """One bar group of Fig. 11: every config the sweep ran.
 
-    The coordinated columns (``hwcoord_qos``/``hwrl_qos``) are filled
-    in when the sweep was run with the corresponding configurations —
-    the repo's extension of the paper's figure to coordinated hardware
-    prefetching.
+    Configs beyond the paper's two (e.g. the coordinated ``hwcoord`` /
+    ``hwrl``) render as extra bars, the repo's extension of the figure.
     """
 
     machine: str
     inputs: str
-    sw_qos: float
-    hw_qos: float
-    hwcoord_qos: float | None = None
-    hwrl_qos: float | None = None
-
-
-def _mean_qos(result: Fig7Result, config: str) -> float | None:
-    if config not in result.raw:
-        return None
-    base = result.raw["baseline"]
-    return float(np.mean([o.qos_vs(b) for o, b in zip(result.raw[config], base)]))
+    qos: dict[str, float]  # config -> mean QoS degradation
 
 
 def qos_from(result: Fig7Result, inputs_label: str) -> QosCell:
     """Average QoS degradation of one mix sweep."""
+    base = result.raw["baseline"]
     return QosCell(
         machine=result.machine,
         inputs=inputs_label,
-        sw_qos=_mean_qos(result, "swnt"),
-        hw_qos=_mean_qos(result, "hw"),
-        hwcoord_qos=_mean_qos(result, "hwcoord"),
-        hwrl_qos=_mean_qos(result, "hwrl"),
+        qos={
+            config: float(np.mean([o.qos_vs(b) for o, b in zip(outcomes, base)]))
+            for config, outcomes in result.raw.items()
+            if config != "baseline"
+        },
     )
 
 
 def render_fig11(cells: list[QosCell]) -> str:
-    coordinated = any(
-        c.hwcoord_qos is not None or c.hwrl_qos is not None for c in cells
-    )
-    headers = ["machine/inputs", "Soft Pref.+NT", "Hardware Pref."]
-    if coordinated:
-        headers += ["HW+Coord", "HW+RL"]
+    configs = list(dict.fromkeys(c for cell in cells for c in cell.qos))
 
     def fmt(value: float | None) -> str:
         return "-" if value is None else f"{value * 100:+.1f}%"
 
-    rows = []
-    for c in cells:
-        row = [f"{c.machine}/{c.inputs}", fmt(c.sw_qos), fmt(c.hw_qos)]
-        if coordinated:
-            row += [fmt(c.hwcoord_qos), fmt(c.hwrl_qos)]
-        rows.append(tuple(row))
     return render_table(
-        tuple(headers),
-        rows,
+        ("machine/inputs", *(PREFETCH_CONFIGS[c].label for c in configs)),
+        [(f"{c.machine}/{c.inputs}", *(fmt(c.qos.get(k)) for k in configs)) for c in cells],
         title="Fig 11: QoS degradation (closer to zero is better), average of mixes",
     )

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.api import PREFETCH_CONFIGS
 from repro.config import get_machine
-from repro.core.pipeline import PrefetchOptimizer
-from repro.experiments.runner import hw_prefetcher_for
+from repro.experiments.mixes_common import coordinator_for
+from repro.experiments.runner import derive_plan, prefetcher_for
 from repro.experiments.tables import render_table
 from repro.isa.interpreter import execute_program
 from repro.isa.rewriter import insert_prefetches
@@ -50,32 +51,30 @@ def _run_parallel(
     spec = get_parallel_workload(name)
     programs = spec.build(threads, "ref", scale)
 
-    if config in ("sw", "swnt"):
+    kind = PREFETCH_CONFIGS[config].plan
+    if kind is not None:
         # Profile thread 0; all threads share the code, so one plan
         # rewrites every thread's program (the paper's single profile).
         profile_exec = execute_program(programs[0], seed=workload_seed(name, "ref"))
         sampling = RuntimeSampler(rate=rate, seed=workload_seed(name, "ref") & 0xFFFF).sample(
             profile_exec.trace
         )
-        plan = PrefetchOptimizer(machine).analyze(
-            sampling, refs_per_pc=programs[0].refs_per_pc()
-        )
+        plan = derive_plan(kind, sampling, machine, programs[0])
         programs = [insert_prefetches(p, plan) for p in programs]
 
     specs = []
     for t, program in enumerate(programs):
         execution = execute_program(program, seed=workload_seed(name, "ref", salt=t))
-        prefetcher = hw_prefetcher_for(machine) if config == "hw" else None
         specs.append(
             CoreSpec(
                 trace=execution.trace,
                 work_per_memop=execution.work_per_memop,
                 mlp=execution.mlp,
-                prefetcher=prefetcher,
+                prefetcher=prefetcher_for(config, machine, program),
                 name=f"{name}.t{t}",
             )
         )
-    sim = MulticoreSimulator(machine, specs)
+    sim = MulticoreSimulator(machine, specs, coordinator=coordinator_for(config))
     # No end-of-run drain: Fig 12 reports sustained bandwidth, and the
     # drain's bytes arrive in zero simulated time.
     return sim.run(drain=False)
@@ -111,7 +110,6 @@ def run_fig12(
 
 
 def render_fig12(cells: list[Fig12Cell]) -> str:
-    labels = {"swnt": "Soft Pref+NT", "hw": "Hardware Pref."}
     configs = list(cells[0].speedup) if cells else []
     rows = []
     for c in cells:
@@ -126,8 +124,8 @@ def render_fig12(cells: list[Fig12Cell]) -> str:
     return render_table(
         (
             "bench x threads",
-            *(f"{labels[c]} speedup" for c in configs),
-            *(f"{labels[c]} GB/s" for c in configs),
+            *(f"{PREFETCH_CONFIGS[c].label} speedup" for c in configs),
+            *(f"{PREFETCH_CONFIGS[c].label} GB/s" for c in configs),
         ),
         rows,
         title="Fig 12: Parallel workloads, speedup over 1-thread baseline (Intel)",

@@ -9,19 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.api import ExperimentEngine, ExperimentSpec, current_engine
+from repro.api import PREFETCH_CONFIGS, ExperimentEngine, ExperimentSpec, current_engine
 from repro.experiments.tables import render_table
 from repro.workloads.spec2006 import ALL_SINGLE_CORE
 
 __all__ = ["SpeedupRow", "run_fig4", "render_fig4", "POLICIES"]
 
 POLICIES = ("hw", "sw", "swnt", "stride")
-POLICY_LABELS = {
-    "hw": "Hardware Pref.",
-    "sw": "Software Pref.",
-    "swnt": "Soft.Pref.+NT",
-    "stride": "Stride-centric",
-}
 
 
 @dataclass(frozen=True)
@@ -71,7 +65,7 @@ def render_fig4(rows: list[SpeedupRow]) -> str:
     avg = average_row(rows)
     table_rows.append(("average", *(f"{avg[p] * 100:+.1f}%" for p in POLICIES)))
     return render_table(
-        ("Benchmark", *(POLICY_LABELS[p] for p in POLICIES)),
+        ("Benchmark", *(PREFETCH_CONFIGS[p].label for p in POLICIES)),
         table_rows,
         title=f"Fig 4: Speedup over no-prefetch baseline — {machine}",
     )

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.api import ExperimentEngine, ExperimentSpec, current_engine
-from repro.experiments.fig4_speedup import POLICIES, POLICY_LABELS
+from repro.api import PREFETCH_CONFIGS, ExperimentEngine, ExperimentSpec, current_engine
+from repro.experiments.fig4_speedup import POLICIES
 from repro.experiments.tables import render_table
 from repro.metrics.traffic import traffic_increase, traffic_reduction_vs
 from repro.workloads.spec2006 import ALL_SINGLE_CORE
@@ -85,7 +85,7 @@ def render_fig5(rows: list[TrafficRow]) -> str:
     }
     table_rows.append(("average", *(f"{avg[p] * 100:+.0f}%" for p in POLICIES)))
     return render_table(
-        ("Benchmark", *(POLICY_LABELS[p] for p in POLICIES)),
+        ("Benchmark", *(PREFETCH_CONFIGS[p].label for p in POLICIES)),
         table_rows,
         title=f"Fig 5: Off-chip traffic increase over baseline — {machine}",
     )

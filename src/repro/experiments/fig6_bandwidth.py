@@ -10,19 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import get_machine
-from repro.api import ExperimentEngine, ExperimentSpec, current_engine
+from repro.api import PREFETCH_CONFIGS, ExperimentEngine, ExperimentSpec, current_engine
 from repro.experiments.tables import render_table
 from repro.workloads.spec2006 import ALL_SINGLE_CORE
 
 __all__ = ["BandwidthRow", "run_fig6", "render_fig6", "FIG6_CONFIGS"]
 
 FIG6_CONFIGS = ("baseline", "hw", "swnt", "stride")
-FIG6_LABELS = {
-    "baseline": "Baseline",
-    "hw": "Hardware Pref.",
-    "swnt": "Soft.Pref.+NT",
-    "stride": "Stride-centric",
-}
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,7 @@ def render_fig6(rows: list[BandwidthRow]) -> str:
     }
     table_rows.append(("average", *(f"{avg[c]:.2f}" for c in FIG6_CONFIGS)))
     return render_table(
-        ("Benchmark", *(FIG6_LABELS[c] for c in FIG6_CONFIGS)),
+        ("Benchmark", *(PREFETCH_CONFIGS[c].label for c in FIG6_CONFIGS)),
         table_rows,
         title=f"Fig 6: Average off-chip bandwidth (GB/s) — {machine}",
     )

@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.api import PREFETCH_CONFIGS
 from repro.experiments.mixes_common import MixOutcome, evaluate_mixes
 from repro.experiments.tables import render_series, render_table
 from repro.metrics.distribution import sorted_distribution
@@ -94,16 +95,15 @@ def fig7_summary(result: Fig7Result) -> dict[str, float]:
 
 def render_fig7(result: Fig7Result) -> str:
     """ASCII rendering of both distribution panels plus summary."""
-    labels = {"swnt": "Soft Pref.+NT", "hw": "Hardware Pref."}
     parts = [
         render_series(
-            {labels[c]: result.speedup[c].tolist() for c in result.speedup},
+            {PREFETCH_CONFIGS[c].label: v.tolist() for c, v in result.speedup.items()},
             title=f"Fig 7: Weighted speedup distribution — {result.machine} "
             f"({result.n_mixes} mixes, higher is better)",
         ),
         "",
         render_series(
-            {labels[c]: result.traffic[c].tolist() for c in result.traffic},
+            {PREFETCH_CONFIGS[c].label: v.tolist() for c, v in result.traffic.items()},
             title=f"Fig 7: Off-chip traffic increase distribution — {result.machine} "
             "(lower is better)",
         ),

@@ -14,13 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import get_machine
-from repro.api import ExperimentSpec
-from repro.experiments.runner import hw_prefetcher_for, plan_for_spec, profile_for
+from repro.api import PREFETCH_CONFIGS, ExperimentSpec
+from repro.experiments.mixes_common import coordinator_for
+from repro.experiments.runner import execution_for, prefetcher_for, profile_for_spec
 from repro.experiments.tables import render_table
-from repro.isa.interpreter import execute_program
-from repro.isa.rewriter import insert_prefetches
 from repro.multicore.simulator import CoreSpec, MulticoreSimulator
-from repro.workloads.base import workload_seed
 from repro.workloads.mixes import Mix, fig8_mix
 
 __all__ = ["Fig8Result", "run_fig8", "render_fig8"]
@@ -40,24 +38,14 @@ def _core_specs(mix: Mix, machine_name: str, config: str, scale: float) -> list[
     machine = get_machine(machine_name)
     specs = []
     for name, input_set in zip(mix.members, mix.inputs):
-        profile = profile_for(name, input_set, scale)
-        if config in ("sw", "swnt", "stride"):
-            plan = plan_for_spec(
-                ExperimentSpec(name, machine_name, config, input_set, scale)
-            )
-            program = insert_prefetches(profile.program, plan)
-            execution = execute_program(program, seed=workload_seed(name, input_set))
-        else:
-            execution = profile.execution
-        prefetcher = None
-        if config == "hw":
-            prefetcher = hw_prefetcher_for(machine)
+        cell = ExperimentSpec(name, machine_name, config, input_set, scale)
+        execution = execution_for(cell)
         specs.append(
             CoreSpec(
                 trace=execution.trace,
                 work_per_memop=execution.work_per_memop,
                 mlp=execution.mlp,
-                prefetcher=prefetcher,
+                prefetcher=prefetcher_for(config, machine, profile_for_spec(cell).program),
                 name=name,
             )
         )
@@ -76,7 +64,11 @@ def run_fig8(
 
     results = {}
     for config in ("baseline", *configs):
-        sim = MulticoreSimulator(machine, _core_specs(the_mix, machine_name, config, scale))
+        sim = MulticoreSimulator(
+            machine,
+            _core_specs(the_mix, machine_name, config, scale),
+            coordinator=coordinator_for(config),
+        )
         results[config] = sim.run(drain=False)
 
     base = results["baseline"]
@@ -97,7 +89,6 @@ def run_fig8(
 
 
 def render_fig8(result: Fig8Result) -> str:
-    labels = {"swnt": "Soft Pref.+NT", "hw": "Hardware Pref."}
     configs = list(result.speedups)
     rows = []
     for i, name in enumerate(result.members):
@@ -117,7 +108,7 @@ def render_fig8(result: Fig8Result) -> str:
         ("achieved BW", *(f"{result.bandwidth[c]:.1f} GB/s" for c in configs))
     )
     return render_table(
-        ("App", *(labels.get(c, c) for c in configs)),
+        ("App", *(PREFETCH_CONFIGS[c].label for c in configs)),
         rows,
         title=f"Fig 8: Mix detail {result.members} — {result.machine} (direct 4-core sim)",
     )

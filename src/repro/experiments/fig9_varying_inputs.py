@@ -9,6 +9,7 @@ degrades ~10 % of the mixes.
 
 from __future__ import annotations
 
+from repro.api import PREFETCH_CONFIGS
 from repro.experiments.fig7_mixes import Fig7Result, fig7_summary, run_fig7
 from repro.experiments.tables import render_series, render_table
 
@@ -25,10 +26,9 @@ def run_fig9(
 
 
 def render_fig9(result: Fig7Result) -> str:
-    labels = {"swnt": "Soft Pref.+NT", "hw": "Hardware Pref."}
     parts = [
         render_series(
-            {labels[c]: result.speedup[c].tolist() for c in result.speedup},
+            {PREFETCH_CONFIGS[c].label: v.tolist() for c, v in result.speedup.items()},
             title=f"Fig 9: Speedup distribution with different inputs — "
             f"{result.machine} ({result.n_mixes} mixes)",
         )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.config import get_machine
-from repro.api import ExperimentEngine, ExperimentSpec, current_engine
+from repro.api import PREFETCH_CONFIGS, ExperimentEngine, ExperimentSpec, current_engine
 from repro.experiments.runner import profile_for, run_spec
 from repro.metrics.throughput import fair_speedup, qos_degradation, weighted_speedup
 from repro.multicore.contention import AppProfile, solve_mix
@@ -32,7 +32,15 @@ __all__ = [
 
 #: Configurations whose solo cells carry a hardware prefetcher whose
 #: speculative stream a coordinator (or the static curve) can retire.
-HW_CONFIGS = ("hw", "hwcoord", "hwrl")
+#: Rewritten programs stay out: for them the traffic above the baseline
+#: also holds software prefetches, which no hardware throttle retires.
+HW_CONFIGS = tuple(
+    name
+    for name, row in PREFETCH_CONFIGS.items()
+    if row.hw == "machine" and row.plan is None
+)
+
+_COORDINATORS = {"heuristic": HeuristicCoordinator, "rl": RLCoordinator.default}
 
 
 @dataclass(frozen=True)
@@ -108,11 +116,8 @@ def app_profile(
 
 def coordinator_for(config: str) -> Coordinator | None:
     """The coordination policy a mix-level configuration implies."""
-    if config == "hwcoord":
-        return HeuristicCoordinator()
-    if config == "hwrl":
-        return RLCoordinator.default()
-    return None
+    policy = PREFETCH_CONFIGS[config].coordinator
+    return None if policy is None else _COORDINATORS[policy]()
 
 
 def evaluate_mix(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro import faults, obs
-from repro.api import CONFIGS, PLAN_KINDS, ExperimentSpec
+from repro.api import CONFIGS, PLAN_KINDS, PREFETCH_CONFIGS, ExperimentSpec
 from repro.baselines.stride_centric import stride_centric_plan
 from repro.cache import ResultCache
 from repro.cachesim.bandwidth import BandwidthModel
@@ -60,6 +60,9 @@ __all__ = [
     "profile_for",
     "profile_for_spec",
     "plan_for_spec",
+    "derive_plan",
+    "execution_for",
+    "prefetcher_for",
     "compute_run",
     "run_spec",
     "set_cache",
@@ -186,6 +189,34 @@ def profile_for_spec(spec: ExperimentSpec) -> WorkloadProfile:
     return profile_for(spec.workload, spec.input_set, spec.scale)
 
 
+def derive_plan(
+    kind: str,
+    sampling: SamplingResult,
+    machine: MachineConfig,
+    program: Program | None = None,
+) -> OptimizationReport:
+    """The analysis behind one plan kind: the only place a kind is read.
+
+    ``program`` supplies per-loop reference counts (the ``P <= R/2``
+    distance clamp) and, for ``swi``, the structural ``A[B[i]]`` pairs;
+    an inline trace has no program, so ``swi`` then plans like ``sw``.
+    """
+    if kind not in PLAN_KINDS:
+        raise ExperimentError(f"unknown plan kind {kind!r}; valid: {PLAN_KINDS}")
+    if kind == "stride":
+        return stride_centric_plan(sampling, machine)
+    settings = OptimizerSettings(
+        enable_bypass=(kind == "swnt"), enable_indirect=(kind == "swi")
+    )
+    return PrefetchOptimizer(machine, settings).analyze(
+        sampling,
+        refs_per_pc=None if program is None else program.refs_per_pc(),
+        indirect_pairs=(
+            program.indirect_pairs() if program is not None and kind == "swi" else None
+        ),
+    )
+
+
 @lru_cache(maxsize=256)
 def _plan(name: str, machine_name: str, kind: str, scale: float) -> OptimizationReport:
     """Prefetch plan of one method for one workload on one machine.
@@ -194,28 +225,11 @@ def _plan(name: str, machine_name: str, kind: str, scale: float) -> Optimization
     methodology), but the *profiled scale* matches the evaluated scale so
     distances stay consistent — hence no ``input_set`` in the key.
     """
-    if kind not in PLAN_KINDS:
-        raise ExperimentError(f"unknown plan kind {kind!r}; valid: {PLAN_KINDS}")
     profile = profile_for(name, "ref", scale)
-    machine = get_machine(machine_name)
     with obs.span(
         "plan.derive", workload=name, machine=machine_name, kind=kind
     ):
-        if kind == "stride":
-            return stride_centric_plan(profile.sampling, machine)
-        settings = OptimizerSettings(
-            enable_bypass=(kind == "swnt"),
-            enable_indirect=(kind == "swi"),
-        )
-        optimizer = PrefetchOptimizer(machine, settings)
-        indirect_pairs = (
-            profile.program.indirect_pairs() if kind == "swi" else None
-        )
-        return optimizer.analyze(
-            profile.sampling,
-            refs_per_pc=profile.program.refs_per_pc(),
-            indirect_pairs=indirect_pairs,
-        )
+        return derive_plan(kind, profile.sampling, get_machine(machine_name), profile.program)
 
 
 def plan_for_spec(spec: ExperimentSpec) -> OptimizationReport:
@@ -233,6 +247,22 @@ def hw_prefetcher_for(machine: MachineConfig, utilisation=None):
     if "amd" in machine.name:
         return amd_hw_prefetcher(machine.line_bytes, utilisation)
     return intel_hw_prefetcher(machine.line_bytes, utilisation)
+
+
+def prefetcher_for(config: str, machine: MachineConfig, program: Program, utilisation=None):
+    """The hardware prefetcher ``config`` attaches to a core running ``program``.
+
+    ``utilisation`` throttles the machine's model against off-chip
+    bandwidth.  Cross-core helper prefetching fills the shared LLC on
+    the memory side, untouched by off-chip back-off in the paper's
+    sense, so it runs unthrottled.
+    """
+    hw = PREFETCH_CONFIGS[config].hw
+    if hw == "machine":
+        return hw_prefetcher_for(machine, utilisation)
+    if hw == "xcore":
+        return cross_core_prefetcher_for(program, machine)
+    return None
 
 
 @lru_cache(maxsize=64)
@@ -258,6 +288,14 @@ def _rewritten_execution(
         return execute_program(rewritten, seed=workload_seed(workload, input_set))
 
 
+def execution_for(spec: ExperimentSpec) -> ExecutionResult:
+    """The execution a cell simulates: the original or the rewritten program's."""
+    kind = spec.plan_kind
+    if kind is None:
+        return profile_for_spec(spec).execution
+    return _rewritten_execution(spec.workload, spec.input_set, spec.scale, spec.machine, kind)
+
+
 def compute_run(spec: ExperimentSpec) -> RunStats:
     """Simulate one cell, unconditionally (no memo, no persistent cache).
 
@@ -271,32 +309,15 @@ def compute_run(spec: ExperimentSpec) -> RunStats:
         faults.check("worker.sigkill", spec)
     with obs.span("cell.compute", cell=spec.label()):
         machine = get_machine(spec.machine)
-
-        if spec.config in ("baseline", "hw", "hwcoord", "hwrl", "hwx"):
-            execution = profile_for_spec(spec).execution
-        else:
-            execution = _rewritten_execution(
-                spec.workload,
-                spec.input_set,
-                spec.scale,
-                spec.machine,
-                spec.plan_kind,
-            )
+        execution = execution_for(spec)
 
         # Build the hierarchy fully wired: the batched fast path is
         # chosen at construction from the attached prefetcher, so the
         # prefetcher must not be bolted on afterwards.
         bandwidth = BandwidthModel(machine.bytes_per_cycle())
-        prefetcher = None
-        if spec.config in ("hw", "hwsw", "hwcoord", "hwrl"):
-            prefetcher = hw_prefetcher_for(machine, bandwidth.utilisation)
-        elif spec.config == "hwx":
-            # Cross-core helper prefetching is untouched by off-chip
-            # back-off in the paper's sense (it fills the shared LLC on
-            # the memory side), so it runs unthrottled.
-            prefetcher = cross_core_prefetcher_for(
-                profile_for_spec(spec).program, machine
-            )
+        prefetcher = prefetcher_for(
+            spec.config, machine, profile_for_spec(spec).program, bandwidth.utilisation
+        )
         hierarchy = CacheHierarchy(
             machine, prefetcher=prefetcher, bandwidth=bandwidth
         )

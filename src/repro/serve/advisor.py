@@ -79,12 +79,10 @@ def _advise_workload(request: AdvisorRequest) -> AdvisorResponse:
 
 
 def _advise_trace(request: AdvisorRequest) -> AdvisorResponse:
-    from repro.api import PLAN_KINDS
-    from repro.baselines.stride_centric import stride_centric_plan
+    from repro.api import PREFETCH_CONFIGS
     from repro.config import get_machine
-    from repro.core.pipeline import OptimizerSettings, PrefetchOptimizer
     from repro.errors import ExperimentError
-    from repro.experiments.runner import PROFILE_RATE
+    from repro.experiments.runner import PROFILE_RATE, derive_plan
     from repro.sampling.sampler import RuntimeSampler
     from repro.trace.events import MemoryTrace
 
@@ -95,10 +93,8 @@ def _advise_trace(request: AdvisorRequest) -> AdvisorResponse:
     )
     plan_doc = None
     if request.want_plan:
-        # Same kind resolution as ExperimentSpec.plan_kind: hwsw analyses
-        # like swnt, baseline/hw carry no software plan at all.
-        kind = "swnt" if request.config == "hwsw" else request.config
-        if kind not in PLAN_KINDS:
+        kind = PREFETCH_CONFIGS[request.config].plan
+        if kind is None:
             raise ExperimentError(
                 f"config {request.config!r} carries no software plan"
             )
@@ -107,18 +103,7 @@ def _advise_trace(request: AdvisorRequest) -> AdvisorResponse:
             line_bytes=machine.line_bytes,
             seed=trace_profile_seed(request),
         )
-        sampling = sampler.sample(trace)
-        if kind == "stride":
-            plan = stride_centric_plan(sampling, machine)
-        else:
-            # An inline trace carries no program structure, so "swi"
-            # has no A[B[i]] pairs to resolve: enable_indirect is set
-            # but the analysis degrades to the plain rewrite.
-            settings = OptimizerSettings(
-                enable_bypass=(kind == "swnt"),
-                enable_indirect=(kind == "swi"),
-            )
-            plan = PrefetchOptimizer(machine, settings).analyze(sampling)
+        plan = derive_plan(kind, sampler.sample(trace), machine)
         plan_doc = serialization.plan_to_dict(plan)
     return AdvisorResponse(
         status="ok",

@@ -129,8 +129,8 @@ class TestCombinedAndBars:
         result = run_fig7("amd-phenom-ii", n_mixes=3, scale=SCALE)
         fs = fair_speedup_from(result, "orig")
         qos = qos_from(result, "orig")
-        assert fs.sw_fs > 0 and fs.hw_fs > 0
-        assert qos.sw_qos <= 0 and qos.hw_qos <= 0
+        assert fs.fair_speedup["swnt"] > 0 and fs.fair_speedup["hw"] > 0
+        assert qos.qos["swnt"] <= 0 and qos.qos["hw"] <= 0
 
 
 class TestRendering:
