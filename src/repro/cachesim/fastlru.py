@@ -44,7 +44,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.cachesim.lru import FLAG_DIRTY
+from repro.cachesim.lru import FLAG_DIRTY, LRUCache
 from repro.config import CacheConfig
 from repro.errors import SimulationError
 
@@ -976,6 +976,23 @@ class FastLRUCache:
         self.tags[sets] = tags[sets]
         self.stamp[sets] = stamp[sets]
         self.flags[sets] = flags[sets]
+
+    def to_lru(self) -> LRUCache:
+        """The same contents in a dict-backed :class:`LRUCache`.
+
+        Each set's lines are installed least recently used first, with
+        their flags, so the dict cache promotes and evicts exactly as
+        this one would from here on.
+        """
+        cache = LRUCache(self.config)
+        order = np.argsort(self.stamp, axis=1, kind="stable")
+        tags = np.take_along_axis(self.tags, order, axis=1).ravel()
+        flags = np.take_along_axis(self.flags, order, axis=1).ravel()
+        valid = tags != EMPTY
+        install = cache.install
+        for line, f in zip(tags[valid].tolist(), flags[valid].tolist()):
+            install(line, f)
+        return cache
 
     def occupancy(self) -> float:
         """Fraction of capacity currently filled."""

@@ -26,10 +26,24 @@ and the fast backend's fallback.  The batched pipeline
 (``path="batch"``) replays a whole trace as five array passes over
 :class:`~repro.cachesim.fastlru.FastLRUCache` levels, bit-identical to
 the scalar loop; it runs when the backend is ``fast``, the LLC is
-private and the hardware prefetcher is batch-safe.
+private and the hardware prefetcher is batch-safe and throttled, if at
+all, by this hierarchy's own bandwidth model.
+
+A utilisation-throttled prefetcher keeps full aggressiveness while the
+controller's utilisation EWMA stays at or below the 70 % knee of
+:func:`~repro.hwpref.base.throttle_factor`, and the EWMA changes only at
+off-chip transfers.  Such a run is batched one checkpointed span of
+``_KNEE_SPAN`` events at a time, and every span reports the largest
+EWMA it reached.  A span whose EWMA never crossed the knee is exactly
+the scalar run; the first span that crossed it is rolled back, the
+levels move into dict-backed caches, and the scalar loop replays the
+rest of the trace (reason ``knee-crossed``).
 """
 
 from __future__ import annotations
+
+import copy
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -57,10 +71,15 @@ from repro.cachesim.options import SimOptions, resolve_options
 from repro.cachesim.stats import RunStats
 from repro.config import MachineConfig
 from repro.errors import SimulationError
-from repro.hwpref.base import HardwarePrefetcher, NullPrefetcher
+from repro.hwpref.base import HardwarePrefetcher, NullPrefetcher, throttle_factor
 from repro.trace.events import MemOp, MemoryTrace
 
 __all__ = ["CacheHierarchy"]
+
+#: Events per checkpointed batch span of a throttled prefetcher's run:
+#: long enough to amortise the batch passes and the checkpoint, short
+#: enough that a span rolled back at the knee wastes little work.
+_KNEE_SPAN = 1 << 16
 
 #: L2/LLC stream minor key of an event's own op (demand access,
 #: software prefetch or NT store); hardware-prefetch requests use their
@@ -123,22 +142,22 @@ class CacheHierarchy:
         self.machine = machine
         self.prefetcher = prefetcher if prefetcher is not None else NullPrefetcher()
         self.backend = resolve_options(options, machine.sim_backend).backend
+        self.bandwidth = (
+            bandwidth if bandwidth is not None else BandwidthModel(machine.bytes_per_cycle())
+        )
         # The batched whole-hierarchy path needs array-backed levels; it
         # is only worth building them when the attached prefetcher can be
-        # observed in batch (throttled prefetchers cannot — they sample
-        # time-varying bandwidth utilisation per access) and the LLC is
-        # private (a shared LLC interleaves accesses from other cores).
+        # observed in batch and the LLC is private (a shared LLC
+        # interleaves accesses from other cores).
         batch_capable = (
-            self.backend == "fast" and llc is None and self.prefetcher.batch_safe
+            self.backend == "fast" and llc is None and self._prefetcher_batchable()
         )
         cache_cls = FastLRUCache if batch_capable else LRUCache
         self.l1 = cache_cls(machine.l1)
         self.l2 = cache_cls(machine.l2)
         self.llc = llc if llc is not None else cache_cls(machine.llc)
-        self.bandwidth = (
-            bandwidth if bandwidth is not None else BandwidthModel(machine.bytes_per_cycle())
-        )
         self._shared_llc = llc is not None
+        self._knee_crossed = False
         self.now: float = 0.0
         self.last_run_path: str | None = None
         self._inflight: dict[int, float] = {}
@@ -182,51 +201,178 @@ class CacheHierarchy:
         if stats is None:
             stats = RunStats(line_bytes=self.machine.line_bytes)
         path, reason = self._select_path()
-        self.last_run_path = path
+        n = len(trace)
         with obs.span(
             "cachesim.run",
             machine=self.machine.name,
-            events=len(trace),
+            events=n,
             backend=self.backend,
-            path=path,
         ) as run_span:
+            batch_events = rounds = groups = 0
+            peak = None
             if path == "batch":
-                rounds, groups = self._run_events_batch(
-                    trace, work_per_memop, mlp, stats
-                )
-            else:
-                self._run_events(trace, work_per_memop, mlp, stats)
+                if self.prefetcher.throttled:
+                    batch_events, rounds, groups, peak = self._run_spans(
+                        trace, work_per_memop, mlp, stats
+                    )
+                    if batch_events < n:
+                        path, reason = "scalar", "knee-crossed"
+                else:
+                    rounds, groups, peak = self._run_events_batch(
+                        trace, work_per_memop, mlp, stats
+                    )
+                    batch_events = n
+            elif isinstance(self.l1, FastLRUCache):
+                # Batch-capable at construction, but not now (a tuning
+                # applied since): the scalar loop runs 2.8x slower on
+                # array-backed levels than on dict-backed ones.
+                self._move_to_dict_levels()
+            if batch_events < n:
+                self._run_events(trace[batch_events:], work_per_memop, mlp, stats)
+            n_pf = trace.n_prefetch
+            stats.instructions += int((n - n_pf) * (1.0 + work_per_memop)) + n_pf
+            stats.cycles = self.now
+            self.last_run_path = path
             if obs.enabled():
                 metrics = obs.metrics()
-                metrics.counter(f"sim.hierarchy.events.{self.backend}").inc(len(trace))
+                metrics.counter(f"sim.hierarchy.events.{self.backend}").inc(n)
                 metrics.counter(f"sim.hierarchy.path.{path}").inc()
-                if path == "batch":
+                if peak is not None:
                     metrics.counter("sim.hierarchy.spec_rounds").inc(rounds)
                     metrics.counter("sim.hierarchy.spec_groups").inc(groups)
-                    run_span.set(spec_rounds=rounds, spec_groups=groups)
-                else:
+                    run_span.set(
+                        spec_rounds=rounds,
+                        spec_groups=groups,
+                        max_utilisation=min(peak / self.bandwidth.peak, 1.0),
+                    )
+                if reason is not None:
                     metrics.counter(f"sim.hierarchy.reason.{reason}").inc()
                     run_span.set(reason=reason)
-            run_span.set(cycles=stats.cycles)
+            run_span.set(path=path, batch_events=batch_events, cycles=stats.cycles)
         return stats
+
+    def _prefetcher_batchable(self) -> bool:
+        """Whether the batch path may observe the prefetcher.
+
+        It must be batch-safe, and throttled, if at all, only by this
+        hierarchy's own bandwidth model: the one the knee check reads.
+        """
+        pf = self.prefetcher
+        return pf.batch_safe and pf.throttled_only_by(self.bandwidth.utilisation)
 
     def _select_path(self) -> tuple[str, str | None]:
         """The driver for one run and, off the batch path, the reason.
 
         The backend and the cache class were fixed at construction; the
         prefetcher is checked per run because its tuning can change
-        between runs.  Array-backed caches run the scalar loop exactly
-        like dict-backed ones, so a lapsed condition only costs speed.
+        between runs.  A run that leaves the batch path moves
+        array-backed levels into dict-backed ones first (the scalar loop
+        is 2.8x slower on arrays), and the hierarchy stays on the scalar
+        loop from then on; so does one whose knee was crossed.
         """
         if self.backend != "fast":
             return "scalar", "reference-backend"
         if self._shared_llc:
             return "scalar", "shared-llc"
+        if self._knee_crossed:
+            return "scalar", "knee-crossed"
         # Dict-backed caches under ``fast`` mean the prefetcher was not
-        # batch-safe when they were built.
-        if not (self.prefetcher.batch_safe and isinstance(self.l1, FastLRUCache)):
+        # batch-safe when they were built or at an earlier run.
+        if not (self._prefetcher_batchable() and isinstance(self.l1, FastLRUCache)):
             return "scalar", "prefetcher-not-batch-safe"
         return "batch", None
+
+    def _run_spans(
+        self,
+        trace: MemoryTrace,
+        work_per_memop: float,
+        mlp: float,
+        stats: RunStats,
+    ) -> tuple[int, int, int, float]:
+        """Batch a throttled prefetcher's run, one checkpointed span at a time.
+
+        Each span of ``_KNEE_SPAN`` events runs on the batch path at
+        full aggressiveness.  The prefetcher reads
+        ``BandwidthModel.utilisation()``, which changes only at
+        transfers, so a span whose EWMA (entry value and every
+        post-transfer value) kept the throttle factor at 1.0 matches the
+        scalar run bit for bit.  The first span that crossed the knee is
+        rolled back to its checkpoint and the levels move into
+        dict-backed caches, ready for the scalar loop.
+
+        Returns the events committed on the batch path, and the
+        speculation's ``(rounds, groups)`` and the largest EWMA over the
+        spans run.
+        """
+        bw = self.bandwidth
+        n = len(trace)
+        done = rounds = groups = 0
+        peak = 0.0
+        while done < n:
+            end = min(done + _KNEE_SPAN, n)
+            saved = self._checkpoint(stats)
+            r, g, span_peak = self._run_events_batch(
+                trace[done:end], work_per_memop, mlp, stats
+            )
+            rounds += r
+            groups += g
+            peak = max(peak, span_peak)
+            if throttle_factor(min(peak / bw.peak, 1.0)) != 1.0:
+                self._restore(saved, stats)
+                self._move_to_dict_levels()
+                self._knee_crossed = True
+                break
+            done = end
+        return done, rounds, groups, peak
+
+    def _checkpoint(self, stats: RunStats) -> tuple:
+        """Everything one batch span can change, for :meth:`_restore`.
+
+        ``stats`` is copied through the constructors and restored field
+        by field, never through ``__dict__``: CPython's fast attribute
+        access on an object ends once its ``__dict__`` is read or filled
+        directly, and the scalar loop reads ``stats`` several times per
+        event.
+        """
+        bw = self.bandwidth
+        return (
+            [cache.snapshot() for cache in (self.l1, self.l2, self.llc)],
+            self.prefetcher.checkpoint(),
+            (bw._free_time, bw._ewma_bpc, bw._last_time, bw.total_bytes, bw.total_transfers),
+            self.now,
+            dict(self._inflight),
+            list(self._wc_buffer),
+            replace(
+                stats,
+                l1=replace(stats.l1),
+                l2=replace(stats.l2),
+                llc=replace(stats.llc),
+                pc_l1=copy.deepcopy(stats.pc_l1),
+            ),
+        )
+
+    def _restore(self, saved: tuple, stats: RunStats) -> None:
+        """Roll the hierarchy, its prefetcher and ``stats`` back in place."""
+        snaps, pf_state, bw_state, now, inflight, wc, stats_copy = saved
+        for cache, snap in zip((self.l1, self.l2, self.llc), snaps):
+            cache.restore_sets(snap, np.arange(cache.config.num_sets))
+        self.prefetcher.restore(pf_state)
+        bw = self.bandwidth
+        (bw._free_time, bw._ewma_bpc, bw._last_time, bw.total_bytes, bw.total_transfers) = (
+            bw_state
+        )
+        self.now = now
+        self._inflight.clear()
+        self._inflight.update(inflight)
+        self._wc_buffer[:] = wc
+        for field in fields(stats):
+            setattr(stats, field.name, getattr(stats_copy, field.name))
+
+    def _move_to_dict_levels(self) -> None:
+        """Replace the array-backed levels by dict-backed copies."""
+        self.l1 = self.l1.to_lru()
+        self.l2 = self.l2.to_lru()
+        self.llc = self.llc.to_lru()
 
     def _run_events(
         self,
@@ -243,23 +389,15 @@ class CacheHierarchy:
         nta_op = int(MemOp.PREFETCH_NTA)
         store_nt_op = int(MemOp.STORE_NT)
 
-        n_demand = 0
-        n_prefetch = 0
         # Plain Python lists: no per-event NumPy scalar extraction.
         for op, pc, addr in zip(trace.op.tolist(), trace.pc.tolist(), trace.addr.tolist()):
             line = addr >> shift
             if op <= store_op:
-                n_demand += 1
                 self._demand_access(pc, addr, line, op == store_op, demand_cost, mlp, stats)
             elif op == store_nt_op:
-                n_demand += 1
                 self._nt_store(pc, line, demand_cost, stats)
             else:
-                n_prefetch += 1
                 self._sw_prefetch(line, op == nta_op, stats)
-
-        stats.instructions += int(n_demand * (1.0 + work_per_memop)) + n_prefetch
-        stats.cycles = self.now
 
     def _run_events_batch(
         self,
@@ -267,7 +405,7 @@ class CacheHierarchy:
         work_per_memop: float,
         mlp: float,
         stats: RunStats,
-    ) -> tuple[int, int]:
+    ) -> tuple[int, int, float]:
         """Batched whole-hierarchy event loop (the ``batch`` path).
 
         The whole trace — loads, stores, software prefetches and NT
@@ -284,7 +422,9 @@ class CacheHierarchy:
         them are pure ``+= demand_cost`` sequences.  Bit-identity with
         the reference loop is enforced by ``tests/test_sim_backend_diff.py``.
 
-        Returns the speculation's ``(rounds, groups)``.
+        Returns the speculation's ``(rounds, groups)`` and the largest
+        bandwidth EWMA of the batch: its entry value or any value right
+        after a transfer, the only values ``utilisation()`` can read.
         """
         machine = self.machine
         n = len(trace)
@@ -301,11 +441,9 @@ class CacheHierarchy:
         n_nt = int(np.count_nonzero(is_nt))
         n_pf = n - n_dm - n_nt
         demand_cost = machine.cycles_per_memop + machine.cpi_base * work_per_memop
-        stats.instructions += int((n_dm + n_nt) * (1.0 + work_per_memop)) + n_pf
         stats.sw_prefetches += n_pf
         if n == 0:
-            stats.cycles = self.now
-            return 0, 0
+            return 0, 0, self.bandwidth._ewma_bpc
 
         # ---- pass 1: L1 op wavefront ------------------------------------
         # Loads and stores are demand lookups, software prefetches
@@ -616,6 +754,7 @@ class CacheHierarchy:
         llc_lat = llc_hit / mlp
         dram_term = (dur + dram_latency) / mlp
         now = self.now
+        peak = ewma
         sw_late = 0
         prev = -1
         for e, c, g in zip(ev_l, code_l, arg_l):
@@ -652,6 +791,8 @@ class CacheHierarchy:
                     ewma *= 1.0 - min(dt / window, 1.0)
                     last = t
                 ewma += bpw
+                if ewma > peak:
+                    peak = ewma
                 inflight[g] = start + dur + dram_latency
             elif c == 4:
                 start = now if now > free else free
@@ -664,6 +805,8 @@ class CacheHierarchy:
                     ewma *= 1.0 - min(dt / window, 1.0)
                     last = t
                 ewma += bpw
+                if ewma > peak:
+                    peak = ewma
                 now = start + dram_term
             elif c == 7:
                 now += l2_lat
@@ -680,6 +823,8 @@ class CacheHierarchy:
                     ewma *= 1.0 - min(dt / window, 1.0)
                     last = t
                 ewma += bpw
+                if ewma > peak:
+                    peak = ewma
             elif c == 10:
                 inflight[g] = now + l2_hit
             elif c == 8:
@@ -709,6 +854,8 @@ class CacheHierarchy:
                     ewma *= 1.0 - min(dt / window, 1.0)
                     last = t
                 ewma += bpw
+                if ewma > peak:
+                    peak = ewma
                 inflight[g] = start + dur + dram_latency
         for _ in range(n - 1 - prev):
             now += demand_cost
@@ -722,8 +869,7 @@ class CacheHierarchy:
         stats.sw_late += sw_late
         stats.dram_writebacks += n_wb
         stats.nt_store_writes += n_ntw
-        stats.cycles = now
-        return rounds, groups
+        return rounds, groups, peak
 
     def _l2_llc_passes(
         self,

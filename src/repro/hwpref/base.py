@@ -16,6 +16,7 @@ the paper observes, still emit significant useless traffic).
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable
@@ -103,6 +104,10 @@ class HardwarePrefetcher(ABC):
     #: name used in experiment reports
     name: str = "hw"
 
+    #: Instance attributes that observing may change: the training state
+    #: :meth:`checkpoint` copies.  Every subclass with such state lists it.
+    _state_attrs: tuple[str, ...] = ()
+
     def __init__(self, utilisation: Callable[[], float] | None = None) -> None:
         self._utilisation = utilisation
         self._tuning = DEFAULT_TUNING
@@ -145,9 +150,9 @@ class HardwarePrefetcher(ABC):
         index of the triggering access within this batch (non-decreasing;
         requests for the same access appear in issue order), the target
         line, and whether it fills L2.  Must be equivalent to calling
-        :meth:`observe` once per access in order — this default does
-        exactly that; subclasses override it with vectorized
-        implementations.
+        :meth:`observe` once per access in order while the throttle
+        factor is 1.0 — this default calls it; subclasses override it
+        with vectorized implementations.
         """
         ev: list[int] = []
         out_lines: list[int] = []
@@ -172,16 +177,45 @@ class HardwarePrefetcher(ABC):
 
     @property
     def batch_safe(self) -> bool:
-        """Whether ``observe_batch`` is legal for whole-run batching.
+        """Whether ``observe_batch`` is equivalent to an :meth:`observe` loop.
 
-        Throttled prefetchers read time-varying bandwidth utilisation per
-        access, which a single batched call cannot reproduce, so they
-        must be driven through the scalar :meth:`observe` path.  The
-        same holds for coordinator-tuned prefetchers: the batched result
-        tuple carries no bypass channel and tuning may change between
-        epochs, so any non-default tuning forces the scalar path too.
+        The equivalence holds while the throttle factor is 1.0, the only
+        factor a batched call applies: a throttled prefetcher stays
+        batch-safe, and the caller must check that the utilisation it
+        reads stayed at or below the 70 % knee (:func:`throttle_factor`).
+        A coordinator-tuned prefetcher is not: the batched result tuple
+        carries no bypass channel and tuning may change between epochs,
+        so any non-default tuning forces the scalar path.
         """
-        return self._utilisation is None and self._tuning == DEFAULT_TUNING
+        return self._tuning == DEFAULT_TUNING
+
+    @property
+    def throttled(self) -> bool:
+        """Whether a utilisation callback scales this model's degree."""
+        return self._utilisation is not None
+
+    def throttled_only_by(self, utilisation: Callable[[], float]) -> bool:
+        """Whether every utilisation callback this model reads is ``utilisation``.
+
+        True for an unthrottled model.  Callbacks compare by ``==``, so
+        two reads of one bound method (``bw.utilisation``) match.
+        """
+        return self._utilisation is None or self._utilisation == utilisation
+
+    def checkpoint(self) -> list:
+        """A deep copy of this model's training state, for :meth:`restore`."""
+        # Attribute by attribute: reading ``vars(self)`` would cost every
+        # later attribute access on this object (CPython then drops its
+        # inline attribute values), and observe() reads several per call.
+        return [copy.deepcopy(getattr(self, name)) for name in self._state_attrs]
+
+    def restore(self, state: list) -> None:
+        """Roll this model back to a :meth:`checkpoint`, in place.
+
+        The checkpoint is consumed: restoring it twice is not supported.
+        """
+        for name, value in zip(self._state_attrs, state):
+            setattr(self, name, value)
 
     def _throttle_factor(self) -> float:
         """Scale factor in [0, 1] applied to prefetch degree.

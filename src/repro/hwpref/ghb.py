@@ -49,6 +49,7 @@ class GHBPrefetcher(HardwarePrefetcher):
     """
 
     name = "hw-ghb"
+    _state_attrs = ("_table",)
 
     def __init__(
         self,
@@ -133,7 +134,9 @@ class GHBPrefetcher(HardwarePrefetcher):
         by pre-inserting new PCs in first-occurrence order; when the
         batch would overflow the FIFO table (eviction order depends on
         the exact interleaving) the method falls back to a flat scalar
-        loop with identical semantics.
+        loop with identical semantics.  Equivalent to ``observe()``
+        while the throttle factor is 1.0; a tuned model takes the
+        scalar fallback.
         """
         if not self.batch_safe:
             return super().observe_batch(pcs, addrs, lines, l1_hits)

@@ -23,6 +23,7 @@ class AdjacentLinePrefetcher(HardwarePrefetcher):
     """Fetch the buddy line of every L1 miss."""
 
     name = "hw-adjacent"
+    _state_attrs = ("_duty",)
 
     def __init__(
         self,
@@ -57,9 +58,11 @@ class AdjacentLinePrefetcher(HardwarePrefetcher):
         lines: np.ndarray,
         l1_hits: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Equivalent to observe() while the throttle factor is 1.0: every
+        # eligible access fires and the duty accumulator stays at 0.0.
         if not self.batch_safe:
-            # Throttled or tuned: per-access gating is time-dependent;
-            # use the scalar fallback so behaviour matches observe().
+            # Tuned, or a partial duty cycle carried over: per-access
+            # gating; use the scalar fallback so behaviour matches.
             return super().observe_batch(pcs, addrs, lines, l1_hits)
         if self.on_miss_only:
             ev = np.nonzero(~np.asarray(l1_hits, dtype=bool))[0].astype(np.int64)
@@ -68,6 +71,12 @@ class AdjacentLinePrefetcher(HardwarePrefetcher):
             ev = np.arange(len(lines), dtype=np.int64)
             targets = np.asarray(lines, dtype=np.int64) ^ 1
         return ev, targets, np.ones(len(ev), dtype=bool)
+
+    @property
+    def batch_safe(self) -> bool:
+        # At factor 1.0 an accumulator at 0.0 returns to exactly 0.0 on
+        # every firing; any other value would drift in its low bits.
+        return super().batch_safe and self._duty == 0.0
 
     def reset(self) -> None:
         self._duty = 0.0

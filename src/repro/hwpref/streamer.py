@@ -59,6 +59,7 @@ class StreamerPrefetcher(HardwarePrefetcher):
     """
 
     name = "hw-streamer"
+    _state_attrs = ("_streams",)
 
     def __init__(
         self,
@@ -130,7 +131,9 @@ class StreamerPrefetcher(HardwarePrefetcher):
         The FIFO page table (``max_streams``) makes stream tracking
         order-sensitive across pages, so this stays a loop — but a flat
         one with local bindings and no per-request object construction,
-        several times cheaper than ``observe()`` per event.
+        several times cheaper than ``observe()`` per event.  Equivalent
+        to ``observe()`` while the throttle factor is 1.0; a tuned
+        streamer takes the scalar fallback.
         """
         if not self.batch_safe:
             return super().observe_batch(pcs, addrs, lines, l1_hits)
@@ -248,6 +251,22 @@ class CompositePrefetcher(HardwarePrefetcher):
     @property
     def batch_safe(self) -> bool:
         return super().batch_safe and all(c.batch_safe for c in self.components)
+
+    @property
+    def throttled(self) -> bool:
+        return super().throttled or any(c.throttled for c in self.components)
+
+    def throttled_only_by(self, utilisation) -> bool:
+        return super().throttled_only_by(utilisation) and all(
+            c.throttled_only_by(utilisation) for c in self.components
+        )
+
+    def checkpoint(self) -> list:
+        return [c.checkpoint() for c in self.components]
+
+    def restore(self, state) -> None:
+        for comp, comp_state in zip(self.components, state):
+            comp.restore(comp_state)
 
     def apply_tuning(self, tuning) -> None:
         super().apply_tuning(tuning)

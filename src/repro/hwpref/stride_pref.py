@@ -60,6 +60,7 @@ class PCStridePrefetcher(HardwarePrefetcher):
     """
 
     name = "hw-stride"
+    _state_attrs = ("_table",)
 
     def __init__(
         self,
@@ -135,9 +136,10 @@ class PCStridePrefetcher(HardwarePrefetcher):
 
         Confidence after each non-zero stride is a function of its run
         of equal consecutive strides, so a whole batch trains with
-        grouped array arithmetic.  Falls back to the scalar loop when
-        throttled (time-dependent degree) or when the table would
-        overflow mid-batch (FIFO evictions are order-sensitive).
+        grouped array arithmetic.  Equivalent to ``observe()`` while
+        the throttle factor is 1.0.  Falls back to the scalar loop when
+        tuned or when the table would overflow mid-batch (FIFO evictions
+        are order-sensitive).
         """
         if not self.batch_safe:
             return super().observe_batch(pcs, addrs, lines, l1_hits)

@@ -137,6 +137,7 @@ class CrossCoreLLCPrefetcher(HardwarePrefetcher):
     """
 
     name = "hw-xcore"
+    _state_attrs = ("_next",)
 
     def __init__(
         self,
@@ -215,7 +216,9 @@ class CrossCoreLLCPrefetcher(HardwarePrefetcher):
         Because the pointer after every access is always ``start +
         degree`` regardless of how much was issued, the carried state
         needs no sequential scan: access ``k`` resumes from access
-        ``k-1``'s window end, elementwise.
+        ``k-1``'s window end, elementwise.  Equivalent to ``observe()``
+        while the throttle factor is 1.0; a tuned engine takes the
+        scalar fallback.
         """
         if not self.batch_safe:
             return super().observe_batch(pcs, addrs, lines, l1_hits)

@@ -181,6 +181,21 @@ class TestThrottling:
         plain = StreamerPrefetcher()
         assert feed_stream(calm, n=20) == feed_stream(plain, n=20)
 
+    def test_composite_reports_throttled_components(self):
+        # intel_hw_prefetcher wraps two throttled components in a
+        # composite that takes no callback of its own.
+        def util():
+            return 0.0
+
+        pf = intel_hw_prefetcher(utilisation=util)
+        assert pf.throttled
+        assert pf.throttled_only_by(util)
+        assert not pf.throttled_only_by(lambda: 0.0)
+        assert not intel_hw_prefetcher().throttled
+        assert pf.batch_safe
+        pf.apply_tuning(PrefetchTuning(degree_scale=0.5))
+        assert not pf.batch_safe
+
     def test_descending_stream_stops_at_line_zero(self):
         # the negative-target break: a downward stream near address 0
         # never requests a negative line.
@@ -243,6 +258,23 @@ class TestAdjacentLineDutyCycle:
         pf = AdjacentLinePrefetcher()
         pf.apply_tuning(PrefetchTuning(enabled=False))
         assert pf.observe(0, 0, 10, False) == []
+
+    def test_partial_duty_cycle_is_not_batch_safe(self):
+        # At factor 1.0 an accumulator at 0.0 returns to exactly 0.0, so
+        # a batch may skip it; a partial cycle left by a lower factor
+        # drifts in its low bits under observe(), so batching must wait
+        # for a reset.
+        from repro.hwpref.base import PrefetchTuning
+
+        pf = AdjacentLinePrefetcher(utilisation=lambda: 0.0)
+        assert pf.batch_safe
+        pf.apply_tuning(PrefetchTuning(degree_scale=0.6))
+        pf.observe(0, 0, 10, False)
+        pf.apply_tuning(PrefetchTuning())
+        assert pf._duty != 0.0
+        assert not pf.batch_safe
+        pf.reset()
+        assert pf.batch_safe
 
     def test_reset_clears_duty_accumulator(self):
         from repro.hwpref.base import PrefetchTuning

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.cachesim.hierarchy as hierarchy_module
 from repro.cachesim import BandwidthModel, CacheHierarchy, FunctionalCacheSim, RunStats
 from repro.cachesim.fastlru import EMPTY, FastLRUCache
 from repro.cachesim.lru import FLAG_DIRTY, FLAG_NTA, LRUCache
@@ -37,6 +38,7 @@ from repro.hwpref import (
     amd_hw_prefetcher,
     intel_hw_prefetcher,
 )
+from repro.hwpref.streamer import CompositePrefetcher
 from repro.trace import MemOp, MemoryTrace
 
 PREFETCHER_FACTORIES = {
@@ -248,16 +250,20 @@ def compare_hierarchies(machine, traces, factory, bandwidth=False, accumulate=Fa
         acc[backend] = RunStats(line_bytes=m.line_bytes) if accumulate else None
     for trace in traces:
         stats = {b: h.run(trace, stats=acc[b], **run_kw) for b, h in hiers.items()}
-        ref, fast = stats["reference"], stats["fast"]
-        assert ref.cycles == fast.cycles  # bit-identical, not approx
-        assert ref.instructions == fast.instructions
-        assert (ref.l1, ref.l2, ref.llc) == (fast.l1, fast.l2, fast.llc)
-        for name in RUNSTAT_FIELDS:
-            assert getattr(ref, name) == getattr(fast, name), name
-        assert ref.pc_l1.accesses == fast.pc_l1.accesses
-        assert ref.pc_l1.misses == fast.pc_l1.misses
+        assert_same_stats(stats["reference"], stats["fast"])
         assert_same_state(hiers["reference"], hiers["fast"])
     return hiers["fast"]
+
+
+def assert_same_stats(ref, fast):
+    """Every ``RunStats`` counter, per-PC L1 counts and float cycles."""
+    assert ref.cycles == fast.cycles  # bit-identical, not approx
+    assert ref.instructions == fast.instructions
+    assert (ref.l1, ref.l2, ref.llc) == (fast.l1, fast.l2, fast.llc)
+    for name in RUNSTAT_FIELDS:
+        assert getattr(ref, name) == getattr(fast, name), name
+    assert ref.pc_l1.accesses == fast.pc_l1.accesses
+    assert ref.pc_l1.misses == fast.pc_l1.misses
 
 
 class TestHierarchyBatchParity:
@@ -287,27 +293,33 @@ class TestHierarchyBatchParity:
         )
 
     def test_throttled_prefetcher_uses_scalar_path(self, amd):
-        # A utilisation-throttled prefetcher is not batch-safe: the fast
-        # backend must fall back to per-event observation, identically.
+        # A utilisation-throttled prefetcher uses the scalar path when
+        # its callback reads some other object than the hierarchy's own
+        # bandwidth model; reading its own, it batches below the knee.
+        # Both match the reference.
         trace = pc_correlated_trace(np.random.default_rng(7), 4000)
-        results = {}
-        for backend in BACKENDS:
-            m = replace(amd, sim_backend=backend)
-            bw = BandwidthModel(m.bytes_per_cycle())
-            pf = amd_hw_prefetcher(m.line_bytes, bw.utilisation)
-            h = CacheHierarchy(m, prefetcher=pf, bandwidth=bw)
-            results[backend] = (h.run(trace, work_per_memop=2.0, mlp=2.0), h)
-        ref, fast = results["reference"][0], results["fast"][0]
-        assert ref.cycles == fast.cycles
-        assert ref.hw_prefetches == fast.hw_prefetches
-        assert results["fast"][1].last_run_path == "scalar"
+        for foreign, path in ((False, "batch"), (True, "scalar")):
+            results = {}
+            for backend in BACKENDS:
+                m = replace(amd, sim_backend=backend)
+                bw = BandwidthModel(m.bytes_per_cycle())
+                util = (lambda bw=bw: bw.utilisation()) if foreign else bw.utilisation
+                pf = amd_hw_prefetcher(m.line_bytes, util)
+                h = CacheHierarchy(m, prefetcher=pf, bandwidth=bw)
+                results[backend] = (h.run(trace, work_per_memop=2.0, mlp=2.0), h)
+            ref, fast = results["reference"][0], results["fast"][0]
+            assert ref.cycles == fast.cycles
+            assert ref.hw_prefetches == fast.hw_prefetches
+            assert_same_state(results["reference"][1], results["fast"][1])
+            assert results["fast"][1].last_run_path == path
 
     @pytest.mark.parametrize("model", ["ghb", "stride"])
     def test_prefetcher_tuned_after_construction_runs_scalar(self, amd, rng, model):
         # Untuned at construction, the fast hierarchy gets array-backed
         # caches; a coordinator tuning applied afterwards makes the
-        # prefetcher unsafe to batch, so the run must take the scalar
-        # loop on those caches and still match the reference.
+        # prefetcher unsafe to batch, so the run must move the levels
+        # into dict-backed caches, take the scalar loop on them and
+        # still match the reference.
         from repro import obs
 
         trace = pc_correlated_trace(rng, 4000)
@@ -339,6 +351,8 @@ class TestHierarchyBatchParity:
         for name in RUNSTAT_FIELDS:
             assert getattr(ref, name) == getattr(fast, name), name
         assert_same_state(hiers["reference"], hiers["fast"])
+        for lvl in ("l1", "l2", "llc"):
+            assert type(getattr(hiers["fast"], lvl)) is LRUCache, lvl
 
 
 def prefetch_after_load_trace(rng, n, kind, distance=6):
@@ -493,6 +507,162 @@ class TestRewrittenTraceBatch:
             mlp=2.0,
         )
         assert fast_h.last_run_path == "batch"
+
+
+def saturating_trace(rng, n_calm=2500, n_sweep=3500):
+    """A random prefix, then a store sweep that saturates the controller.
+
+    The prefix (every op kind over a small footprint) keeps utilisation
+    low; the sweep misses on every line, and a throttled prefetcher
+    running ahead of it pushes utilisation past the 70 % knee on
+    :func:`narrow_bandwidth` machines.
+    """
+    sweep = MemoryTrace(
+        np.full(n_sweep, 5, dtype=np.int64),
+        (1 << 24) + np.arange(n_sweep, dtype=np.int64) * 64,
+        np.full(n_sweep, int(MemOp.STORE), dtype=np.int64),
+    )
+    return MemoryTrace.concat([random_trace(rng, n_calm, 256, all_ops=True), sweep])
+
+
+def narrow_bandwidth(machine):
+    """``machine`` with a controller slow enough for a sweep to saturate."""
+    return replace(machine, peak_bandwidth_gbs=4.0)
+
+
+def throttled_hierarchies(machine, factory):
+    """One hierarchy per backend, its prefetcher throttled by its own
+    bandwidth model's bound ``utilisation``."""
+    hiers = {}
+    for backend in BACKENDS:
+        m = replace(machine, sim_backend=backend)
+        bw = BandwidthModel(m.bytes_per_cycle())
+        pf = factory(m.line_bytes, bw.utilisation)
+        hiers[backend] = CacheHierarchy(m, prefetcher=pf, bandwidth=bw)
+    return hiers
+
+
+def assert_rollback_exact(factory, first, discarded, after):
+    """Observing ``discarded`` and restoring the checkpoint taken before
+    it leaves a model exactly where an untouched twin stands: both then
+    issue the same requests for ``after``."""
+
+    def observe(pf, trace):
+        lines = trace.addr // 64
+        return pf.observe_batch(trace.pc, trace.addr, lines, np.zeros(len(lines), dtype=bool))
+
+    rolled, twin = factory(), factory()
+    observe(rolled, first)
+    observe(twin, first)
+    saved = rolled.checkpoint()
+    observe(rolled, discarded)
+    rolled.restore(saved)
+    for got, want in zip(observe(rolled, after), observe(twin, after)):
+        assert np.array_equal(got, want)
+
+
+class TestKneeReplay:
+    """Throttled prefetchers on the batch path: checkpointed spans at full
+    aggressiveness, the 70 % knee checked per span, exact scalar replay
+    from the span that crossed it."""
+
+    FACTORIES = {"amd": amd_hw_prefetcher, "intel": intel_hw_prefetcher}
+
+    def crossed(self, machine, rng, monkeypatch, model):
+        """Both backends after one run over :func:`saturating_trace`,
+        with spans of 1000 events; the fast run's span attributes.
+
+        The sweep starts mid-span, so the span rolled back at the knee
+        begins with the prefetcher already trained on the sweep.
+        """
+        monkeypatch.setattr(hierarchy_module, "_KNEE_SPAN", 1000)
+        hiers = throttled_hierarchies(narrow_bandwidth(machine), self.FACTORIES[model])
+        trace = saturating_trace(rng)
+        pf = hiers["fast"].prefetcher
+        stats = {b: RunStats(line_bytes=machine.line_bytes) for b in BACKENDS}
+        hiers["reference"].run(trace, stats=stats["reference"], work_per_memop=1.0)
+        attrs = traced_run_attrs(hiers["fast"], trace, stats=stats["fast"], work_per_memop=1.0)
+        assert hiers["fast"].prefetcher is pf  # restored in place
+        return hiers, stats, attrs, len(trace)
+
+    @pytest.mark.parametrize("model", ["amd", "intel"])
+    def test_knee_crossed_midway_replays_exactly(self, amd, rng, monkeypatch, model):
+        hiers, stats, attrs, n = self.crossed(amd, rng, monkeypatch, model)
+        assert (attrs["path"], attrs["reason"]) == ("scalar", "knee-crossed")
+        # Crossed in a span after the first: earlier spans stay batched.
+        assert 1000 <= attrs["batch_events"] < n
+        assert attrs["max_utilisation"] > 0.70
+        assert_same_stats(stats["reference"], stats["fast"])
+        assert_same_state(hiers["reference"], hiers["fast"])
+        for lvl in ("l1", "l2", "llc"):
+            assert type(getattr(hiers["fast"], lvl)) is LRUCache, lvl
+
+    def test_second_run_after_crossing_stays_scalar(self, amd, rng, monkeypatch):
+        hiers, stats, _, _ = self.crossed(amd, rng, monkeypatch, "amd")
+        calm = random_trace(rng, 3000, 256, all_ops=True)
+        hiers["reference"].run(calm, stats=stats["reference"], work_per_memop=1.0)
+        attrs = traced_run_attrs(hiers["fast"], calm, stats=stats["fast"], work_per_memop=1.0)
+        assert (attrs["path"], attrs["reason"], attrs["batch_events"]) == (
+            "scalar", "knee-crossed", 0
+        )
+        assert_same_stats(stats["reference"], stats["fast"])
+        assert_same_state(hiers["reference"], hiers["fast"])
+
+    def test_foreign_callback_stays_scalar(self, amd, rng):
+        # One component of a composite reads a callback that is not the
+        # hierarchy's own bound ``bw.utilisation``: no knee check can
+        # cover it, so the hierarchy never builds array-backed levels.
+        def factory(line_bytes, utilisation):
+            return CompositePrefetcher(
+                [
+                    StreamerPrefetcher(line_bytes, utilisation=utilisation),
+                    AdjacentLinePrefetcher(utilisation=lambda: utilisation()),
+                ]
+            )
+
+        hiers = throttled_hierarchies(narrow_bandwidth(amd), factory)
+        assert hiers["fast"].prefetcher.throttled
+        assert type(hiers["fast"].l1) is LRUCache
+        trace = saturating_trace(rng)
+        ref = hiers["reference"].run(trace, work_per_memop=1.0)
+        fast = RunStats(line_bytes=amd.line_bytes)
+        attrs = traced_run_attrs(hiers["fast"], trace, stats=fast, work_per_memop=1.0)
+        assert (attrs["path"], attrs["reason"], attrs["batch_events"]) == (
+            "scalar", "prefetcher-not-batch-safe", 0
+        )
+        assert_same_stats(ref, fast)
+        assert_same_state(hiers["reference"], hiers["fast"])
+
+    @pytest.mark.parametrize("model", sorted(PREFETCHER_FACTORIES))
+    def test_prefetcher_checkpoint_rolls_back_training(self, rng, model):
+        traces = [pc_correlated_trace(rng, 1500) for _ in range(3)]
+        assert_rollback_exact(PREFETCHER_FACTORIES[model], *traces)
+
+    @pytest.mark.parametrize("n_sets", [4, 512])
+    def test_transplant_round_trip(self, rng, n_sets):
+        # Array -> dict: every set's lines keep their LRU order and
+        # flags, and both caches then evolve identically.
+        config = CacheConfig("T", n_sets * 4 * 64, ways=4, line_bytes=64)
+        fast = FastLRUCache(config)
+        n = 40 * n_sets
+        fast.ops_batch(
+            rng.integers(0, 8 * n_sets, n),
+            rng.integers(0, 7, n).astype(np.uint8),
+            rng.integers(1, 32, n),
+        )
+        moved = fast.to_lru()
+        assert type(moved) is LRUCache
+        assert lru_state(moved) == lru_state(fast)
+        moved.check_invariants()
+        for _ in range(2000):
+            line = int(rng.integers(0, 8 * n_sets))
+            flags = int(rng.integers(1, 32))
+            assert moved.install(line, flags) == fast.install(line, flags)
+            line = int(rng.integers(0, 8 * n_sets))
+            assert moved.lookup(line, FLAG_DIRTY) == fast.lookup(line, FLAG_DIRTY)
+        assert lru_state(moved) == lru_state(fast)
+        moved.check_invariants()
+        fast.check_invariants()
 
 
 class TestDrainWritebacks:
@@ -810,9 +980,11 @@ class TestPathObservability:
         bw = BandwidthModel(fast_m.bytes_per_cycle())
         hierarchies = {
             "reference-backend": CacheHierarchy(replace(amd, sim_backend="reference")),
+            # Throttled through a callback that is not the hierarchy's
+            # own bound ``bw.utilisation``: the knee check cannot see it.
             "prefetcher-not-batch-safe": CacheHierarchy(
                 fast_m,
-                prefetcher=amd_hw_prefetcher(fast_m.line_bytes, bw.utilisation),
+                prefetcher=amd_hw_prefetcher(fast_m.line_bytes, lambda: bw.utilisation()),
                 bandwidth=bw,
             ),
             "shared-llc": CacheHierarchy(fast_m, llc=LRUCache(fast_m.llc)),
@@ -974,21 +1146,38 @@ class TestCrossCorePrefetcherDiff:
         assert np.array_equal(wev, np.concatenate(sev))
         assert np.array_equal(wtgt, np.concatenate(stgt))
 
+    def test_checkpoint_rolls_back_next_pointer(self, graph):
+        from repro.hwpref import cross_core_prefetcher_for
+
+        program, trace = graph
+        third = len(trace) // 3
+        assert_rollback_exact(
+            lambda: cross_core_prefetcher_for(program),
+            trace[:third],
+            trace[third : 2 * third],
+            trace[third : 2 * third],
+        )
+
     def test_throttled_xcore_falls_back_scalar(self, amd, graph):
-        # With a utilisation hook the model is not batch-safe; both
-        # backends must still agree through the scalar path.
+        # With a utilisation hook on some other object than the
+        # hierarchy's own bandwidth model the model falls back to the
+        # scalar path; on its own model it batches below the knee.  Both
+        # backends must agree either way.
         from repro.cachesim import BandwidthModel, CacheHierarchy
         from repro.hwpref import cross_core_prefetcher_for
 
         program, trace = graph
-        results = {}
-        for backend in BACKENDS:
-            m = replace(amd, sim_backend=backend)
-            bw = BandwidthModel(m.bytes_per_cycle())
-            pf = cross_core_prefetcher_for(program, utilisation=bw.utilisation)
-            h = CacheHierarchy(m, prefetcher=pf, bandwidth=bw)
-            results[backend] = (h.run(trace, work_per_memop=2.0, mlp=2.0), h)
-        ref, fast = results["reference"][0], results["fast"][0]
-        assert ref.cycles == fast.cycles
-        assert ref.hw_prefetches == fast.hw_prefetches
-        assert results["fast"][1].last_run_path == "scalar"
+        for foreign, path in ((False, "batch"), (True, "scalar")):
+            results = {}
+            for backend in BACKENDS:
+                m = replace(amd, sim_backend=backend)
+                bw = BandwidthModel(m.bytes_per_cycle())
+                util = (lambda bw=bw: bw.utilisation()) if foreign else bw.utilisation
+                pf = cross_core_prefetcher_for(program, utilisation=util)
+                h = CacheHierarchy(m, prefetcher=pf, bandwidth=bw)
+                results[backend] = (h.run(trace, work_per_memop=2.0, mlp=2.0), h)
+            ref, fast = results["reference"][0], results["fast"][0]
+            assert ref.cycles == fast.cycles
+            assert ref.hw_prefetches == fast.hw_prefetches
+            assert_same_state(results["reference"][1], results["fast"][1])
+            assert results["fast"][1].last_run_path == path
