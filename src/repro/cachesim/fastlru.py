@@ -44,7 +44,17 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.cachesim.lru import FLAG_DIRTY, LRUCache
+from repro.cachesim.lru import (
+    FLAG_DIRTY,
+    OP_DEMAND,
+    OP_FILL,
+    OP_INVAL,
+    OP_LOOKUP,
+    OP_PFILL,
+    OP_PROBE,
+    OP_TOUCH,
+    LRUCache,
+)
 from repro.config import CacheConfig
 from repro.errors import SimulationError
 
@@ -61,30 +71,6 @@ __all__ = [
 
 #: Tag value marking an empty way.
 EMPTY = -1
-
-#: Heterogeneous-op kinds for :meth:`FastLRUCache.ops_batch`.  Each op
-#: reproduces one scalar access pattern of the cache hierarchy:
-#:
-#: * ``OP_DEMAND`` — probe; on hit promote to MRU and OR the op's flags
-#:   in (``lookup``); on miss install with the op's flags, evicting the
-#:   LRU way (``install``).  The demand path of every level.
-#: * ``OP_FILL``   — probe; on hit do nothing (``contains``); on miss
-#:   install with the op's flags.  Hardware-prefetch fills and software
-#:   prefetches at the L1.
-#: * ``OP_PFILL``  — on hit promote without OR-ing flags (``lookup``);
-#:   on miss install with the op's flags.  Software prefetches that
-#:   fetch through L2/LLC.
-#: * ``OP_PROBE``  — pure residency probe, no state change.
-#: * ``OP_TOUCH``  — on hit OR the op's flags in without refreshing LRU
-#:   (``touch_flags``); on miss do nothing.  Dirty-victim write-back
-#:   absorption.
-#: * ``OP_LOOKUP`` — on hit promote without OR-ing flags; on miss do
-#:   nothing.  Software prefetches that must not install (NTA).
-#: * ``OP_INVAL``  — on hit empty the way (``invalidate``); on miss do
-#:   nothing.  Non-temporal stores.
-#:
-#: The kinds that install on a miss are exactly those ``<= OP_PFILL``.
-OP_DEMAND, OP_FILL, OP_PFILL, OP_PROBE, OP_TOUCH, OP_LOOKUP, OP_INVAL = range(7)
 
 #: Per-kind behaviour on a hit, indexed by op kind.
 _PROMOTES = np.array([1, 0, 1, 0, 0, 1, 0], dtype=bool)
@@ -520,8 +506,8 @@ class FastLRUCache:
 
         Generalisation of :meth:`access_batch` for the hierarchy's fast
         path: every element of the stream carries an op kind (see
-        :data:`OP_DEMAND` …) and a flags word, so one call replays the
-        exact scalar sequence a cache level sees — demand lookups,
+        :data:`~repro.cachesim.lru.OP_DEMAND` …) and a flags word, so one
+        call replays the exact scalar sequence a cache level sees — demand lookups,
         prefetch fills and lookups, residency probes, dirty touches and
         invalidations — with the same set-wavefront rounds and the same
         scalar-tail fallback as the homogeneous kernel.

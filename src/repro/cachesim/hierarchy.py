@@ -43,7 +43,10 @@ rest of the trace (reason ``knee-crossed``).
 from __future__ import annotations
 
 import copy
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -102,9 +105,52 @@ _OP_OF_CAT = np.array(
 )
 
 
+_STORE = int(MemOp.STORE)
+_STORE_NT = int(MemOp.STORE_NT)
+
+#: L1 op kind of each event, by op code: loads and stores are demand
+#: lookups, software prefetches contains-then-install fills, NT stores
+#: invalidations.
+_L1_KIND = np.array([OP_DEMAND, OP_DEMAND, OP_FILL, OP_FILL, OP_INVAL], dtype=np.uint8)
+
+#: Flags the L1 op sets, by op code: a load or store (dirty) references
+#: its line; a T0 or NTA software prefetch marks it.
+_L1_FLAGS = np.array(
+    [
+        FLAG_REFERENCED,
+        FLAG_REFERENCED | FLAG_DIRTY,
+        FLAG_SW_PREFETCH,
+        FLAG_SW_PREFETCH | FLAG_NTA,
+        0,
+    ],
+    dtype=np.int64,
+)
+
+#: A hardware-prefetch request's fields, as ``_hw_requests`` reads them.
+_REQUEST_FIELDS = attrgetter("line", "fill_l2", "llc_bypass")
+
+
 def _unreferenced(flags: np.ndarray, bit: int) -> np.ndarray:
     """Lines carrying ``bit`` that no demand access has touched."""
     return ((flags & bit) != 0) & ((flags & FLAG_REFERENCED) == 0)
+
+
+class _ReplayedL1:
+    """The L1 as the handlers see it under :meth:`CacheHierarchy.replayed_l1`."""
+
+    __slots__ = ("_victims",)
+
+    def __init__(self, victims: Iterator[tuple[int, int] | None]) -> None:
+        self._victims = victims
+
+    def install(self, line: int, flags: int) -> tuple[int, int] | None:
+        return next(self._victims)
+
+    def contains(self, line: int) -> bool:
+        return False
+
+    def invalidate(self, line: int) -> None:
+        return None
 
 
 class CacheHierarchy:
@@ -446,17 +492,8 @@ class CacheHierarchy:
             return 0, 0, self.bandwidth._ewma_bpc
 
         # ---- pass 1: L1 op wavefront ------------------------------------
-        # Loads and stores are demand lookups, software prefetches
-        # contains-then-install fills, NT stores invalidations.
-        of_da = np.where(
-            ops == store_op, FLAG_REFERENCED | FLAG_DIRTY, FLAG_REFERENCED
-        )
-        kind1 = np.where(
-            is_dm, OP_DEMAND, np.where(is_nt, OP_INVAL, OP_FILL)
-        ).astype(np.uint8)
-        of_pf = np.where(is_nta, FLAG_SW_PREFETCH | FLAG_NTA, FLAG_SW_PREFETCH)
-        of1 = np.where(is_dm, of_da, np.where(is_nt, 0, of_pf))
-        hit1, prior1, v1i, v1l, v1f = self.l1.ops_batch(lines, kind1, of1)
+        of1 = _L1_FLAGS[ops]
+        hit1, prior1, v1i, v1l, v1f = self.l1.ops_batch(lines, _L1_KIND[ops], of1)
         miss1 = is_dm & ~hit1
         stats.l1.accesses += n_dm + n_nt
         stats.l1.misses += int(np.count_nonzero(miss1))
@@ -542,7 +579,7 @@ class CacheHierarchy:
                 np.full(m_h, FLAG_HW_PREFETCH, dtype=np.int64),
                 np.where(
                     cat_p == _CAT_DEMAND,
-                    of_da[mp],
+                    of1[mp],
                     np.where(cat_p == _CAT_T0, FLAG_SW_PREFETCH, 0),
                 ),
                 np.full(m_t, FLAG_DIRTY, dtype=np.int64),
@@ -1017,6 +1054,60 @@ class CacheHierarchy:
         return count
 
     # ------------------------------------------------------------------
+    # L1 replay (the multicore simulator's batch driver)
+    # ------------------------------------------------------------------
+
+    def replay_l1(self, trace: MemoryTrace, stats: RunStats) -> tuple[np.ndarray, ...]:
+        """Run a trace's L1 operations up front, in program order.
+
+        A private L1 sees only its own core's events, so the multicore
+        simulator's batch driver replays them before it interleaves the
+        cores, and runs the handlers only for the events that reach
+        beyond the L1 (under :meth:`replayed_l1`).  The op stream is the
+        batch path's pass 1, run by the L1's own ``ops_batch``.
+
+        Counts the demand accesses' L1 statistics (accesses, misses,
+        ``pc_l1``, ``sw_useful``) and the software prefetches that hit
+        L1; the handlers count those of NT stores and of prefetches that
+        missed.  Returns each event's L1 residency before its op, and the
+        evictions in program order: the installing event, the victim
+        line and its flags.
+        """
+        ops = trace.op
+        hit, prior, vic_idx, vic_line, vic_flags = self.l1.ops_batch(
+            trace.addr >> self._line_shift, _L1_KIND[ops], _L1_FLAGS[ops]
+        )
+        is_dm = ops <= _STORE
+        dm_miss = is_dm & ~hit
+        stats.l1.accesses += int(np.count_nonzero(is_dm))
+        stats.l1.misses += int(np.count_nonzero(dm_miss))
+        stats.pc_l1.record_bulk(trace.pc[is_dm], dm_miss[is_dm])
+        stats.sw_useful += int(
+            np.count_nonzero(is_dm & hit & _unreferenced(prior, FLAG_SW_PREFETCH))
+        )
+        stats.sw_prefetches += int(np.count_nonzero(hit & ~is_dm & (ops != _STORE_NT)))
+        return hit, vic_idx, vic_line, vic_flags
+
+    @contextmanager
+    def replayed_l1(self, victims: Iterator[tuple[int, int] | None]):
+        """Answer the handlers' L1 calls from a :meth:`replay_l1` pass.
+
+        Inside the block the handlers run only for events whose L1
+        outcome the replay already applied: ``_install_l1`` receives
+        the next of ``victims``, each install's victim in program order
+        (``None`` when it evicted nothing), a software prefetch's L1
+        probe misses, and an NT store's L1 invalidation is a no-op.  The
+        real L1, already in its final state, is reattached on exit, also
+        when the block raises.
+        """
+        real = self.l1
+        self.l1 = _ReplayedL1(victims)
+        try:
+            yield
+        finally:
+            self.l1 = real
+
+    # ------------------------------------------------------------------
     # event handlers
     # ------------------------------------------------------------------
 
@@ -1037,14 +1128,7 @@ class CacheHierarchy:
         l1_flags = self.l1.peek_flags(line)
         l1_hit = l1_flags is not None
         if l1_hit:
-            # A hit on an in-flight prefetched line stalls for the
-            # remaining fetch time (late prefetch).
-            completion = self._inflight.pop(line, None)
-            if completion is not None and completion > self.now:
-                # Late prefetch: the remaining fetch time stalls the
-                # core, overlapped with other outstanding misses.
-                self.now += (completion - self.now) / mlp
-                stats.sw_late += 1
+            self._inflight_hit(line, mlp, stats)
             if l1_flags & FLAG_SW_PREFETCH and not l1_flags & FLAG_REFERENCED:
                 stats.sw_useful += 1
             self.l1.lookup(line, FLAG_REFERENCED | write_flag)
@@ -1056,6 +1140,18 @@ class CacheHierarchy:
         stats.pc_l1.record(pc, True)
         self._hw_observe(pc, addr, line, False, stats)
         self._demand_miss(line, write_flag, mlp, stats)
+
+    def _inflight_hit(self, line: int, mlp: float, stats: RunStats) -> None:
+        """A demand L1 hit on ``line``: stall for a prefetch still in flight.
+
+        The hit drops the line's in-flight entry; a prefetch that has not
+        completed yet (late prefetch) stalls the core for the remaining
+        fetch time, overlapped with other outstanding misses.
+        """
+        completion = self._inflight.pop(line, None)
+        if completion is not None and completion > self.now:
+            self.now += (completion - self.now) / mlp
+            stats.sw_late += 1
 
     def _demand_miss(
         self,
@@ -1161,24 +1257,34 @@ class CacheHierarchy:
 
     def _hw_observe(self, pc: int, addr: int, line: int, l1_hit: bool, stats: RunStats) -> None:
         requests = self.prefetcher.observe(pc, addr, line, l1_hit)
-        for req in requests:
-            target = req.line
+        if requests:
+            self._hw_requests(map(_REQUEST_FIELDS, requests), stats)
+
+    def _hw_requests(self, requests: Iterable[tuple[int, bool, bool]], stats: RunStats) -> None:
+        """Issue one demand event's hardware-prefetch requests, in order.
+
+        Each request is a ``(line, fill_l2, llc_bypass)`` triple: the
+        fields of a :class:`~repro.hwpref.base.PrefetchRequest` from
+        ``observe`` on the scalar loop, or one row of ``observe_batch``'s
+        result in the multicore simulator's batch driver.
+        """
+        for target, fill_l2, llc_bypass in requests:
             if self.l2.contains(target):
                 continue
             stats.hw_prefetches += 1
             if self.llc.contains(target):
                 # Promote into L2 only; no off-chip traffic.
-                if req.fill_l2:
+                if fill_l2:
                     self._install_l2(target, FLAG_HW_PREFETCH, stats)
                 continue
             start, duration = self.bandwidth.transfer(self.now, self.machine.line_bytes)
             stats.dram_fills += 1
             self._inflight[target] = start + duration + self.machine.dram_latency
-            if not req.llc_bypass:
+            if not llc_bypass:
                 # A coordinator-retargeted (NTA) fill skips the shared
                 # LLC, conserving neighbours' space like PREFETCHNTA.
                 self._install_llc(target, FLAG_HW_PREFETCH, stats)
-            if req.fill_l2:
+            if fill_l2:
                 self._install_l2(target, FLAG_HW_PREFETCH, stats)
 
     # ------------------------------------------------------------------

@@ -33,6 +33,13 @@ __all__ = [
     "FLAG_HW_PREFETCH",
     "FLAG_REFERENCED",
     "FLAG_DIRTY",
+    "OP_DEMAND",
+    "OP_FILL",
+    "OP_PFILL",
+    "OP_PROBE",
+    "OP_TOUCH",
+    "OP_LOOKUP",
+    "OP_INVAL",
     "LRUCache",
 ]
 
@@ -41,6 +48,35 @@ FLAG_SW_PREFETCH = 2
 FLAG_HW_PREFETCH = 4
 FLAG_REFERENCED = 8
 FLAG_DIRTY = 16
+
+#: Op kinds of an ``ops_batch`` stream (:meth:`LRUCache.ops_batch`,
+#: :meth:`~repro.cachesim.fastlru.FastLRUCache.ops_batch`).  Each op
+#: reproduces one scalar access pattern of the cache hierarchy:
+#:
+#: * ``OP_DEMAND`` — probe; on hit promote to MRU and OR the op's flags
+#:   in (``lookup``); on miss install with the op's flags, evicting the
+#:   LRU way (``install``).  The demand path of every level.
+#: * ``OP_FILL``   — probe; on hit do nothing (``contains``); on miss
+#:   install with the op's flags.  Hardware-prefetch fills and software
+#:   prefetches at the L1.
+#: * ``OP_PFILL``  — on hit promote without OR-ing flags (``lookup``);
+#:   on miss install with the op's flags.  Software prefetches that
+#:   fetch through L2/LLC.
+#: * ``OP_PROBE``  — pure residency probe, no state change.
+#: * ``OP_TOUCH``  — on hit OR the op's flags in without refreshing LRU
+#:   (``touch_flags``); on miss do nothing.  Dirty-victim write-back
+#:   absorption.
+#: * ``OP_LOOKUP`` — on hit promote without OR-ing flags; on miss do
+#:   nothing.  Software prefetches that must not install (NTA).
+#: * ``OP_INVAL``  — on hit empty the way (``invalidate``); on miss do
+#:   nothing.  Non-temporal stores.
+#:
+#: The kinds that install on a miss are exactly those ``<= OP_PFILL``.
+OP_DEMAND, OP_FILL, OP_PFILL, OP_PROBE, OP_TOUCH, OP_LOOKUP, OP_INVAL = range(7)
+
+#: Ops per Python-list chunk of :meth:`LRUCache.ops_batch`: whole-stream
+#: lists of line numbers would cost about 40 bytes an op.
+_OPS_CHUNK = 1 << 14
 
 
 class LRUCache:
@@ -114,6 +150,74 @@ class LRUCache:
     def invalidate(self, line: int) -> int | None:
         """Remove ``line``; returns its flags if it was resident."""
         return self._sets[line & self._set_mask].pop(line, None)
+
+    def ops_batch(
+        self,
+        lines: np.ndarray,
+        kinds: np.ndarray,
+        oflags: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Apply an ordered stream of operations (kinds :data:`OP_DEMAND` …).
+
+        Same contract and results as
+        :meth:`FastLRUCache.ops_batch <repro.cachesim.fastlru.FastLRUCache.ops_batch>`,
+        as one plain loop over the sets' dicts: on a cache with few sets
+        (an L1) the array kernel's wavefront rounds are narrow, and this
+        loop is faster.  Returns ``(hit, prior, vic_idx, vic_line,
+        vic_flags)``: per op its residency and flags (0 on miss) before
+        the op, and the evictions in stream order.
+        """
+        sets = self._sets
+        mask = self._set_mask
+        ways = self.ways
+        n = len(lines)
+        prior = np.empty(n, dtype=np.int64)
+        vic_i: list[int] = []
+        vic_l: list[int] = []
+        vic_f: list[int] = []
+        for start in range(0, n, _OPS_CHUNK):
+            end = min(start + _OPS_CHUNK, n)
+            out: list[int] = []
+            append = out.append
+            for i, line, kind, of in zip(
+                range(start, end),
+                lines[start:end].tolist(),
+                kinds[start:end].tolist(),
+                oflags[start:end].tolist(),
+            ):
+                s = sets[line & mask]
+                flags = s.get(line)
+                if flags is None:
+                    append(-1)
+                    if kind <= OP_PFILL:
+                        if len(s) >= ways:
+                            victim = next(iter(s))
+                            vic_i.append(i)
+                            vic_l.append(victim)
+                            vic_f.append(s.pop(victim))
+                        s[line] = of
+                    continue
+                append(flags)
+                if kind == OP_DEMAND:
+                    del s[line]
+                    s[line] = flags | of
+                elif kind == OP_PFILL or kind == OP_LOOKUP:
+                    del s[line]
+                    s[line] = flags
+                elif kind == OP_TOUCH:
+                    s[line] = flags | of
+                elif kind == OP_INVAL:
+                    del s[line]
+            prior[start:end] = out
+        hit = prior >= 0
+        prior[~hit] = 0
+        return (
+            hit,
+            prior,
+            np.array(vic_i, dtype=np.int64),
+            np.array(vic_l, dtype=np.int64),
+            np.array(vic_f, dtype=np.int64),
+        )
 
     # ------------------------------------------------------------------
     # introspection

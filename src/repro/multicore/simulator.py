@@ -11,17 +11,29 @@ local clock executes its next trace event, which interleaves the cores'
 memory streams in simulated-time order (a core stalled on DRAM naturally
 falls behind and yields the shared resources).  Cores that finish their
 trace drop out; the mix result records each core's completion time.
+
+Two drivers produce that schedule.  The event loop (``path="scalar"``)
+pushes every event through one heap; it is the oracle, and it runs the
+``reference`` backend, coordinated runs and throttled or tuned
+prefetchers.  The batch driver (``path="batch"``) replays each core's
+private L1 and prefetcher up front and heap-orders only the events that
+reach shared state, bit-identical to the event loop.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
+from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import islice, repeat
+
+import numpy as np
 
 from repro import obs
 from repro.cachesim.bandwidth import BandwidthModel
 from repro.cachesim.hierarchy import CacheHierarchy
-from repro.cachesim.lru import LRUCache
+from repro.cachesim.lru import FLAG_DIRTY, LRUCache
 from repro.cachesim.stats import RunStats
 from repro.config import MachineConfig
 from repro.errors import SimulationError
@@ -31,6 +43,20 @@ from repro.statstack.mrc import MissRatioCurve
 from repro.trace.events import MemOp, MemoryTrace
 
 __all__ = ["CoreSpec", "MulticoreResult", "MulticoreSimulator"]
+
+#: Demand events per ``observe_batch`` call of the batch driver, and
+#: items per chunk of the Python lists it builds.  The prefetcher's
+#: training state carries over between calls; fixed chunks bound the
+#: memory one call or list takes.
+_CHUNK = 1 << 12
+
+#: Live-event kinds of the batch driver: a demand access that missed L1,
+#: a demand L1 hit, a software prefetch that missed L1, an NT store.
+_MISS, _HIT, _PREFETCH, _NT_STORE = range(4)
+
+_STORE = int(MemOp.STORE)
+_PREFETCH_NTA = int(MemOp.PREFETCH_NTA)
+_STORE_NT = int(MemOp.STORE_NT)
 
 
 @dataclass
@@ -111,95 +137,205 @@ class MulticoreSimulator:
     def run(self, drain: bool = True) -> MulticoreResult:
         """Execute all cores to completion."""
         machine = self.machine
-        shift = machine.line_bytes.bit_length() - 1
-        store_op = int(MemOp.STORE)
-        nta_op = int(MemOp.PREFETCH_NTA)
-        store_nt_op = int(MemOp.STORE_NT)
+        path, reason = self._select_path()
+        events = sum(len(spec.trace) for spec in self.cores)
+        with obs.span(
+            "multicore.run", machine=machine.name, cores=len(self.cores), events=events
+        ) as run_span:
+            stats = [RunStats(line_bytes=machine.line_bytes) for _ in self.cores]
+            if path == "batch":
+                live = self._run_batch(stats)
+            else:
+                self._run_events(stats)
+                live = events
+            for spec, hier, core_stats in zip(self.cores, self.hierarchies, stats):
+                trace = spec.trace
+                n_pf = trace.n_prefetch
+                core_stats.instructions = (
+                    int((len(trace) - n_pf) * (1.0 + spec.work_per_memop)) + n_pf
+                )
+                core_stats.cycles = hier.now
+                if drain:
+                    hier.drain_writebacks(core_stats)
+            if obs.enabled():
+                metrics = obs.metrics()
+                metrics.counter(f"sim.multicore.path.{path}").inc()
+                if reason is not None:
+                    metrics.counter(f"sim.multicore.reason.{reason}").inc()
+                    run_span.set(reason=reason)
+            run_span.set(path=path, live_events=live)
 
-        states = []
+        return MulticoreResult(
+            per_core=stats,
+            names=[spec.name for spec in self.cores],
+            total_bytes=self.bandwidth.total_bytes,
+            makespan_cycles=max(s.cycles for s in stats),
+        )
+
+    def _select_path(self) -> tuple[str, str | None]:
+        """The driver for one run and, off the batch path, the reason.
+
+        The batch driver replays each core's private L1 and prefetcher
+        on their own, so it needs every prefetcher's requests to depend
+        only on its own core's demand stream: untuned (no coordinator,
+        whose epochs count every core's events), unthrottled (no
+        utilisation callback reading the shared controller) and not
+        shared with another core.
+        """
+        if any(hier.backend != "fast" for hier in self.hierarchies):
+            return "scalar", "reference-backend"
+        if self.coordinator is not None:
+            return "scalar", "coordinated"
+        prefetchers = [hier.prefetcher for hier in self.hierarchies]
+        if not all(pf.batch_safe and not pf.throttled for pf in prefetchers):
+            return "scalar", "prefetcher-not-batch-safe"
+        if len({id(pf) for pf in prefetchers}) < len(prefetchers):
+            return "scalar", "shared-prefetcher"
+        return "batch", None
+
+    def _demand_cost(self, spec: CoreSpec) -> float:
+        """Cycles one memory operation and its share of other work take."""
+        machine = self.machine
+        return machine.cycles_per_memop + machine.cpi_base * spec.work_per_memop
+
+    def _run_events(self, stats: list[RunStats]) -> None:
+        """The event loop: every event of every core through one heap.
+
+        The oracle of the batch driver, and the driver of coordinated
+        runs and of throttled or tuned prefetchers.
+        """
+        shift = self.machine.line_bytes.bit_length() - 1
+        cores = []
         heap: list[tuple[float, int]] = []
-        for idx, (spec, hier) in enumerate(zip(self.cores, self.hierarchies)):
-            stats = RunStats(line_bytes=machine.line_bytes)
-            demand_cost = (
-                machine.cycles_per_memop + machine.cpi_base * spec.work_per_memop
+        for idx, (spec, hier, core_stats) in enumerate(zip(self.cores, self.hierarchies, stats)):
+            trace = spec.trace
+            cores.append(
+                (
+                    hier,
+                    core_stats,
+                    trace.op.tolist(),
+                    trace.pc.tolist(),
+                    trace.addr.tolist(),
+                    len(trace),
+                    self._demand_cost(spec),
+                    spec.mlp,
+                )
             )
-            states.append(
-                {
-                    "spec": spec,
-                    "hier": hier,
-                    "stats": stats,
-                    "pos": 0,
-                    "demand_cost": demand_cost,
-                    "n_demand": 0,
-                    "n_prefetch": 0,
-                }
-            )
-            if len(spec.trace):
-                heapq.heappush(heap, (0.0, idx))
+            if len(trace):
+                heap.append((0.0, idx))
+        pos = [0] * len(cores)
 
         coordinator = self.coordinator
         epoch_events = self.epoch_events
         events_since_epoch = 0
-        epoch_prev = [(0, 0, 0) for _ in states]
+        epoch_prev = [(0, 0, 0) for _ in cores]
 
-        while heap:
-            _, idx = heapq.heappop(heap)
-            st = states[idx]
-            spec: CoreSpec = st["spec"]
-            hier: CacheHierarchy = st["hier"]
-            trace = spec.trace
-            pos = st["pos"]
-            op = trace.op[pos]
-            addr = int(trace.addr[pos])
+        item = heapq.heappop(heap) if heap else None
+        while item is not None:
+            idx = item[1]
+            hier, core_stats, ops, pcs, addrs, n, demand_cost, mlp = cores[idx]
+            p = pos[idx]
+            op = ops[p]
+            addr = addrs[p]
             line = addr >> shift
-            if op <= store_op:
-                st["n_demand"] += 1
-                hier._demand_access(
-                    int(trace.pc[pos]),
-                    addr,
-                    line,
-                    op == store_op,
-                    st["demand_cost"],
-                    spec.mlp,
-                    st["stats"],
-                )
-            elif op == store_nt_op:
-                st["n_demand"] += 1
-                hier._nt_store(int(trace.pc[pos]), line, st["demand_cost"], st["stats"])
+            if op <= _STORE:
+                hier._demand_access(pcs[p], addr, line, op == _STORE, demand_cost, mlp, core_stats)
+            elif op == _STORE_NT:
+                hier._nt_store(pcs[p], line, demand_cost, core_stats)
             else:
-                st["n_prefetch"] += 1
-                hier._sw_prefetch(line, op == nta_op, st["stats"])
-            st["pos"] = pos + 1
-            if st["pos"] < len(trace):
-                heapq.heappush(heap, (hier.now, idx))
+                hier._sw_prefetch(line, op == _PREFETCH_NTA, core_stats)
+            p += 1
+            pos[idx] = p
             if coordinator is not None:
                 events_since_epoch += 1
                 if events_since_epoch >= epoch_events:
                     events_since_epoch = 0
-                    epoch_prev = self._control_epoch(states, epoch_prev)
+                    epoch_prev = self._control_epoch(stats, epoch_prev)
+            # The core's next event runs right away unless another core
+            # is due first (heappushpop returns the pushed key then).
+            if p < n:
+                item = heapq.heappushpop(heap, (hier.now, idx))
+            else:
+                item = heapq.heappop(heap) if heap else None
 
-        results: list[RunStats] = []
-        for st in states:
-            stats: RunStats = st["stats"]
-            spec = st["spec"]
-            stats.instructions = (
-                int(st["n_demand"] * (1.0 + spec.work_per_memop)) + st["n_prefetch"]
-            )
-            stats.cycles = st["hier"].now
-            if drain:
-                st["hier"].drain_writebacks(stats)
-            results.append(stats)
+    def _run_batch(self, stats: list[RunStats]) -> int:
+        """The batch driver: private passes per core, then a heap of live events.
 
-        return MulticoreResult(
-            per_core=results,
-            names=[spec.name for spec in self.cores],
-            total_bytes=self.bandwidth.total_bytes,
-            makespan_cycles=max(s.cycles for s in results),
-        )
+        Each core's L1 is replayed and its prefetcher observed up front
+        (:func:`_private_pass`).  The heap then holds one entry per core,
+        keyed by ``(clock before the core's next live event, core
+        index)``; live events run the event loop's own handlers.  A
+        skipped event touches no L2, LLC, controller or live in-flight
+        entry and only adds its cost to its core's clock, so every live
+        event keeps the key and tie-break the event loop gives it.
+        Returns the number of live events.
+        """
+        cores = []
+        heap: list[tuple[float, int]] = []
+        n_live = 0
+        with ExitStack() as replayed:
+            for idx, (spec, hier, core_stats) in enumerate(
+                zip(self.cores, self.hierarchies, stats)
+            ):
+                demand_cost = self._demand_cost(spec)
+                live = _private_pass(hier, spec.trace, core_stats, demand_cost)
+                replayed.enter_context(hier.replayed_l1(live.victims))
+                gap = live.gaps[0]
+                hier.now = _advance(hier.now, gap, demand_cost)
+                cores.append(
+                    (
+                        hier,
+                        core_stats,
+                        demand_cost,
+                        spec.mlp,
+                        live.codes,
+                        live.lines,
+                        live.args,
+                        live.n_requests,
+                        live.requests,
+                        live.gaps,
+                    )
+                )
+                if live.codes:
+                    # The event loop seeds every core at clock 0.0, the
+                    # key of its first event.
+                    heap.append((hier.now if gap else 0.0, idx))
+                n_live += len(live.codes)
+            heapq.heapify(heap)
+            cursor = [0] * len(cores)
+
+            item = heapq.heappop(heap) if heap else None
+            while item is not None:
+                idx = item[1]
+                hier, core_stats, dc, mlp, codes, lines, args, n_req, reqs, gaps = cores[idx]
+                i = cursor[idx]
+                code = codes[i]
+                if code == _MISS:
+                    hier.now += dc
+                    if n_req[i]:
+                        hier._hw_requests(islice(reqs, n_req[i]), core_stats)
+                    hier._demand_miss(lines[i], args[i], mlp, core_stats)
+                elif code == _HIT:
+                    hier.now += dc
+                    hier._inflight_hit(lines[i], mlp, core_stats)
+                    if n_req[i]:
+                        hier._hw_requests(islice(reqs, n_req[i]), core_stats)
+                elif code == _PREFETCH:
+                    hier._sw_prefetch(lines[i], args[i], core_stats)
+                else:
+                    hier._nt_store(args[i], lines[i], dc, core_stats)
+                i += 1
+                cursor[idx] = i
+                hier.now = _advance(hier.now, gaps[i], dc)
+                if i < len(codes):
+                    item = heapq.heappushpop(heap, (hier.now, idx))
+                else:
+                    item = heapq.heappop(heap) if heap else None
+        return n_live
 
     def _control_epoch(
         self,
-        states: list[dict],
+        stats: list[RunStats],
         prev: list[tuple[int, int, int]],
     ) -> list[tuple[int, int, int]]:
         """Run one coordinator decision and retune every prefetcher.
@@ -211,20 +347,18 @@ class MulticoreSimulator:
         llc_bytes = float(self.machine.llc.size_bytes)
         snap = []
         deltas = []
-        for st, (p_tr, p_pf, p_ins) in zip(states, prev):
-            stats: RunStats = st["stats"]
-            transfers = stats.dram_fills + stats.dram_writebacks
-            prefetches = stats.hw_prefetches
-            inserts = stats.llc_insertions
+        for core_stats, (p_tr, p_pf, p_ins) in zip(stats, prev):
+            transfers = core_stats.dram_fills + core_stats.dram_writebacks
+            prefetches = core_stats.hw_prefetches
+            inserts = core_stats.llc_insertions
             snap.append((transfers, prefetches, inserts))
             deltas.append((transfers - p_tr, prefetches - p_pf, inserts - p_ins))
 
         total_traffic = sum(d[0] for d in deltas)
         total_inserts = sum(d[2] for d in deltas)
-        n = len(states)
+        n = len(stats)
         feedback = []
-        for st, (d_tr, d_pf, d_ins) in zip(states, deltas):
-            spec: CoreSpec = st["spec"]
+        for spec, (d_tr, d_pf, d_ins) in zip(self.cores, deltas):
             bw_share = d_tr / total_traffic if total_traffic > 0 else 1.0 / n
             spec_share = min(1.0, d_pf / d_tr) if d_tr > 0 else 0.0
             llc_share = d_ins / total_inserts if total_inserts > 0 else 1.0 / n
@@ -254,8 +388,217 @@ class MulticoreSimulator:
                 f"coordinator returned {len(tunings)} tunings for {n} cores"
             )
         note_decisions(tunings)
-        for st, tuning in zip(states, tunings):
-            prefetcher = st["spec"].prefetcher
+        for spec, tuning in zip(self.cores, tunings):
+            prefetcher = spec.prefetcher
             if prefetcher is not None:
                 prefetcher.apply_tuning(tuning)
         return snap
+
+
+@dataclass
+class _LiveEvents:
+    """One core's live events, in program order, as the batch driver runs them.
+
+    ``gaps[i]`` is what the skipped events before live event ``i`` add
+    to the clock (``gaps[-1]``: after the last one); ``args[i]`` is a
+    demand access's write flag, a prefetch's NTA flag or an NT store's
+    PC; ``n_requests[i]`` how many hardware-prefetch requests the event
+    issues, the next ones ``requests`` yields; ``victims`` yields each
+    L1 install's victim, for :meth:`CacheHierarchy.replayed_l1`.
+    """
+
+    gaps: list
+    codes: list[int]
+    lines: list[int]
+    args: list[int]
+    n_requests: list[int]
+    requests: Iterator[tuple[int, bool, bool]]
+    victims: Iterator[tuple[int, int] | None]
+
+
+def _advance(now: float, gap, demand_cost: float) -> float:
+    """The clock after a gap of skipped events.
+
+    ``gap`` counts skipped demand hits, or is the tuple of costs of a
+    gap that holds software prefetches too, in program order.  One addition per
+    event, as the event loop charges them, keeps the clock bit-identical.
+    """
+    if gap.__class__ is int:
+        for _ in range(gap):
+            now += demand_cost
+    else:
+        for cost in gap:
+            now += cost
+    return now
+
+
+def _private_pass(
+    hier: CacheHierarchy, trace: MemoryTrace, stats: RunStats, demand_cost: float
+) -> _LiveEvents:
+    """Replay one core's L1 and prefetcher, and keep its live events.
+
+    A live event is an L1 miss (demand access or software prefetch), an
+    NT store, a demand access with hardware-prefetch requests, or a
+    demand L1 hit whose in-flight pop can find an entry
+    (:func:`_live_pops`).  Whole-trace columns stay in NumPy; Python
+    lists hold live events only.
+    """
+    n = len(trace)
+    hit, vic_idx, vic_line, vic_flags = hier.replay_l1(trace, stats)
+    ops = trace.op
+    lines = trace.addr >> (hier.machine.line_bytes.bit_length() - 1)
+    is_dm = ops <= _STORE
+    is_nt = ops == _STORE_NT
+    h_ev, h_line, h_fill = _observe(hier.prefetcher, trace, lines, is_dm, hit)
+
+    live = ~hit | is_nt
+    live[h_ev] = True
+    inflight = np.fromiter(hier._inflight, dtype=np.int64, count=len(hier._inflight))
+    live[_live_pops(lines, hit, is_dm, is_nt, vic_idx, vic_line, h_ev, h_line, inflight)] = True
+    live_ev = np.nonzero(live)[0]
+
+    # Gaps: skipped demand hits cost demand_cost, skipped prefetches (L1
+    # hits) prefetch_cost.
+    bounds = np.concatenate(([-1], live_ev, [n]))
+    skipped_pf = ~live & ~is_dm
+    pf_before = np.concatenate(([0], np.cumsum(skipped_pf)))
+    gaps = (np.diff(bounds) - 1).tolist()
+    mixed = np.nonzero(pf_before[bounds[1:]] - pf_before[bounds[:-1] + 1])[0]
+    if len(mixed):
+        pf_cost = hier.machine.prefetch_cost
+        is_pf = skipped_pf.tolist()
+        starts = bounds.tolist()
+        # Few patterns recur: one tuple per pattern.
+        patterns: dict[tuple[float, ...], tuple[float, ...]] = {}
+        for j in mixed.tolist():
+            gap = is_pf[starts[j] + 1 : starts[j + 1]]
+            costs = tuple([pf_cost if pf else demand_cost for pf in gap])
+            gaps[j] = patterns.setdefault(costs, costs)
+
+    live_op = ops[live_ev]
+    live_dm = live_op <= _STORE
+    codes = np.where(
+        live_dm,
+        np.where(hit[live_ev], _HIT, _MISS),
+        np.where(live_op == _STORE_NT, _NT_STORE, _PREFETCH),
+    )
+    args = np.where(
+        live_dm,
+        np.where(live_op == _STORE, FLAG_DIRTY, 0),
+        np.where(live_op == _STORE_NT, trace.pc[live_ev], live_op == _PREFETCH_NTA),
+    )
+    return _LiveEvents(
+        gaps=gaps,
+        codes=codes.tolist(),
+        lines=lines[live_ev].tolist(),
+        args=args.tolist(),
+        n_requests=np.bincount(h_ev, minlength=n)[live_ev].tolist(),
+        requests=_requests(h_line, h_fill),
+        victims=_victims(np.nonzero(~hit & ~is_nt)[0], vic_idx, vic_line, vic_flags),
+    )
+
+
+def _victims(
+    installs: np.ndarray, vic_idx: np.ndarray, vic_line: np.ndarray, vic_flags: np.ndarray
+) -> Iterator[tuple[int, int] | None]:
+    """Each L1 install's victim in program order, ``(line, flags)`` or ``None``.
+
+    ``installs`` are the installing events, ``vic_*`` the evictions;
+    built one chunk at a time, like :func:`_requests`.
+    """
+    slots = np.searchsorted(installs, vic_idx)
+    done = 0
+    for start in range(0, len(slots), _CHUNK):
+        end = start + _CHUNK
+        for slot, line, flags in zip(
+            slots[start:end].tolist(), vic_line[start:end].tolist(), vic_flags[start:end].tolist()
+        ):
+            yield from repeat(None, slot - done)
+            yield line, flags
+            done = slot + 1
+    yield from repeat(None, len(installs) - done)
+
+
+def _requests(lines: np.ndarray, fills: np.ndarray) -> Iterator[tuple[int, bool, bool]]:
+    """``observe_batch``'s requests as ``_hw_requests`` reads them, in order.
+
+    Built one chunk at a time: a core can issue several requests per
+    demand event, and whole-trace lists of them would dominate the
+    driver's memory.  An untuned prefetcher never bypasses the LLC.
+    """
+    for start in range(0, len(lines), _CHUNK):
+        end = start + _CHUNK
+        yield from zip(lines[start:end].tolist(), fills[start:end].tolist(), repeat(False))
+
+
+def _observe(
+    prefetcher: HardwarePrefetcher,
+    trace: MemoryTrace,
+    lines: np.ndarray,
+    is_dm: np.ndarray,
+    hit: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The prefetcher's requests over a core's demand events.
+
+    ``observe_batch`` runs in chunks of ``_CHUNK`` demand events.
+    Returns each request's triggering event (trace index), target line
+    and L2-fill flag, in issue order.
+    """
+    dm_ev = np.nonzero(is_dm)[0]
+    evs = [np.empty(0, dtype=np.int64)]
+    targets = [np.empty(0, dtype=np.int64)]
+    fills = [np.empty(0, dtype=bool)]
+    for start in range(0, len(dm_ev), _CHUNK):
+        sel = dm_ev[start : start + _CHUNK]
+        ev, target, fill = prefetcher.observe_batch(
+            trace.pc[sel], trace.addr[sel], lines[sel], hit[sel]
+        )
+        evs.append(sel[ev])
+        targets.append(target)
+        fills.append(fill)
+    return np.concatenate(evs), np.concatenate(targets), np.concatenate(fills)
+
+
+def _live_pops(
+    lines: np.ndarray,
+    hit: np.ndarray,
+    is_dm: np.ndarray,
+    is_nt: np.ndarray,
+    vic_idx: np.ndarray,
+    vic_line: np.ndarray,
+    h_ev: np.ndarray,
+    h_line: np.ndarray,
+    inflight: np.ndarray,
+) -> np.ndarray:
+    """The demand L1 hits whose in-flight pop can find an entry.
+
+    Only a software prefetch that missed L1 and a hardware request can
+    set a line's entry (possible sets: a request served on chip sets
+    none).  Demand L1 hits, L1 victims and NT stores drop it (kills); a
+    demand L1 miss may or may not, so it is neither.  A hit's pop can
+    find an entry only if the latest earlier set or kill on its line is
+    a possible set or, with none, the line was ``inflight`` when the run
+    began.  Within one event a hit's pop precedes its requests, a miss's
+    requests precede its victim, and a prefetch's victim precedes its
+    set: keys ``4 * event + 0..3`` order them.
+    """
+    hit_ev = np.nonzero(is_dm & hit)[0]
+    pf_ev = np.nonzero(~is_dm & ~is_nt & ~hit)[0]
+    nt_ev = np.nonzero(is_nt)[0]
+    op_line = np.concatenate((lines[hit_ev], h_line, lines[pf_ev], vic_line, lines[nt_ev]))
+    op_key = np.concatenate((4 * hit_ev, 4 * h_ev + 1, 4 * pf_ev + 3, 4 * vic_idx + 2, 4 * nt_ev))
+    n_set_from = len(hit_ev)
+    n_set_to = n_set_from + len(h_ev) + len(pf_ev)
+    is_set = np.zeros(len(op_line), dtype=bool)
+    is_set[n_set_from:n_set_to] = True
+
+    order = np.lexsort((op_key, op_line))
+    sorted_line = op_line[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = sorted_line[1:] != sorted_line[:-1]
+    after_set = np.zeros(len(order), dtype=bool)
+    after_set[1:] = is_set[order][:-1]
+    after_set[first] = np.isin(sorted_line[first], inflight)
+    live = np.empty(len(order), dtype=bool)
+    live[order] = after_set
+    return hit_ev[live[: len(hit_ev)]]

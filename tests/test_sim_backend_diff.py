@@ -809,7 +809,8 @@ class TestDemand2WayKernel:
 
 
 class TestOpsBatchKinds:
-    """Every ``ops_batch`` kind against the dict cache's scalar calls."""
+    """Every ``ops_batch`` kind, on both cache classes, against the dict
+    cache's scalar calls."""
 
     @staticmethod
     def scalar_replay(cache, lines, kinds, oflags):
@@ -839,20 +840,27 @@ class TestOpsBatchKinds:
 
     @pytest.mark.parametrize("n_sets", [4, 512])  # scalar tail, wavefront
     def test_every_kind_matches_scalar_calls(self, rng, n_sets):
+        self.check_every_kind(rng, n_sets, FastLRUCache)
+
+    @pytest.mark.parametrize("n_sets", [4, 512])
+    def test_dict_cache_every_kind_matches_scalar_calls(self, rng, n_sets):
+        self.check_every_kind(rng, n_sets, LRUCache)
+
+    def check_every_kind(self, rng, n_sets, cls):
         config = CacheConfig("T", n_sets * 4 * 64, ways=4, line_bytes=64)
-        fast, ref = FastLRUCache(config), LRUCache(config)
+        batched, ref = cls(config), LRUCache(config)
         for _ in range(3):  # state carries across batches
             n = 40 * n_sets
             lines = rng.integers(0, 8 * n_sets, n)
             kinds = rng.integers(0, 7, n).astype(np.uint8)
             oflags = rng.integers(1, 32, n)
-            h, p, vi, vl, vf = fast.ops_batch(lines, kinds, oflags)
+            h, p, vi, vl, vf = batched.ops_batch(lines, kinds, oflags)
             rh, rp, rv = self.scalar_replay(ref, lines, kinds, oflags)
             assert h.tolist() == rh
             assert p.tolist() == rp
             assert list(zip(vi.tolist(), vl.tolist(), vf.tolist())) == rv
-            assert lru_state(fast) == lru_state(ref)
-            fast.check_invariants()
+            assert lru_state(batched) == lru_state(ref)
+            batched.check_invariants()
 
 
 class TestSimOptionsPrecedence:
@@ -1181,3 +1189,281 @@ class TestCrossCorePrefetcherDiff:
             assert ref.hw_prefetches == fast.hw_prefetches
             assert_same_state(results["reference"][1], results["fast"][1])
             assert results["fast"][1].last_run_path == path
+
+
+#: Per-core work and MLP of the multicore mixes below.  2.3 and 1.7
+#: make the tiny machine's demand cost inexact in binary (3.15, 2.85),
+#: so a gap charged as ``k * demand_cost`` instead of by repeated
+#: addition shows in the clock.
+MC_WORK = (2.3, 1.7, 3.1, 0.9)
+MC_MLP = (2.0, 1.5, 3.0, 1.0)
+
+
+def mix_trace(rng, n, core):
+    """One core's trace: PC-correlated streams (prefetchers fire), then
+    every op kind at random.  Cores' footprints overlap in part, so they
+    share some lines and evict each other's in the shared LLC."""
+    half = n // 2
+    trace = MemoryTrace.concat(
+        [
+            pc_correlated_trace(rng, half, sw_share=0.08, nta_share=0.04),
+            random_trace(rng, n - half, 384, all_ops=True),
+        ]
+    )
+    return MemoryTrace(trace.pc, trace.addr + core * 96 * 64, trace.op)
+
+
+def mix_sims(machine, traces, factory=lambda core: None, work=MC_WORK, mlp=MC_MLP, **kw):
+    """One :class:`MulticoreSimulator` per backend over the same cores."""
+    from repro.multicore.simulator import CoreSpec, MulticoreSimulator
+
+    sims = {}
+    for backend in BACKENDS:
+        cores = [
+            CoreSpec(
+                trace=trace,
+                work_per_memop=work[i],
+                mlp=mlp[i],
+                prefetcher=factory(i),
+                name=f"core{i}",
+            )
+            for i, trace in enumerate(traces)
+        ]
+        sims[backend] = MulticoreSimulator(replace(machine, sim_backend=backend), cores, **kw)
+    return sims
+
+
+def traced_mix_run(sim, drain=False):
+    """``sim.run(drain)`` with tracing on: the result and the
+    ``multicore.run`` span's attributes."""
+    from repro import obs
+
+    obs.disable()
+    obs.enable()
+    try:
+        result = sim.run(drain=drain)
+        spans = [s["attrs"] for s in obs.drain_spans() if s["name"] == "multicore.run"]
+    finally:
+        obs.disable()
+        obs.reset_metrics()
+    (attrs,) = spans
+    return result, attrs
+
+
+def compare_mix(machine, traces, factory=lambda core: None, drains=(False,), **kw):
+    """Run a mix on both backends (once per entry of ``drains``, on the
+    same simulators) and assert bit-identity: per-core stats, traffic,
+    makespan, and every hierarchy's state, the shared LLC and the
+    bandwidth model included.  Returns the reference results and the
+    fast runs' span attributes."""
+    sims = mix_sims(machine, traces, factory, **kw)
+    refs, attrs = [], []
+    for drain in drains:
+        ref = sims["reference"].run(drain=drain)
+        fast, fast_attrs = traced_mix_run(sims["fast"], drain)
+        for r, f in zip(ref.per_core, fast.per_core):
+            assert_same_stats(r, f)
+        assert ref.total_bytes == fast.total_bytes
+        assert ref.makespan_cycles == fast.makespan_cycles
+        for ref_h, fast_h in zip(sims["reference"].hierarchies, sims["fast"].hierarchies):
+            assert type(fast_h.l1) is LRUCache
+            assert_same_state(ref_h, fast_h)
+        refs.append(ref)
+        attrs.append(fast_attrs)
+    return refs, attrs
+
+
+class TestMulticoreFastPath:
+    """The multicore batch driver against the event loop, its oracle.
+
+    The ``reference`` backend runs every event through the heap; the
+    ``fast`` backend replays each core's L1 and prefetcher up front and
+    heap-orders only the live events.  Both must agree bit for bit.
+    """
+
+    MODELS = ("null", "adjacent", "stride", "ghb", "streamer", "intel")
+
+    def random_mix(self, rng, lengths=(3000, 2200, 2600)):
+        return [mix_trace(rng, n, core) for core, n in enumerate(lengths)]
+
+    @pytest.mark.parametrize("drain", [False, True])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_random_mix_matches_event_loop(self, tiny_machine, rng, model, drain):
+        traces = self.random_mix(rng)
+        (ref,), (attrs,) = compare_mix(
+            tiny_machine, traces, lambda core: PREFETCHER_FACTORIES[model](), drains=(drain,)
+        )
+        assert (attrs["path"], attrs.get("reason")) == ("batch", None)
+        assert attrs["events"] == sum(len(t) for t in traces)
+        assert 0 < attrs["live_events"] < attrs["events"]
+        if model != "null":
+            assert sum(s.hw_prefetches for s in ref.per_core) > 0
+
+    def test_random_mix_exercises_every_mechanism(self, tiny_machine, rng):
+        traces = self.random_mix(rng)
+        (ref,), _ = compare_mix(tiny_machine, traces)
+        total = {
+            name: sum(getattr(s, name) for s in ref.per_core)
+            for name in ("sw_late", "sw_useless", "dram_writebacks", "nt_store_writes")
+        }
+        assert all(total.values()), total
+        # Cross-core competition for the LLC: every core misses the
+        # shared LLC more often than it would alone.
+        for core, trace in enumerate(traces):
+            (alone,), _ = compare_mix(
+                tiny_machine, [trace], work=MC_WORK[core:], mlp=MC_MLP[core:]
+            )
+            assert alone.per_core[0].llc.misses < ref.per_core[core].llc.misses
+
+    @pytest.mark.parametrize("graph", ["pagerank", "hashjoin"])
+    def test_cross_core_prefetcher(self, tiny_machine, rng, graph):
+        from repro.hwpref import cross_core_prefetcher_for
+        from repro.isa.interpreter import execute_program
+        from repro.workloads import build_program, workload_seed
+
+        program = build_program(graph, "train", scale=0.02)
+        trace = execute_program(program, seed=workload_seed(graph, "train")).trace[:6000]
+        factories = [lambda: cross_core_prefetcher_for(program), PCStridePrefetcher]
+        (ref,), (attrs,) = compare_mix(
+            tiny_machine,
+            [trace, mix_trace(rng, 2500, 1)],
+            lambda core: factories[core](),
+            drains=(True,),
+        )
+        assert attrs["path"] == "batch"
+        assert ref.per_core[0].hw_prefetches > 0
+
+    def test_identical_traces_tie_on_core_index(self, tiny_machine, rng):
+        # Equal work and MLP: both cores' clocks tie before every event
+        # until their paths split, and the lower index goes first.
+        trace = mix_trace(rng, 2500, 0)
+        (ref,), (attrs,) = compare_mix(
+            tiny_machine,
+            [trace, trace],
+            lambda core: PCStridePrefetcher(),
+            work=(2.3, 2.3),
+            mlp=(2.0, 2.0),
+        )
+        assert attrs["path"] == "batch"
+        # The first core to miss a shared line fetches it; the other hits.
+        assert ref.per_core[0].llc.misses > ref.per_core[1].llc.misses
+
+    def test_unequal_lengths_and_an_empty_core(self, tiny_machine, rng):
+        traces = [mix_trace(rng, 3000, 0), MemoryTrace.empty(), mix_trace(rng, 300, 2)]
+        (ref,), (attrs,) = compare_mix(
+            tiny_machine, traces, lambda core: GHBPrefetcher(), drains=(True,)
+        )
+        assert attrs["events"] == 3300
+        assert ref.per_core[1].cycles == 0.0
+
+    def test_second_run_continues_from_the_first(self, tiny_machine, rng):
+        # The second run starts with warm caches, clocks that are not
+        # zero, and the in-flight entries the first left behind.
+        traces = self.random_mix(rng)
+        sim = mix_sims(tiny_machine, traces, lambda core: PCStridePrefetcher())["fast"]
+        sim.run(drain=False)
+        assert all(h._inflight and h.now > 0 for h in sim.hierarchies)
+        _, attrs = compare_mix(
+            tiny_machine, traces, lambda core: PCStridePrefetcher(), drains=(False, True)
+        )
+        assert [a["path"] for a in attrs] == ["batch", "batch"]
+
+    def test_liveness_rule(self, tiny_machine):
+        # The tiny L1 has 8 sets of 2 ways: lines 4, 12 and 20 share set 4.
+        load, prefetch, nt = MemOp.LOAD, MemOp.PREFETCH, MemOp.STORE_NT
+        trace = crafted_trace(
+            *zip(
+                (1, prefetch),  # 0 live: a prefetch that misses L1 sets line 1
+                (1, load),  # 1 live: the latest set-or-kill on line 1 is a set
+                (1, load),  # 2 dead: event 1's pop killed it
+                (2, load),  # 3 live: L1 miss
+                (2, load),  # 4 dead: a miss neither sets nor kills
+                (3, prefetch),  # 5 live: sets line 3
+                (3, nt),  # 6 live: NT store, kills line 3
+                (3, load),  # 7 live: L1 miss
+                (3, load),  # 8 dead: killed by the NT store
+                (4, prefetch),  # 9 live: sets line 4
+                (12, load),  # 10 live: L1 miss
+                (20, load),  # 11 live: L1 miss, evicts line 4 (kill)
+                (4, load),  # 12 live: L1 miss
+                (4, load),  # 13 dead: killed by the eviction at 11
+            )
+        )
+        (ref,), (attrs,) = compare_mix(tiny_machine, [trace])
+        assert attrs["live_events"] == 10
+        assert ref.per_core[0].sw_late == 1  # event 1 waits for its prefetch
+
+    def test_path_reasons_and_counters(self, tiny_machine, rng):
+        from repro import obs
+        from repro.multicore.coordinator import HeuristicCoordinator
+
+        traces = self.random_mix(rng, (800, 600))
+        shared = PCStridePrefetcher()
+
+        def tuned(core):
+            pf = PCStridePrefetcher()
+            pf.apply_tuning(PrefetchTuning(degree_scale=0.5))
+            return pf
+
+        cases = {
+            "coordinated": dict(coordinator=HeuristicCoordinator()),
+            "throttled": dict(factory=lambda core: PCStridePrefetcher(utilisation=lambda: 0.0)),
+            "tuned": dict(factory=tuned),
+            "shared-prefetcher": dict(factory=lambda core: shared),
+        }
+        expected = {
+            "coordinated": "coordinated",
+            "throttled": "prefetcher-not-batch-safe",
+            "tuned": "prefetcher-not-batch-safe",
+            "shared-prefetcher": "shared-prefetcher",
+        }
+        obs.disable()
+        obs.reset_metrics()
+        obs.enable()
+        try:
+            sims = [mix_sims(tiny_machine, traces, **kw)["fast"] for kw in cases.values()]
+            sims.append(mix_sims(tiny_machine, traces)["reference"])
+            sims.append(mix_sims(tiny_machine, traces)["fast"])
+            for sim in sims:
+                sim.run()
+            spans = [s["attrs"] for s in obs.drain_spans() if s["name"] == "multicore.run"]
+            snap = obs.metrics().snapshot()
+        finally:
+            obs.disable()
+            obs.reset_metrics()
+        reasons = [*expected.values(), "reference-backend", None]
+        assert [(a["path"], a.get("reason")) for a in spans] == [
+            ("scalar", r) for r in reasons[:-1]
+        ] + [("batch", None)]
+        for attrs in spans[:-1]:
+            assert attrs["live_events"] == attrs["events"] == 1400
+        assert spans[-1]["live_events"] < 1400
+        assert snap["sim.multicore.path.scalar"]["value"] == 5
+        assert snap["sim.multicore.path.batch"]["value"] == 1
+        assert snap["sim.multicore.reason.prefetcher-not-batch-safe"]["value"] == 2
+        for reason in ("coordinated", "shared-prefetcher", "reference-backend"):
+            assert snap[f"sim.multicore.reason.{reason}"]["value"] == 1
+
+    def test_disabled_tracing_touches_no_counters(self, tiny_machine, rng):
+        from repro import obs
+
+        obs.disable()
+        obs.reset_metrics()
+        for sim in mix_sims(tiny_machine, self.random_mix(rng, (500, 500))).values():
+            sim.run()
+        assert not [k for k in obs.metrics().snapshot() if k.startswith("sim.multicore")]
+
+    def test_exception_in_merge_loop_reattaches_real_l1(self, tiny_machine, rng, monkeypatch):
+        sim = mix_sims(tiny_machine, self.random_mix(rng, (500, 500, 500)))["fast"]
+        real = [h.l1 for h in sim.hierarchies]
+        seen = []
+
+        def fail(self, *args):
+            seen.append(type(self.l1))
+            raise RuntimeError("handler failed")
+
+        monkeypatch.setattr(CacheHierarchy, "_demand_miss", fail)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            sim.run()
+        assert seen and seen[0] is not LRUCache  # raised under the stand-in
+        assert all(h.l1 is l1 for h, l1 in zip(sim.hierarchies, real))
