@@ -225,19 +225,19 @@ class CompositePrefetcher(HardwarePrefetcher):
         if len(parts) == 1:
             ev, tgt, fill = parts[0]
         else:
-            comp_id = np.concatenate(
-                [np.full(len(p[0]), c, dtype=np.int64) for c, p in enumerate(parts)]
-            )
             ev = np.concatenate([p[0] for p in parts])
             tgt = np.concatenate([p[1] for p in parts])
             fill = np.concatenate([p[2] for p in parts])
-            order = np.lexsort((comp_id, ev))
+            # Parts are concatenated in component order, so a stable sort
+            # on the access keeps each access's requests in that order.
+            order = np.argsort(ev, kind="stable")
             ev = ev[order]
             tgt = tgt[order]
             fill = fill[order]
-        # Drop per-access duplicate lines, keeping the earliest request.
-        seq = np.arange(len(ev))
-        by_line = np.lexsort((seq, tgt, ev))
+        # Drop per-access duplicate lines, keeping the earliest request:
+        # order by (access, line, position) with two stable sorts.
+        by_tgt = np.argsort(tgt, kind="stable")
+        by_line = by_tgt[np.argsort(ev[by_tgt], kind="stable")]
         dup = np.zeros(len(ev), dtype=bool)
         same = (ev[by_line][1:] == ev[by_line][:-1]) & (tgt[by_line][1:] == tgt[by_line][:-1])
         dup[by_line[1:][same]] = True

@@ -592,7 +592,9 @@ def _live_pops(
     is_set = np.zeros(len(op_line), dtype=bool)
     is_set[n_set_from:n_set_to] = True
 
-    order = np.lexsort((op_key, op_line))
+    # Order by (line, key, position): two stable sorts, the minor key first.
+    by_key = np.argsort(op_key, kind="stable")
+    order = by_key[np.argsort(op_line[by_key], kind="stable")]
     sorted_line = op_line[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = sorted_line[1:] != sorted_line[:-1]

@@ -9,10 +9,12 @@ endpoint instructions.  Lines that are never re-accessed produce
 *dangling* samples, which the cache model treats as always-missing
 (cold/stream-out accesses).
 
-Instead of scanning forward per sample, the trace-driven implementation
-precomputes every reference's next-access-to-same-line index with one
-``lexsort`` (O(n log n)) and then reads off the sampled entries — the
-semantics are identical to per-sample watchpoints.
+The trace-driven implementation arms only the sampled watchpoints: it
+scans a short window after every sample point at once and, for the
+samples whose line recurs later than that, looks the next access up in
+one sort of the whole trace's line keys
+(:func:`~repro.trace.util.next_same_value_query`).  The semantics are
+identical to per-sample watchpoints.
 """
 
 from __future__ import annotations
@@ -26,7 +28,12 @@ from repro.trace.events import MemoryTrace
 
 from repro.trace.util import next_same_value_index
 
-__all__ = ["ReuseSampleSet", "next_same_value_index", "collect_reuse_samples"]
+__all__ = [
+    "ReuseSampleSet",
+    "next_same_value_index",
+    "collect_reuse_samples",
+    "reuse_samples_at",
+]
 
 
 @dataclass(frozen=True)
@@ -89,29 +96,30 @@ def collect_reuse_samples(
     trace: MemoryTrace,
     sample_indices: np.ndarray,
     line_bytes: int,
-    next_same_line: np.ndarray | None = None,
 ) -> ReuseSampleSet:
     """Take reuse samples at the given demand-reference indices.
 
-    ``sample_indices`` index into the *demand-only* view of ``trace``.
-    ``next_same_line`` may be supplied to share the precomputed
-    next-access map with other passes over the same trace.
+    ``sample_indices`` index into the *demand-only* view of ``trace``;
+    only their next accesses are looked up.
     """
     demand = trace.demand_only()
     n = len(demand)
-    if n == 0:
-        if len(sample_indices):
-            raise SamplingError("cannot sample an empty trace")
-        empty = np.empty(0, dtype=np.int64)
-        return ReuseSampleSet(empty, empty.copy(), empty.copy(), 0)
+    if n == 0 and len(sample_indices):
+        raise SamplingError("cannot sample an empty trace")
     if len(sample_indices) and (sample_indices.min() < 0 or sample_indices.max() >= n):
         raise SamplingError("sample index out of range")
 
-    if next_same_line is None:
-        next_same_line = next_same_value_index(demand.line_addr(line_bytes))
-
     idx = np.asarray(sample_indices, dtype=np.int64)
-    nxt = next_same_line[idx]
+    return reuse_samples_at(demand, idx, next_same_value_index(demand.line_addr(line_bytes), idx))
+
+
+def reuse_samples_at(
+    demand: MemoryTrace, idx: np.ndarray, nxt: np.ndarray
+) -> ReuseSampleSet:
+    """Reuse samples at demand indices ``idx`` of a demand-only trace.
+
+    ``nxt`` holds each sample's next access to its line (-1: none).
+    """
     finite = nxt >= 0
     distance = np.where(finite, nxt - idx - 1, -1).astype(np.int64)
     end_pc = np.where(finite, demand.pc[np.maximum(nxt, 0)], -1).astype(np.int64)
@@ -119,5 +127,5 @@ def collect_reuse_samples(
         start_pc=demand.pc[idx].astype(np.int64),
         end_pc=end_pc,
         distance=distance,
-        n_refs=n,
+        n_refs=len(demand),
     )

@@ -16,13 +16,10 @@ import numpy as np
 
 from repro import obs
 from repro.errors import SamplingError
-from repro.sampling.reuse import (
-    ReuseSampleSet,
-    collect_reuse_samples,
-    next_same_value_index,
-)
-from repro.sampling.stridesampler import StrideSampleSet, collect_stride_samples
+from repro.sampling.reuse import ReuseSampleSet, reuse_samples_at
+from repro.sampling.stridesampler import StrideSampleSet, stride_samples_at
 from repro.trace.events import MemoryTrace
+from repro.trace.util import next_same_value_query
 
 __all__ = ["RuntimeSampler", "SamplingResult"]
 
@@ -109,15 +106,24 @@ class RuntimeSampler:
             demand = trace.demand_only()
             n = len(demand)
             idx = self.select_sample_points(n)
-            pass_span.set(refs=n, samples=len(idx))
-            # Both samplers share the demand view; precompute next-access
-            # maps once each.
-            next_line = next_same_value_index(demand.line_addr(self.line_bytes))
-            next_pc = next_same_value_index(demand.pc)
-            reuse = collect_reuse_samples(demand, idx, self.line_bytes, next_line)
-            strides = collect_stride_samples(demand, idx, next_pc)
+            # Both samplers read the one demand view, and each arms only
+            # the sample points' watchpoints: the next access to the
+            # sampled line, and the next execution of the sampled PC.
+            next_line = next_same_value_query(demand.line_addr(self.line_bytes), idx)
+            next_pc = next_same_value_query(demand.pc, idx)
+            reuse = reuse_samples_at(demand, idx, next_line.index)
+            strides = stride_samples_at(demand, idx, next_pc.index)
+            window_resolved = next_line.window_resolved + next_pc.window_resolved
+            pass_span.set(
+                refs=n,
+                samples=len(idx),
+                window_resolved=window_resolved,
+                sorts=next_line.sorts + next_pc.sorts,
+            )
             if obs.enabled():
-                obs.metrics().histogram("sampling.samples").observe(len(idx))
+                reg = obs.metrics()
+                reg.histogram("sampling.samples").observe(len(idx))
+                reg.counter("sampling.window_resolved").inc(window_resolved)
         overhead = _BASE_OVERHEAD + (
             _COST_PER_SAMPLE_REFS * len(idx) / n if n else 0.0
         )

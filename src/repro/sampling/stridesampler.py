@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SamplingError
-from repro.sampling.reuse import next_same_value_index
 from repro.trace.events import MemoryTrace
+from repro.trace.util import next_same_value_index
 
-__all__ = ["StrideSampleSet", "collect_stride_samples"]
+__all__ = ["StrideSampleSet", "collect_stride_samples", "stride_samples_at"]
 
 
 @dataclass(frozen=True)
@@ -69,28 +69,31 @@ class StrideSampleSet:
 def collect_stride_samples(
     trace: MemoryTrace,
     sample_indices: np.ndarray,
-    next_same_pc: np.ndarray | None = None,
 ) -> StrideSampleSet:
     """Take stride samples at the given demand-reference indices.
 
     A sampled instruction that never executes again contributes nothing
-    (the breakpoint simply never fires).
+    (the breakpoint simply never fires).  Only the sampled references'
+    next executions are looked up.
     """
     demand = trace.demand_only()
     n = len(demand)
-    if n == 0:
-        if len(sample_indices):
-            raise SamplingError("cannot sample an empty trace")
-        empty = np.empty(0, dtype=np.int64)
-        return StrideSampleSet(empty, empty.copy(), empty.copy())
+    if n == 0 and len(sample_indices):
+        raise SamplingError("cannot sample an empty trace")
     if len(sample_indices) and (sample_indices.min() < 0 or sample_indices.max() >= n):
         raise SamplingError("sample index out of range")
 
-    if next_same_pc is None:
-        next_same_pc = next_same_value_index(demand.pc)
-
     idx = np.asarray(sample_indices, dtype=np.int64)
-    nxt = next_same_pc[idx]
+    return stride_samples_at(demand, idx, next_same_value_index(demand.pc, idx))
+
+
+def stride_samples_at(
+    demand: MemoryTrace, idx: np.ndarray, nxt: np.ndarray
+) -> StrideSampleSet:
+    """Stride samples at demand indices ``idx`` of a demand-only trace.
+
+    ``nxt`` holds each sampled instruction's next execution (-1: none).
+    """
     fired = nxt >= 0
     idx = idx[fired]
     nxt = nxt[fired]

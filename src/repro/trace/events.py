@@ -192,8 +192,14 @@ class MemoryTrace:
         return self.addr >> int(np.log2(line_bytes))
 
     def demand_only(self) -> "MemoryTrace":
-        """A new trace with prefetch events removed."""
+        """The trace with prefetch events removed.
+
+        A trace without prefetch events is its own demand view: its
+        arrays are read-only, so sharing them is safe.
+        """
         mask = self.demand_mask
+        if mask.all():
+            return self
         return MemoryTrace(self.pc[mask], self.addr[mask], self.op[mask])
 
     def select(self, mask: np.ndarray) -> "MemoryTrace":

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from repro.sampling.reuse import collect_reuse_samples, next_same_value_index
 from repro.statstack.model import StatStackModel
 from repro.trace.events import MemoryTrace
 from repro.trace.synthesis import strided_pattern, sweep_pattern
+from repro.trace.util import WINDOW, next_same_value_query
 
 lines = st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=400)
 
@@ -65,19 +67,93 @@ class TestLRUProperties:
         assert set(cache.resident_lines()) == set(distinct_recent)
 
 
+def naive_next(values, positions) -> list[int]:
+    """Per position, the next index holding the same value (-1: none), by scanning."""
+    out = []
+    for i in positions:
+        expected = -1
+        for j in range(i + 1, len(values)):
+            if values[j] == values[i]:
+                expected = j
+                break
+        out.append(expected)
+    return out
+
+
+@st.composite
+def values_and_queries(draw):
+    """Values drawn from a small pool, so they recur, and positions to query.
+
+    Pool members are small (negative included) or span up to ±2^62, where
+    the composite key ``(value − min)·n + position`` would overflow int64.
+    Pools of up to 64 members over up to 600 values give recurrences
+    longer than the window; few queries on long values take the window,
+    many queries on short values read the full map.  Queries come in any
+    order, may repeat, and are biased towards the last ``WINDOW``
+    positions, where the window runs off the end.
+    """
+    member = st.integers(-50, 50) | st.integers(-(2**62), 2**62)
+    pool = draw(st.lists(member, min_size=1, max_size=64, unique=True))
+    n = draw(st.integers(0, 600))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    if n == 0:
+        return values, []
+    position = st.integers(0, n - 1) | st.integers(max(0, n - WINDOW), n - 1)
+    dense = draw(st.booleans())
+    return values, draw(st.lists(position, max_size=24 if dense else max(1, n // WINDOW)))
+
+
 class TestNextSameValueProperties:
     @given(st.lists(st.integers(min_value=0, max_value=20), max_size=200))
     @settings(max_examples=60, deadline=None)
     def test_matches_naive_scan(self, values):
         arr = np.asarray(values, dtype=np.int64)
         nxt = next_same_value_index(arr)
-        for i, v in enumerate(values):
-            expected = -1
-            for j in range(i + 1, len(values)):
-                if values[j] == v:
-                    expected = j
-                    break
-            assert nxt[i] == expected
+        assert nxt.tolist() == naive_next(values, range(len(values)))
+
+    @given(values_and_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_queries_match_naive_scan(self, case):
+        values, at = case
+        arr = np.asarray(values, dtype=np.int64)
+        expected = naive_next(values, at)
+        assert next_same_value_index(arr, at=np.asarray(at, dtype=np.int64)).tolist() == expected
+        assert next_same_value_index(arr)[at].tolist() == expected
+
+    def test_empty_values_and_queries(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert next_same_value_index(empty).tolist() == []
+        assert next_same_value_index(empty, at=empty).tolist() == []
+        assert next_same_value_index(np.array([4, 4]), at=empty).tolist() == []
+        assert next_same_value_query(empty, at=empty).sorts == 0
+
+    def test_sparse_queries_scan_the_window_then_sort(self):
+        n = 64 * WINDOW
+        values = np.arange(n) % (4 * WINDOW)  # every value recurs 4·WINDOW later
+        values[10 + WINDOW] = values[10]  # recurs at the window's last step
+        values[20 + WINDOW + 1] = values[20]  # recurs one step past it
+        values[n - 1] = values[n - 3]  # recurs inside the last WINDOW positions
+        at = np.array([n - 3, 10, 20, n - 1, 10, 0])  # unsorted, repeated
+        answer = next_same_value_query(values, at=at)
+        assert answer.index.tolist() == naive_next(values.tolist(), at.tolist())
+        assert answer.window_resolved == 3
+        assert answer.sorts == 1
+
+    def test_sort_runs_only_when_the_window_misses(self):
+        values = np.arange(4096) % 8
+        answer = next_same_value_query(values, at=np.array([0, 100, 4095]))
+        assert answer.index.tolist() == [8, 108, -1]
+        # The last position has no successor, and no window step past the
+        # end can answer it, so only it needs the sorted keys.
+        assert answer.window_resolved == 2
+        assert answer.sorts == 1
+        assert next_same_value_query(values, at=np.array([0, 100])).sorts == 0
+
+    def test_out_of_range_query_rejected(self):
+        with pytest.raises(IndexError):
+            next_same_value_index(np.array([1, 2]), at=np.array([2]))
+        with pytest.raises(IndexError):
+            next_same_value_index(np.array([1, 2]), at=np.array([-1]))
 
 
 class TestStatStackProperties:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.errors import SamplingError
 from repro.sampling import (
     RuntimeSampler,
@@ -141,3 +142,29 @@ class TestRuntimeSampler:
         t = MemoryTrace.loads(np.zeros(100, np.int64), np.arange(100) * 8)
         r = RuntimeSampler(rate=0.5, seed=0).sample(t)
         assert "reuse samples" in r.describe()
+
+    def test_pass_says_how_its_queries_were_answered(self):
+        # Every line is touched once, so no line query resolves; each PC
+        # recurs four references later, so only sample points in the
+        # last four positions miss the window.  This seed draws one.
+        n = 4096
+        t = MemoryTrace.loads(np.arange(n) % 4, np.arange(n) * 64)
+        sampler = RuntimeSampler(rate=1e-9, seed=1, min_samples=48)
+        idx = sampler.select_sample_points(n)
+        assert np.any(idx >= n - 4)
+        obs.enable()
+        try:
+            sampler.sample(t)
+            (span,) = [e for e in obs.drain_spans() if e["name"] == "sampling.pass"]
+            counted = obs.metrics().counter("sampling.window_resolved").value
+        finally:
+            obs.disable()
+            obs.reset_metrics()
+        assert span["attrs"]["window_resolved"] == np.count_nonzero(idx < n - 4) == counted
+        assert span["attrs"]["sorts"] == 2
+
+    def test_window_counter_recorded_only_while_tracing(self):
+        obs.reset_metrics()
+        t = MemoryTrace.loads(np.zeros(1000, np.int64), np.arange(1000) * 8)
+        RuntimeSampler(rate=1e-9, seed=0, min_samples=16).sample(t)
+        assert "sampling.window_resolved" not in obs.metrics()
