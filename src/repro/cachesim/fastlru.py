@@ -871,61 +871,77 @@ class FastLRUCache:
     ) -> None:
         """Finish an op stream set by set with dict-based LRU.
 
-        Mirror of :meth:`_scalar_tail` for heterogeneous ops: each
-        remaining set is lifted into an insertion-ordered dict (LRU →
-        MRU, value ``[stamp, flags]``), replayed, and written back.
+        Mirror of :meth:`_scalar_tail` for heterogeneous ops, with the
+        loop of :meth:`LRUCache.ops_batch <repro.cachesim.lru.LRUCache.ops_batch>`:
+        each remaining set is lifted into an insertion-ordered dict (LRU
+        → MRU, line → flags) with its stamps beside it, its ops are read
+        as Python lists, replayed, and the set is written back; ``hit``
+        and ``prior`` are scattered once at the end.  A whole cache with
+        fewer than :data:`MIN_WAVEFRONT_SETS` sets (the Intel L1) runs
+        here.
         """
         ways = self.ways
         tags, stamp, flags = self.tags, self.stamp, self.flags
+        tail_pos: list[np.ndarray] = []
+        out: list[int] = []  # per tail op, its flags before the op; -1 on miss
+        append = out.append
+        t_idx: list[int] = []
+        t_line: list[int] = []
+        t_flag: list[int] = []
         for gi in np.nonzero(counts > r)[0].tolist():
             s = int(uniq[gi])
-            row_tags = tags[s]
-            row_stamp = stamp[s]
-            row_flags = flags[s]
-            resident: dict[int, list[int]] = {}
-            for w in np.argsort(row_stamp, kind="stable").tolist():
-                if row_tags[w] != EMPTY:
-                    resident[int(row_tags[w])] = [int(row_stamp[w]), int(row_flags[w])]
-            positions = order[start[gi] + r : start[gi] + counts[gi]].tolist()
-            t_idx: list[int] = []
-            t_line: list[int] = []
-            t_flag: list[int] = []
-            for p in positions:
-                line = int(lines[p])
-                kd = int(kinds[p])
-                ent = resident.get(line)
-                if ent is not None:
-                    hit[p] = True
-                    prior[p] = ent[1]
-                    if kd == OP_DEMAND or kd == OP_PFILL or kd == OP_LOOKUP:
-                        del resident[line]
-                        ent[0] = clock + p
-                        if kd == OP_DEMAND:
-                            ent[1] |= int(oflags[p])
-                        resident[line] = ent
-                    elif kd == OP_TOUCH:
-                        ent[1] |= int(oflags[p])
-                    elif kd == OP_INVAL:
-                        del resident[line]
-                elif kd <= OP_PFILL:
-                    if len(resident) >= ways:
-                        victim = next(iter(resident))
-                        v_ent = resident.pop(victim)
-                        t_idx.append(p)
-                        t_line.append(victim)
-                        t_flag.append(v_ent[1])
-                    resident[line] = [clock + p, int(oflags[p])]
-            row_tags[:] = EMPTY
-            row_stamp[:] = EMPTY
-            row_flags[:] = 0
-            for w, (line, ent) in enumerate(resident.items()):
-                row_tags[w] = line
-                row_stamp[w] = ent[0]
-                row_flags[w] = ent[1]
-            if t_idx:
-                vic_i.append(np.asarray(t_idx, dtype=np.int64))
-                vic_l.append(np.asarray(t_line, dtype=np.int64))
-                vic_f.append(np.asarray(t_flag, dtype=np.int64))
+            row_tags = tags[s].tolist()
+            row_stamp = stamp[s].tolist()
+            row_flags = flags[s].tolist()
+            resident: dict[int, int] = {}
+            stamps: dict[int, int] = {}
+            for w in sorted(range(ways), key=row_stamp.__getitem__):
+                line = row_tags[w]
+                if line != EMPTY:
+                    resident[line] = row_flags[w]
+                    stamps[line] = row_stamp[w]
+            pos = order[start[gi] + r : start[gi] + counts[gi]]
+            tail_pos.append(pos)
+            for p, line, kd, of in zip(
+                pos.tolist(), lines[pos].tolist(), kinds[pos].tolist(), oflags[pos].tolist()
+            ):
+                f = resident.get(line)
+                if f is None:
+                    append(-1)
+                    if kd <= OP_PFILL:
+                        if len(resident) >= ways:
+                            victim = next(iter(resident))
+                            t_idx.append(p)
+                            t_line.append(victim)
+                            t_flag.append(resident.pop(victim))
+                        resident[line] = of
+                        stamps[line] = clock + p
+                    continue
+                append(f)
+                if kd == OP_DEMAND:
+                    del resident[line]
+                    resident[line] = f | of
+                    stamps[line] = clock + p
+                elif kd == OP_PFILL or kd == OP_LOOKUP:
+                    del resident[line]
+                    resident[line] = f
+                    stamps[line] = clock + p
+                elif kd == OP_TOUCH:
+                    resident[line] = f | of
+                elif kd == OP_INVAL:
+                    del resident[line]
+            empty = ways - len(resident)
+            tags[s] = [*resident, *[EMPTY] * empty]
+            stamp[s] = [*map(stamps.__getitem__, resident), *[EMPTY] * empty]
+            flags[s] = [*resident.values(), *[0] * empty]
+        pos = np.concatenate(tail_pos)
+        got = np.array(out, dtype=np.int64)
+        hit[pos] = got >= 0
+        prior[pos] = np.maximum(got, 0)
+        if t_idx:
+            vic_i.append(np.array(t_idx, dtype=np.int64))
+            vic_l.append(np.array(t_line, dtype=np.int64))
+            vic_f.append(np.array(t_flag, dtype=np.int64))
 
     # ------------------------------------------------------------------
     # introspection

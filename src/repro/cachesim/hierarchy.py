@@ -47,6 +47,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from operator import attrgetter
+from time import perf_counter
 
 import numpy as np
 
@@ -129,10 +130,52 @@ _L1_FLAGS = np.array(
 #: A hardware-prefetch request's fields, as ``_hw_requests`` reads them.
 _REQUEST_FIELDS = attrgetter("line", "fill_l2", "llc_bypass")
 
+#: The batch path's passes, as ``cachesim.run`` span attributes: the L1
+#: op stream, prefetcher observation, the L2/LLC op streams, building
+#: the timing stream (emit, sort and liveness) and its serial loop.
+_PASSES = ("l1_s", "observe_s", "l2_llc_s", "timing_build_s", "timing_loop_s")
+
 
 def _unreferenced(flags: np.ndarray, bit: int) -> np.ndarray:
     """Lines carrying ``bit`` that no demand access has touched."""
     return ((flags & bit) != 0) & ((flags & FLAG_REFERENCED) == 0)
+
+
+class _PassClock:
+    """Wall seconds per batch pass, summed over a run's batch spans.
+
+    Only a traced run builds one; ``lap(name)`` charges the time since
+    :meth:`start` or the previous lap to pass ``name``.
+    """
+
+    __slots__ = ("seconds", "_t")
+
+    def __init__(self) -> None:
+        self.seconds = dict.fromkeys(_PASSES, 0.0)
+        self._t = 0.0
+
+    def start(self) -> None:
+        self._t = perf_counter()
+
+    def lap(self, name: str) -> None:
+        t = perf_counter()
+        self.seconds[name] += t - self._t
+        self._t = t
+
+
+class _NoPassClock:
+    """The untraced runs' pass clock: reads no clock, keeps nothing."""
+
+    __slots__ = ()
+
+    def start(self) -> None:
+        pass
+
+    def lap(self, name: str) -> None:
+        pass
+
+
+_NO_PASS_CLOCK = _NoPassClock()
 
 
 class _ReplayedL1:
@@ -248,6 +291,7 @@ class CacheHierarchy:
             stats = RunStats(line_bytes=self.machine.line_bytes)
         path, reason = self._select_path()
         n = len(trace)
+        clock = _PassClock() if path == "batch" and obs.enabled() else _NO_PASS_CLOCK
         with obs.span(
             "cachesim.run",
             machine=self.machine.name,
@@ -259,13 +303,13 @@ class CacheHierarchy:
             if path == "batch":
                 if self.prefetcher.throttled:
                     batch_events, rounds, groups, peak = self._run_spans(
-                        trace, work_per_memop, mlp, stats
+                        trace, work_per_memop, mlp, stats, clock
                     )
                     if batch_events < n:
                         path, reason = "scalar", "knee-crossed"
                 else:
                     rounds, groups, peak = self._run_events_batch(
-                        trace, work_per_memop, mlp, stats
+                        trace, work_per_memop, mlp, stats, clock
                     )
                     batch_events = n
             elif isinstance(self.l1, FastLRUCache):
@@ -294,6 +338,8 @@ class CacheHierarchy:
                 if reason is not None:
                     metrics.counter(f"sim.hierarchy.reason.{reason}").inc()
                     run_span.set(reason=reason)
+            if isinstance(clock, _PassClock):
+                run_span.set(**clock.seconds)
             run_span.set(path=path, batch_events=batch_events, cycles=stats.cycles)
         return stats
 
@@ -334,6 +380,7 @@ class CacheHierarchy:
         work_per_memop: float,
         mlp: float,
         stats: RunStats,
+        clock: _PassClock | _NoPassClock = _NO_PASS_CLOCK,
     ) -> tuple[int, int, int, float]:
         """Batch a throttled prefetcher's run, one checkpointed span at a time.
 
@@ -358,7 +405,7 @@ class CacheHierarchy:
             end = min(done + _KNEE_SPAN, n)
             saved = self._checkpoint(stats)
             r, g, span_peak = self._run_events_batch(
-                trace[done:end], work_per_memop, mlp, stats
+                trace[done:end], work_per_memop, mlp, stats, clock
             )
             rounds += r
             groups += g
@@ -451,6 +498,7 @@ class CacheHierarchy:
         work_per_memop: float,
         mlp: float,
         stats: RunStats,
+        clock: _PassClock | _NoPassClock = _NO_PASS_CLOCK,
     ) -> tuple[int, int, float]:
         """Batched whole-hierarchy event loop (the ``batch`` path).
 
@@ -471,7 +519,9 @@ class CacheHierarchy:
         Returns the speculation's ``(rounds, groups)`` and the largest
         bandwidth EWMA of the batch: its entry value or any value right
         after a transfer, the only values ``utilisation()`` can read.
+        ``clock`` times the passes (see :data:`_PASSES`).
         """
+        clock.start()
         machine = self.machine
         n = len(trace)
         ops = trace.op
@@ -505,6 +555,7 @@ class CacheHierarchy:
         stats.sw_useless += int(
             np.count_nonzero(_unreferenced(v1f, FLAG_SW_PREFETCH))
         )
+        clock.lap("l1_s")
 
         # ---- pass 2: batched prefetcher observation ---------------------
         # The prefetcher trains on demand events only: the scalar loop
@@ -531,6 +582,7 @@ class CacheHierarchy:
             h_j = hm_idx - np.maximum.accumulate(np.where(new_grp, hm_idx, 0))
         else:
             h_j = np.empty(0, dtype=np.int64)
+        clock.lap("observe_s")
 
         # ---- passes 3-4: ordered L2 and LLC op streams ------------------
         # Per event, in scalar order: hardware-prefetch requests (fill or
@@ -611,6 +663,7 @@ class CacheHierarchy:
         )
         stats.dram_fills += int(np.count_nonzero((is_d2 | is_h2 | is_p2) & dram))
         stats.nta_fills += int(np.count_nonzero((cat2 == _CAT_NTA) & dram))
+        clock.lap("l2_llc_s")
 
         # ---- pass 5: merged timing stream -------------------------------
         # Codes: 0 hardware-prefetch DRAM fill, 1 off-chip write
@@ -772,6 +825,7 @@ class CacheHierarchy:
         ev_l = ev_s.tolist()
         code_l = code_s.tolist()
         arg_l = arg_s.tolist()
+        clock.lap("timing_build_s")
 
         bw = self.bandwidth
         window = bw.window
@@ -906,6 +960,7 @@ class CacheHierarchy:
         stats.sw_late += sw_late
         stats.dram_writebacks += n_wb
         stats.nt_store_writes += n_ntw
+        clock.lap("timing_loop_s")
         return rounds, groups, peak
 
     def _l2_llc_passes(

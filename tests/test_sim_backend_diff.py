@@ -838,20 +838,33 @@ class TestOpsBatchKinds:
                 victims.append((i, *victim))
         return hit, prior, victims
 
-    @pytest.mark.parametrize("n_sets", [4, 512])  # scalar tail, wavefront
-    def test_every_kind_matches_scalar_calls(self, rng, n_sets):
-        self.check_every_kind(rng, n_sets, FastLRUCache)
+    #: (sets, ways): the scalar tail, the wavefront, and the Intel L1,
+    #: whose 64 sets run wholly in the scalar tail.
+    GEOMETRIES = [
+        pytest.param(4, 4, id="4"),
+        pytest.param(512, 4, id="512"),
+        pytest.param(64, 8, id="64x8"),
+    ]
 
-    @pytest.mark.parametrize("n_sets", [4, 512])
-    def test_dict_cache_every_kind_matches_scalar_calls(self, rng, n_sets):
-        self.check_every_kind(rng, n_sets, LRUCache)
+    @pytest.mark.parametrize(("n_sets", "ways"), GEOMETRIES)
+    def test_every_kind_matches_scalar_calls(self, rng, n_sets, ways):
+        self.check_every_kind(rng, n_sets, ways, FastLRUCache)
 
-    def check_every_kind(self, rng, n_sets, cls):
-        config = CacheConfig("T", n_sets * 4 * 64, ways=4, line_bytes=64)
+    @pytest.mark.parametrize(("n_sets", "ways"), GEOMETRIES)
+    def test_dict_cache_every_kind_matches_scalar_calls(self, rng, n_sets, ways):
+        self.check_every_kind(rng, n_sets, ways, LRUCache)
+
+    def check_every_kind(self, rng, n_sets, ways, cls):
+        config = CacheConfig("T", n_sets * ways * 64, ways=ways, line_bytes=64)
         batched, ref = cls(config), LRUCache(config)
-        for _ in range(3):  # state carries across batches
-            n = 40 * n_sets
-            lines = rng.integers(0, 8 * n_sets, n)
+        for batch in range(4):  # state carries across batches
+            lines = rng.integers(0, 2 * ways * n_sets, 40 * n_sets)
+            if batch == 3:
+                # Too few active sets for the wavefront: the scalar tail
+                # resumes sets whose rows the wavefront left out of LRU
+                # order.
+                lines = lines[lines % n_sets < 64]
+            n = len(lines)
             kinds = rng.integers(0, 7, n).astype(np.uint8)
             oflags = rng.integers(1, 32, n)
             h, p, vi, vl, vf = batched.ops_batch(lines, kinds, oflags)
@@ -1030,6 +1043,58 @@ class TestPathObservability:
         CacheHierarchy(replace(amd, sim_backend="fast")).run(trace)
         CacheHierarchy(replace(amd, sim_backend="reference")).run(trace)
         assert not [k for k in obs.metrics().snapshot() if k.startswith("sim.hierarchy")]
+
+    PASSES = ("l1_s", "observe_s", "l2_llc_s", "timing_build_s", "timing_loop_s")
+
+    def test_traced_batch_run_times_its_passes(self, amd, rng):
+        from repro import obs
+
+        obs.disable()
+        obs.enable()
+        try:
+            trace = prefetch_after_load_trace(rng, 3000, "mixed")
+            CacheHierarchy(replace(amd, sim_backend="fast")).run(trace)
+            (span,) = [s for s in obs.drain_spans() if s["name"] == "cachesim.run"]
+        finally:
+            obs.disable()
+            obs.reset_metrics()
+        attrs = span["attrs"]
+        assert attrs["path"] == "batch"
+        assert all(attrs[p] >= 0.0 for p in self.PASSES)
+        assert sum(attrs[p] for p in self.PASSES) <= span["dur"] / 1e6
+
+    def test_throttled_run_sums_its_spans(self, amd, rng, monkeypatch):
+        # A fake clock advancing one second per reading charges exactly
+        # one second to every pass of every span.
+        ticks = iter(range(1_000_000))
+        monkeypatch.setattr(hierarchy_module, "perf_counter", lambda: float(next(ticks)))
+        monkeypatch.setattr(hierarchy_module, "_KNEE_SPAN", 1000)
+        fast = throttled_hierarchies(amd, amd_hw_prefetcher)["fast"]
+        attrs = traced_run_attrs(fast, random_trace(rng, 3000, 256, all_ops=True))
+        assert (attrs["path"], attrs["batch_events"]) == ("batch", 3000)
+        assert [attrs[p] for p in self.PASSES] == [3.0] * 5
+
+    def test_untraced_batch_run_reads_no_clock(self, amd, rng, monkeypatch):
+        from repro import obs
+
+        def no_clock():
+            raise AssertionError("an untraced run read the clock")
+
+        obs.disable()
+        monkeypatch.setattr(hierarchy_module, "perf_counter", no_clock)
+        before = obs.Span.allocated
+        hier = CacheHierarchy(replace(amd, sim_backend="fast"))
+        hier.run(prefetch_after_load_trace(rng, 1000, "mixed"))
+        assert hier.last_run_path == "batch"
+        assert obs.Span.allocated == before
+
+    def test_scalar_run_carries_no_pass_times(self, amd, rng):
+        attrs = traced_run_attrs(
+            CacheHierarchy(replace(amd, sim_backend="reference")),
+            prefetch_after_load_trace(rng, 1000, "mixed"),
+        )
+        assert attrs["path"] == "scalar"
+        assert not set(self.PASSES) & set(attrs)
 
 
 class TestBackendSelection:
