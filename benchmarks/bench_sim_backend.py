@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 from conftest import save_artifact
@@ -91,11 +90,10 @@ def _time_functional(config, trace, backend):
 
 
 def _time_hierarchy(machine, backend, trace, factory):
-    m = replace(machine, sim_backend=backend)
     best, stats, hier = float("inf"), None, None
     for _ in range(2):
-        bw = BandwidthModel(m.bytes_per_cycle())
-        hier = CacheHierarchy(m, prefetcher=factory(), bandwidth=bw)
+        bw = BandwidthModel(machine.bytes_per_cycle())
+        hier = CacheHierarchy(machine, prefetcher=factory(), bandwidth=bw, options=backend)
         t0 = time.perf_counter()
         stats = hier.run(trace, work_per_memop=2.0, mlp=2.0)
         best = min(best, time.perf_counter() - t0)

@@ -34,10 +34,10 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.cachesim.options import SimOptions
 from repro.errors import ExperimentError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cachesim.options import SimOptions
     from repro.cachesim.stats import RunStats
     from repro.core.report import OptimizationReport
     from repro.experiments.engine import ExperimentEngine
@@ -599,7 +599,6 @@ def configure(
     deterministic_trace: bool = False,
     sim_options: SimOptions | None = None,
     cache_quota: int | None = None,
-    **removed,
 ) -> "ExperimentEngine":
     """Install and return the process-wide default engine.
 
@@ -616,10 +615,10 @@ def configure(
         runs (implies ``trace``).
     sim_options:
         :class:`SimOptions` installed as the process-wide default for
-        every simulator in this process and the engine's workers
-        (precedence: explicit constructor arg > config spec > this
-        default; see ``docs/simulators.md``).  ``None`` leaves the
-        current default untouched.
+        every simulator in this process and the engine's workers (an
+        explicit constructor argument still wins; see
+        ``docs/simulators.md``).  ``None`` leaves the current default
+        untouched.
     cache_quota:
         Size budget in bytes for the on-disk result cache; the engine
         evicts least-recently-used entries past it at startup and after
@@ -629,16 +628,6 @@ def configure(
     from repro.cachesim.options import set_default_options
     from repro.experiments import engine as _engine
 
-    if removed:
-        # The sim_backend= alias finished its deprecation cycle; give
-        # stale callers a pointed migration error, not a silent kwarg.
-        if "sim_backend" in removed:
-            raise ExperimentError(
-                "configure(sim_backend=...) was removed; pass "
-                "configure(sim_options=SimOptions(backend=...)) instead"
-            )
-        unknown = ", ".join(sorted(removed))
-        raise TypeError(f"configure() got unexpected keyword argument(s): {unknown}")
     if sim_options is not None:
         set_default_options(sim_options)
     if trace or deterministic_trace:
@@ -678,4 +667,9 @@ def __getattr__(name: str):
         from repro.experiments import engine as _engine
 
         return getattr(_engine, name)
+    if name == "SimOptions":
+        # Lazy for the same reason: ``repro.cachesim`` loads numpy.
+        from repro.cachesim.options import SimOptions
+
+        return SimOptions
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -43,24 +43,3 @@ __all__ = [
     "FLAG_SW_PREFETCH",
 ]
 
-
-#: The repro.cachesim.backend shim module finished its deprecation
-#: cycle (the SimOptions migration); its helpers now raise with a
-#: pointer at the replacement instead of silently missing.
-_REMOVED = {
-    "get_default_backend": "get_default_options().backend",
-    "set_default_backend": "set_default_options(SimOptions(backend=...))",
-    "resolve_backend": "resolve_options(backend).backend",
-}
-
-
-def __getattr__(name: str):
-    if name in _REMOVED:
-        from repro.errors import ExperimentError
-
-        raise ExperimentError(
-            f"cachesim.{name} was removed with the repro.cachesim.backend "
-            f"shim; use repro.cachesim.options.{_REMOVED[name]} (or "
-            "configure(sim_options=SimOptions(...)) via repro.api) instead"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

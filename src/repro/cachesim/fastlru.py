@@ -10,12 +10,11 @@ matrices of shape ``(num_sets, ways)``:
 * ``flags`` — the same per-line metadata bits as
   :class:`~repro.cachesim.lru.LRUCache`.
 
-The scalar API (``lookup`` / ``install`` / ``invalidate`` …) mirrors the
-dict-based reference cache operation for operation, which is what the
-differential tests exercise.  The speed comes from
-:meth:`access_batch`: it simulates a whole *array* of accesses under the
+The cache has no per-access API: it is driven by batches only.
+:meth:`access_batch` simulates a whole *array* of accesses under the
 uniform "probe-and-promote, install on miss" semantics of the
-functional simulator in one call.
+functional simulator in one call, and :meth:`ops_batch` replays the
+hierarchy's heterogeneous op streams.
 
 Batch algorithm — set-wavefront
 -------------------------------
@@ -32,15 +31,16 @@ the result is bit-identical to the reference simulator — the
 differential suite (``tests/test_sim_backend_diff.py``) enforces this.
 
 A trace of ``n`` events over ``S`` populated sets costs ``O(n/S)``
-rounds of ``O(S·W)`` array work.  When too few sets remain active for
-array work to pay off (skewed traces, tiny test caches), the kernel
-finishes the tail with an optimised per-set dict loop and writes the
-state back — exactness is never traded for speed.
+rounds of ``O(S·W)`` array work.  Rounds run in bands of 256; when a
+band would start with too few active sets for array work to pay off
+(skewed traces, caches with few sets such as the Intel L1), the kernel
+copies the remaining sets into a dict cache, replays the remaining ops
+there with :meth:`LRUCache.ops_batch
+<repro.cachesim.lru.LRUCache.ops_batch>` — the reference cache's own
+loop — and writes the sets back.  Exactness is never traded for speed.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
@@ -76,24 +76,30 @@ EMPTY = -1
 _PROMOTES = np.array([1, 0, 1, 0, 0, 1, 0], dtype=bool)
 _ORS_FLAGS = np.array([1, 0, 0, 0, 1, 0, 0], dtype=bool)
 
-#: Minimum number of concurrently active sets for a wavefront round to
-#: beat the scalar dict loop; below this the batch kernel switches to
-#: the per-set scalar tail.  A round costs a roughly fixed ~25 numpy
-#: dispatches regardless of width, so it only amortises when it retires
-#: at least ~100 ops; skewed workloads (a few hot sets absorbing most
-#: accesses) otherwise drag the wavefront through thousands of narrow
-#: rounds that the dict replay handles at ~1 µs/op.
+#: Minimum number of active sets at the start of a 256-round band for
+#: the band to run as wavefront rounds; below it the batch kernel
+#: finishes on dict sets (:meth:`FastLRUCache._dict_tail`).  A round
+#: costs a roughly fixed ~25 numpy dispatches regardless of width, so it
+#: only amortises when it retires at least ~100 ops; skewed workloads (a
+#: few hot sets absorbing most accesses) otherwise drag the wavefront
+#: through thousands of narrow rounds that the dict loop handles at
+#: ~1 µs/op.  Rounds that narrow below it inside a band still stay
+#: vector rounds: cutting at the first narrow round instead moved 19,630
+#: of the 408,767 ops of a seed-0 ``sw-rewrite`` cell-benchmark pass to
+#: the dict loop and raised its ``ops_batch`` CPU from 0.18 to 0.26 s
+#: (``docs/performance.md``, "The dict tail").
 MIN_WAVEFRONT_SETS = 128
 
 
 class FastLRUCache:
     """Exact set-associative LRU over NumPy state matrices.
 
-    Drop-in behavioural replacement for
-    :class:`~repro.cachesim.lru.LRUCache` (same hit/miss decisions, same
-    eviction victims, same flag semantics), plus the vectorised
-    :meth:`access_batch` used by the functional simulator's fast
-    backend.
+    Batch counterpart of :class:`~repro.cachesim.lru.LRUCache`: its
+    :meth:`ops_batch` gives the same hit/miss decisions, eviction
+    victims and flags as ``LRUCache.ops_batch`` on the same stream, and
+    :meth:`access_batch` serves the functional simulator's fast
+    backend.  A level that must run per access moves into an
+    ``LRUCache`` first (:meth:`to_lru`).
     """
 
     __slots__ = ("config", "ways", "tags", "stamp", "flags", "_set_mask", "_clock")
@@ -107,79 +113,6 @@ class FastLRUCache:
         self.flags = np.zeros((n_sets, config.ways), dtype=np.int64)
         self._set_mask = n_sets - 1
         self._clock = 0
-
-    # ------------------------------------------------------------------
-    # scalar operations (reference-compatible)
-    # ------------------------------------------------------------------
-
-    def _find(self, line: int) -> tuple[int, int]:
-        """(set index, way index) of a resident line; way is -1 on miss."""
-        s = line & self._set_mask
-        hit = np.nonzero(self.tags[s] == line)[0]
-        return (s, int(hit[0])) if hit.size else (s, -1)
-
-    def lookup(self, line: int, set_flags: int = 0) -> bool:
-        """Probe for ``line``; on hit, refresh LRU and OR in ``set_flags``."""
-        s, w = self._find(line)
-        if w < 0:
-            return False
-        self.stamp[s, w] = self._clock
-        self._clock += 1
-        if set_flags:
-            self.flags[s, w] |= set_flags
-        return True
-
-    def touch_flags(self, line: int, set_flags: int) -> bool:
-        """OR flags into a resident line *without* refreshing LRU order."""
-        s, w = self._find(line)
-        if w < 0:
-            return False
-        self.flags[s, w] |= set_flags
-        return True
-
-    def install(self, line: int, flags: int = 0) -> tuple[int, int] | None:
-        """Insert ``line`` as most-recently-used.
-
-        Same contract as the reference cache: a resident line has its
-        flags OR-merged and LRU refreshed; otherwise the least recently
-        stamped way is (re)used and the evicted ``(line, flags)`` pair
-        is returned when a valid line was displaced.
-        """
-        s, w = self._find(line)
-        if w >= 0:
-            self.flags[s, w] |= flags
-            self.stamp[s, w] = self._clock
-            self._clock += 1
-            return None
-        w = int(self.stamp[s].argmin())
-        victim = None
-        if self.tags[s, w] != EMPTY:
-            victim = (int(self.tags[s, w]), int(self.flags[s, w]))
-        self.tags[s, w] = line
-        self.flags[s, w] = flags
-        self.stamp[s, w] = self._clock
-        self._clock += 1
-        return victim
-
-    def contains(self, line: int) -> bool:
-        """Non-updating residency probe."""
-        return self._find(line)[1] >= 0
-
-    def peek_flags(self, line: int) -> int | None:
-        """Flags of a resident line, or None (no LRU update)."""
-        s, w = self._find(line)
-        return int(self.flags[s, w]) if w >= 0 else None
-
-    def invalidate(self, line: int) -> int | None:
-        """Remove ``line``; returns its flags if it was resident."""
-        s, w = self._find(line)
-        if w < 0:
-            return None
-        flags = int(self.flags[s, w])
-        self.tags[s, w] = EMPTY
-        self.stamp[s, w] = EMPTY
-        self.flags[s, w] = 0
-        return flags
 
     # ------------------------------------------------------------------
     # batch kernel
@@ -227,7 +160,6 @@ class FastLRUCache:
         n_groups = len(uniq)
         gorder = np.argsort(-counts, kind="stable")
         uniq_d = uniq[gorder]
-        start_d = start[gorder]
         counts_d = counts[gorder]
         max_rounds = int(counts_d[0])
         # Active-column count per round: counts_d > r, prefix length.
@@ -285,10 +217,14 @@ class FastLRUCache:
         self.tags[uniq_d] = wtags
         self.stamp[uniq_d] = wstamp
         if r_stop < max_rounds:
-            self._scalar_tail(
-                lines, order, uniq_d, start_d, counts_d, r_stop, clock, miss,
-                vic_pos if collect_victims else None, vic_line,
+            pos = np.sort(order[ranks >= r_stop])
+            demand = np.full(len(pos), OP_DEMAND, dtype=np.uint8)
+            t_hit, _, t_pos, t_line, _ = self._dict_tail(
+                pos, lines[pos], demand, np.zeros(len(pos), dtype=np.int64), clock + n
             )
+            miss[pos] = ~t_hit
+            vic_pos.append(t_pos)
+            vic_line.append(t_line)
 
         self._clock = clock + n
         if not collect_victims or not vic_pos:
@@ -436,62 +372,6 @@ class FastLRUCache:
         self._clock = clock + n
         return miss, victims
 
-    def _scalar_tail(
-        self,
-        lines: np.ndarray,
-        order: np.ndarray,
-        uniq: np.ndarray,
-        start: np.ndarray,
-        counts: np.ndarray,
-        r: int,
-        clock: int,
-        miss: np.ndarray,
-        vic_pos: list[np.ndarray] | None,
-        vic_line: list[np.ndarray],
-    ) -> None:
-        """Finish a batch set by set with dict-based LRU.
-
-        Used when fewer than :data:`MIN_WAVEFRONT_SETS` sets are still
-        active: each remaining set's state is lifted into an
-        insertion-ordered dict (LRU → MRU), its remaining accesses are
-        replayed with O(1) dict operations, and the result is written
-        back into the state matrices.
-        """
-        ways = self.ways
-        tags, stamp = self.tags, self.stamp
-        for gi in np.nonzero(counts > r)[0].tolist():
-            s = int(uniq[gi])
-            row_tags = tags[s]
-            row_stamp = stamp[s]
-            resident: dict[int, int] = {}
-            for w in np.argsort(row_stamp, kind="stable").tolist():
-                if row_tags[w] != EMPTY:
-                    resident[int(row_tags[w])] = int(row_stamp[w])
-            positions = order[start[gi] + r : start[gi] + counts[gi]].tolist()
-            t_pos: list[int] = []
-            t_line: list[int] = []
-            for p in positions:
-                line = int(lines[p])
-                if line in resident:
-                    del resident[line]
-                else:
-                    miss[p] = True
-                    if len(resident) >= ways:
-                        victim = next(iter(resident))
-                        del resident[victim]
-                        if vic_pos is not None:
-                            t_pos.append(p)
-                            t_line.append(victim)
-                resident[line] = clock + p
-            row_tags[:] = EMPTY
-            row_stamp[:] = EMPTY
-            for w, (line, st) in enumerate(resident.items()):
-                row_tags[w] = line
-                row_stamp[w] = st
-            if vic_pos is not None and t_pos:
-                vic_pos.append(np.asarray(t_pos, dtype=np.int64))
-                vic_line.append(np.asarray(t_line, dtype=np.int64))
-
     # ------------------------------------------------------------------
     # heterogeneous-op batch kernel (cache-hierarchy fast path)
     # ------------------------------------------------------------------
@@ -510,7 +390,7 @@ class FastLRUCache:
         call replays the exact scalar sequence a cache level sees — demand lookups,
         prefetch fills and lookups, residency probes, dirty touches and
         invalidations — with the same set-wavefront rounds and the same
-        scalar-tail fallback as the homogeneous kernel.
+        dict tail (:meth:`_dict_tail`) as the homogeneous kernel.
 
         Returns ``(hit, prior, vic_idx, vic_line, vic_flags)``:
 
@@ -549,7 +429,6 @@ class FastLRUCache:
         n_groups = len(uniq)
         gorder = np.argsort(-counts, kind="stable")
         uniq_d = uniq[gorder]
-        start_d = start[gorder]
         counts_d = counts[gorder]
         max_rounds = int(counts_d[0])
         ks = np.searchsorted(-counts_d, -np.arange(1, max_rounds + 1), side="right")
@@ -639,10 +518,13 @@ class FastLRUCache:
         self.stamp[uniq_d] = wstamp
         self.flags[uniq_d] = wflags
         if r_stop < max_rounds:
-            self._ops_scalar_tail(
-                lines, kinds, oflags, order, uniq_d, start_d, counts_d,
-                r_stop, clock, hit, prior, vic_i, vic_l, vic_f,
+            pos = np.sort(order[ranks >= r_stop])
+            hit[pos], prior[pos], t_idx, t_line, t_flags = self._dict_tail(
+                pos, lines[pos], kinds[pos], oflags[pos], clock + n
             )
+            vic_i.append(t_idx)
+            vic_l.append(t_line)
+            vic_f.append(t_flags)
 
         self._clock = clock + n
         if not vic_i:
@@ -852,96 +734,42 @@ class FastLRUCache:
         self._clock = clock + n
         return hit, prior, vic_idx[vo], vic_line[vo], vic_flags[vo]
 
-    def _ops_scalar_tail(
+    def _dict_tail(
         self,
+        pos: np.ndarray,
         lines: np.ndarray,
         kinds: np.ndarray,
         oflags: np.ndarray,
-        order: np.ndarray,
-        uniq: np.ndarray,
-        start: np.ndarray,
-        counts: np.ndarray,
-        r: int,
-        clock: int,
-        hit: np.ndarray,
-        prior: np.ndarray,
-        vic_i: list[np.ndarray],
-        vic_l: list[np.ndarray],
-        vic_f: list[np.ndarray],
-    ) -> None:
-        """Finish an op stream set by set with dict-based LRU.
+        top: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Finish a batch on dict sets: the ops at stream positions ``pos``.
 
-        Mirror of :meth:`_scalar_tail` for heterogeneous ops, with the
-        loop of :meth:`LRUCache.ops_batch <repro.cachesim.lru.LRUCache.ops_batch>`:
-        each remaining set is lifted into an insertion-ordered dict (LRU
-        → MRU, line → flags) with its stamps beside it, its ops are read
-        as Python lists, replayed, and the set is written back; ``hit``
-        and ``prior`` are scattered once at the end.  A whole cache with
-        fewer than :data:`MIN_WAVEFRONT_SETS` sets (the Intel L1) runs
-        here.
+        ``lines``, ``kinds`` and ``oflags`` are those ops, in program
+        order.  The sets they touch are copied into an
+        :class:`LRUCache` (:meth:`to_lru`), the ops are replayed there
+        with :meth:`LRUCache.ops_batch
+        <repro.cachesim.lru.LRUCache.ops_batch>`, and each set is
+        written back in LRU order with stamps just below ``top``, the
+        next batch's first stamp.  Returns ``ops_batch``'s results, the
+        victims indexed by stream position.
         """
-        ways = self.ways
-        tags, stamp, flags = self.tags, self.stamp, self.flags
-        tail_pos: list[np.ndarray] = []
-        out: list[int] = []  # per tail op, its flags before the op; -1 on miss
-        append = out.append
-        t_idx: list[int] = []
-        t_line: list[int] = []
-        t_flag: list[int] = []
-        for gi in np.nonzero(counts > r)[0].tolist():
-            s = int(uniq[gi])
-            row_tags = tags[s].tolist()
-            row_stamp = stamp[s].tolist()
-            row_flags = flags[s].tolist()
-            resident: dict[int, int] = {}
-            stamps: dict[int, int] = {}
-            for w in sorted(range(ways), key=row_stamp.__getitem__):
-                line = row_tags[w]
-                if line != EMPTY:
-                    resident[line] = row_flags[w]
-                    stamps[line] = row_stamp[w]
-            pos = order[start[gi] + r : start[gi] + counts[gi]]
-            tail_pos.append(pos)
-            for p, line, kd, of in zip(
-                pos.tolist(), lines[pos].tolist(), kinds[pos].tolist(), oflags[pos].tolist()
-            ):
-                f = resident.get(line)
-                if f is None:
-                    append(-1)
-                    if kd <= OP_PFILL:
-                        if len(resident) >= ways:
-                            victim = next(iter(resident))
-                            t_idx.append(p)
-                            t_line.append(victim)
-                            t_flag.append(resident.pop(victim))
-                        resident[line] = of
-                        stamps[line] = clock + p
-                    continue
-                append(f)
-                if kd == OP_DEMAND:
-                    del resident[line]
-                    resident[line] = f | of
-                    stamps[line] = clock + p
-                elif kd == OP_PFILL or kd == OP_LOOKUP:
-                    del resident[line]
-                    resident[line] = f
-                    stamps[line] = clock + p
-                elif kd == OP_TOUCH:
-                    resident[line] = f | of
-                elif kd == OP_INVAL:
-                    del resident[line]
-            empty = ways - len(resident)
-            tags[s] = [*resident, *[EMPTY] * empty]
-            stamp[s] = [*map(stamps.__getitem__, resident), *[EMPTY] * empty]
-            flags[s] = [*resident.values(), *[0] * empty]
-        pos = np.concatenate(tail_pos)
-        got = np.array(out, dtype=np.int64)
-        hit[pos] = got >= 0
-        prior[pos] = np.maximum(got, 0)
-        if t_idx:
-            vic_i.append(np.array(t_idx, dtype=np.int64))
-            vic_l.append(np.array(t_line, dtype=np.int64))
-            vic_f.append(np.array(t_flag, dtype=np.int64))
+        sets = np.unique(lines & self._set_mask)
+        cache = self.to_lru(sets)
+        hit, prior, vic_idx, vic_line, vic_flags = cache.ops_batch(lines, kinds, oflags)
+        tags = np.fromiter(cache.resident_lines(), dtype=np.int64)
+        flags = np.array([cache.peek_flags(line) for line in tags.tolist()], dtype=np.int64)
+        # resident_lines() walks the sets in index order, LRU first.
+        row = tags & self._set_mask
+        first = np.searchsorted(row, row)
+        way = np.arange(len(tags)) - first
+        size = np.searchsorted(row, row, side="right") - first
+        self.tags[sets] = EMPTY
+        self.stamp[sets] = EMPTY
+        self.flags[sets] = 0
+        self.tags[row, way] = tags
+        self.stamp[row, way] = top - size + way
+        self.flags[row, way] = flags
+        return hit, prior, pos[vic_idx], vic_line, vic_flags
 
     # ------------------------------------------------------------------
     # introspection
@@ -949,14 +777,6 @@ class FastLRUCache:
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.tags != EMPTY))
-
-    def resident_lines(self) -> Iterator[int]:
-        """Iterate all resident line numbers (LRU→MRU within each set)."""
-        for s in range(self.tags.shape[0]):
-            row_tags = self.tags[s]
-            for w in np.argsort(self.stamp[s], kind="stable").tolist():
-                if row_tags[w] != EMPTY:
-                    yield int(row_tags[w])
 
     def dirty_lines(self) -> np.ndarray:
         """Resident line numbers carrying ``FLAG_DIRTY`` (any order)."""
@@ -979,26 +799,24 @@ class FastLRUCache:
         self.stamp[sets] = stamp[sets]
         self.flags[sets] = flags[sets]
 
-    def to_lru(self) -> LRUCache:
+    def to_lru(self, sets: np.ndarray | None = None) -> LRUCache:
         """The same contents in a dict-backed :class:`LRUCache`.
 
         Each set's lines are installed least recently used first, with
         their flags, so the dict cache promotes and evicts exactly as
-        this one would from here on.
+        this one would from here on.  With ``sets``, only those sets
+        are copied and the others start empty.
         """
         cache = LRUCache(self.config)
-        order = np.argsort(self.stamp, axis=1, kind="stable")
-        tags = np.take_along_axis(self.tags, order, axis=1).ravel()
-        flags = np.take_along_axis(self.flags, order, axis=1).ravel()
+        rows = slice(None) if sets is None else sets
+        order = np.argsort(self.stamp[rows], axis=1, kind="stable")
+        tags = np.take_along_axis(self.tags[rows], order, axis=1).ravel()
+        flags = np.take_along_axis(self.flags[rows], order, axis=1).ravel()
         valid = tags != EMPTY
         install = cache.install
         for line, f in zip(tags[valid].tolist(), flags[valid].tolist()):
             install(line, f)
         return cache
-
-    def occupancy(self) -> float:
-        """Fraction of capacity currently filled."""
-        return len(self) / self.config.num_lines
 
     def flush(self) -> int:
         """Empty the cache; returns the number of lines dropped."""

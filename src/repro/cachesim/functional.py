@@ -19,8 +19,6 @@ Two interchangeable backends implement the simulation (see
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
-
 import numpy as np
 
 from repro import obs
@@ -32,14 +30,10 @@ from repro.config import CacheConfig
 from repro.errors import SimulationError
 from repro.trace.events import MemoryTrace
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.statstack.mrc import MissRatioCurve
-
 __all__ = [
     "FunctionalCacheSim",
     "simulate_miss_ratios",
     "fully_associative_config",
-    "simulate_miss_ratio_curve",
 ]
 
 
@@ -49,20 +43,16 @@ class FunctionalCacheSim:
     Parameters
     ----------
     config:
-        Cache geometry.  ``config.backend`` (when set) selects the
-        simulation backend for this level.
+        Cache geometry.
     backend:
-        Explicit backend override: ``"reference"`` or ``"fast"``; by
-        default the config's choice, falling back to the process-wide
-        default (:func:`repro.cachesim.options.set_default_options` —
-        precedence explicit > spec > default).
+        Simulation backend, ``"reference"`` or ``"fast"``; by default
+        the process-wide default
+        (:func:`repro.cachesim.options.set_default_options`).
     """
 
     def __init__(self, config: CacheConfig, backend: str | None = None) -> None:
         self.config = config
-        self.backend = resolve_options(
-            backend, getattr(config, "backend", None)
-        ).backend
+        self.backend = resolve_options(backend).backend
         self.cache = (
             FastLRUCache(config) if self.backend == "fast" else LRUCache(config)
         )
@@ -162,7 +152,6 @@ def fully_associative_config(
     size_bytes: int,
     line_bytes: int = 64,
     name: str = "FA",
-    backend: str | None = None,
 ) -> CacheConfig:
     """A fully associative cache of ``size_bytes`` (``ways == num_lines``).
 
@@ -179,35 +168,7 @@ def fully_associative_config(
         size_bytes=size_bytes,
         ways=size_bytes // line_bytes,
         line_bytes=line_bytes,
-        backend=backend,
     )
-
-
-def simulate_miss_ratio_curve(
-    trace: MemoryTrace,
-    sizes_bytes: Sequence[int] | np.ndarray,
-    line_bytes: int = 64,
-    backend: str | None = None,
-) -> "MissRatioCurve":
-    """Exact fully-associative LRU miss-ratio curve of ``trace``.
-
-    One fresh :class:`FunctionalCacheSim` per size — the simulated
-    ground truth the StatStack curves are validated against (paper
-    Fig. 3 / §IV).  Returns a
-    :class:`~repro.statstack.mrc.MissRatioCurve` over ``sizes_bytes``.
-    """
-    from repro.statstack.mrc import MissRatioCurve
-
-    demand = trace.demand_only()
-    ratios = []
-    with obs.span("cachesim.mrc", sizes=len(sizes_bytes), events=len(demand)):
-        for size in sizes_bytes:
-            sim = FunctionalCacheSim(
-                fully_associative_config(int(size), line_bytes), backend=backend
-            )
-            stats = sim.run(demand)
-            ratios.append(stats.overall_miss_ratio())
-    return MissRatioCurve(np.asarray(sizes_bytes, dtype=np.int64), np.array(ratios))
 
 
 def simulate_miss_ratios(

@@ -215,9 +215,8 @@ class CacheHierarchy:
         mode); by default a private LLC is created.
     options:
         :class:`~repro.cachesim.options.SimOptions` (or a bare backend
-        name) overriding ``machine.sim_backend`` and the process
-        default.  Precedence: explicit arg > spec > process default.
-        Resolved once, here: the backend also picks the cache class.
+        name) overriding the process default.  Resolved once, here:
+        the backend also picks the cache class.
     """
 
     def __init__(
@@ -230,7 +229,7 @@ class CacheHierarchy:
     ) -> None:
         self.machine = machine
         self.prefetcher = prefetcher if prefetcher is not None else NullPrefetcher()
-        self.backend = resolve_options(options, machine.sim_backend).backend
+        self.backend = resolve_options(options).backend
         self.bandwidth = (
             bandwidth if bandwidth is not None else BandwidthModel(machine.bytes_per_cycle())
         )

@@ -1,27 +1,20 @@
 """Consolidated simulation options (:class:`SimOptions`).
 
-Before this module, backend selection was scattered over four knobs —
-``CacheConfig.backend``, ``MachineConfig.sim_backend``, the CLI's
-``--sim-backend`` flag and :func:`repro.cachesim.backend.set_default_backend`
-— each with its own plumbing.  :class:`SimOptions` is the single frozen
-carrier for all of them, resolved with one documented precedence:
+:class:`SimOptions` is the single frozen carrier of the simulation
+options (today the backend only), resolved with one documented
+precedence:
 
 1. **explicit argument** — ``SimOptions`` (or a bare backend string)
-   passed to a simulator constructor;
-2. **spec** — the config object's field (``CacheConfig.backend`` /
-   ``MachineConfig.sim_backend``) when not ``None``;
-3. **process default** — :func:`set_default_options`, wired to
-   ``repro.api.configure(sim_options=...)`` and the CLI, and shipped to
-   engine worker processes.
+   passed to a simulator constructor
+   (``CacheHierarchy(..., options=...)``,
+   ``FunctionalCacheSim(..., backend=...)``);
+2. **process default** — :func:`set_default_options`, wired to
+   ``repro.api.configure(sim_options=...)`` and the CLI's
+   ``--sim-backend``, and shipped to engine worker processes.
 
 Simulators resolve their options once, at construction: changing the
 process default afterwards does not move a simulator that already
 exists.
-
-The migration is complete: the legacy :mod:`repro.cachesim.backend`
-shim module and the ``repro.api.configure(sim_backend=...)`` kwarg are
-gone, and the removed names raise :class:`~repro.errors.ExperimentError`
-with a pointer here.
 """
 
 from __future__ import annotations
@@ -61,8 +54,8 @@ class SimOptions:
     backend:
         Cache-simulation backend: ``"reference"`` (dict-based oracle),
         ``"fast"`` (array-native, bit-identical), or ``None`` to defer
-        to the spec / process default.  The backend is the only
-        option: the fast backend picks its execution path per run (see
+        to the process default.  The backend is the only option: the
+        fast backend picks its execution path per run (see
         :class:`~repro.cachesim.hierarchy.CacheHierarchy`).
     """
 
@@ -71,17 +64,14 @@ class SimOptions:
     def __post_init__(self) -> None:
         validate_backend(self.backend)
 
-    def resolved_backend(self, spec_backend: str | None = None) -> str:
-        """Resolve the backend by precedence (explicit > spec > default)."""
-        validate_backend(spec_backend)
+    def resolved_backend(self) -> str:
+        """Resolve the backend by precedence (explicit > default)."""
         if self.backend is not None:
             return self.backend
-        if spec_backend is not None:
-            return spec_backend
         return _DEFAULT.backend or "reference"
 
 
-#: Process-wide default options (precedence level 3).
+#: Process-wide default options (precedence level 2).
 _DEFAULT = SimOptions(backend="reference")
 
 
@@ -106,11 +96,8 @@ def set_default_options(options: SimOptions) -> SimOptions:
     return previous
 
 
-def resolve_options(
-    explicit: "SimOptions | str | None",
-    spec_backend: str | None = None,
-) -> SimOptions:
-    """Resolve an explicit argument against spec and process default.
+def resolve_options(explicit: "SimOptions | str | None") -> SimOptions:
+    """Resolve an explicit argument against the process default.
 
     ``explicit`` may be a full :class:`SimOptions`, a bare backend name
     (the classic ``backend="fast"`` constructor argument), or ``None``.
@@ -122,4 +109,4 @@ def resolve_options(
         raise ConfigError(
             f"expected SimOptions, backend name or None, got {type(explicit).__name__}"
         )
-    return SimOptions(backend=explicit.resolved_backend(spec_backend))
+    return SimOptions(backend=explicit.resolved_backend())

@@ -57,10 +57,6 @@ class CacheConfig:
         Cache line size in bytes (64 on both evaluated machines).
     hit_latency:
         Load-to-use latency in core cycles for a hit in this level.
-    backend:
-        Simulation backend for simulators driven by this level alone
-        (``"reference"`` or ``"fast"``); ``None`` defers to the
-        process-wide default (see :mod:`repro.cachesim.options`).
     """
 
     name: str
@@ -68,12 +64,8 @@ class CacheConfig:
     ways: int
     line_bytes: int = 64
     hit_latency: int = 4
-    backend: str | None = None
 
     def __post_init__(self) -> None:
-        from repro.cachesim.options import validate_backend
-
-        validate_backend(self.backend)
         if self.size_bytes <= 0:
             raise ConfigError(f"{self.name}: size_bytes must be positive")
         if not _is_pow2(self.line_bytes):
@@ -147,10 +139,6 @@ class MachineConfig:
     cycles_per_memop:
         Δ in the paper — average cycles per memory operation, used to
         estimate loop iteration time ``d = recurrence × Δ``.
-    sim_backend:
-        Cache-simulation backend for hierarchies built from this
-        machine (``"reference"`` or ``"fast"``); ``None`` defers to the
-        process-wide default (see :mod:`repro.cachesim.options`).
     """
 
     name: str
@@ -164,12 +152,8 @@ class MachineConfig:
     prefetch_cost: float = 1.0
     cpi_base: float = 0.5
     cycles_per_memop: float = 2.0
-    sim_backend: str | None = None
 
     def __post_init__(self) -> None:
-        from repro.cachesim.options import validate_backend
-
-        validate_backend(self.sim_backend)
         if self.cores <= 0:
             raise ConfigError("cores must be positive")
         if self.freq_ghz <= 0:

@@ -8,6 +8,11 @@ call: at module level it cost every process about 1.4 s of CPU and
 67 MB before its first cell.  This test pins that in a fresh
 interpreter, so a module-level scipy import anywhere under ``repro``
 fails it, naming the module that pulled scipy in.
+
+``import repro.api`` on its own loads neither numpy nor
+``repro.cachesim`` (119 modules instead of 252), so a process that only
+builds specs or requests stays cheap; a second fresh-interpreter test
+pins that.
 """
 
 from __future__ import annotations
@@ -69,21 +74,39 @@ print(json.dumps({
 """
 
 
-def test_no_scipy_until_the_set_associativity_correction_runs(tmp_path):
+def run_child(code: str, cwd: Path):
+    """Run ``code`` in a fresh interpreter; the JSON of its last line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
     child = subprocess.run(
-        [sys.executable, "-c", CHILD],
-        cwd=tmp_path,
+        [sys.executable, "-c", code],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert child.returncode == 0, child.stderr[-2000:]
-    report = json.loads(child.stdout.splitlines()[-1])
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def test_no_scipy_until_the_set_associativity_correction_runs(tmp_path):
+    report = run_child(CHILD, tmp_path)
     assert report["first_importer"] is None, (
         f"importing {report['first_importer']} loads scipy"
     )
     assert report["after_work"] == [], "planning or simulating one cell loads scipy"
     assert report["stats_after_call"], "set_associative_miss_ratio did not load scipy.stats"
+
+
+def test_importing_the_api_loads_no_numpy(tmp_path):
+    # ``repro.api`` resolves ``SimOptions`` and the engine types lazily;
+    # ``repro.cachesim`` (and with it numpy) loads only when one of them,
+    # or a facade function, is used.
+    loaded = run_child(
+        "import json, sys\n"
+        "import repro.api\n"
+        "print(json.dumps([m for m in ('numpy', 'repro.cachesim') if m in sys.modules]))",
+        tmp_path,
+    )
+    assert loaded == []

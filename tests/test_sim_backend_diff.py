@@ -72,6 +72,14 @@ def random_trace(rng, n, footprint_lines, prefetch_share=0.0, all_ops=False):
     return MemoryTrace(pc, addr, op)
 
 
+def set_trace(rng, n, sets, n_sets, tags=12):
+    """``n`` loads, each to one of ``tags`` lines of a set drawn from
+    ``sets`` (a set drawn as often as it appears there)."""
+    lines = rng.choice(sets, n) + n_sets * rng.integers(0, tags, n)
+    zeros = np.zeros(n, dtype=np.int64)
+    return MemoryTrace(zeros, lines * 64, zeros)
+
+
 def lru_state(cache):
     """Each set's ``(line, flags)`` pairs in LRU -> MRU order."""
     if isinstance(cache, FastLRUCache):
@@ -122,7 +130,7 @@ class TestFunctionalDifferential:
 
     def test_single_set_scalar_tail(self, rng):
         # Every access lands in one set: the wavefront kernel has no
-        # cross-set parallelism and must fall back to the scalar tail.
+        # cross-set parallelism and must finish on dict sets.
         config = CacheConfig("T", 4 * 64, ways=4, line_bytes=64)
         trace = MemoryTrace(
             np.zeros(2000, np.int64),
@@ -146,44 +154,32 @@ class TestFunctionalDifferential:
         assert ref.total_misses() == fast.total_misses()
 
     def test_state_carries_across_batches(self, rng):
-        config = CacheConfig("T", 32 * 64, ways=2, line_bytes=64)
-        ref_sim = FunctionalCacheSim(config, backend="reference")
-        fast_sim = FunctionalCacheSim(config, backend="fast")
-        for _ in range(4):
-            trace = random_trace(rng, 500, 64)
-            ref_sim.run(trace)
-            fast_sim.run(trace)
-            assert np.array_equal(ref_sim.last_miss, fast_sim.last_miss)
-        assert sorted(ref_sim.cache.resident_lines()) == sorted(
-            fast_sim.cache.resident_lines()
-        )
-
-
-class TestScalarAPIParity:
-    def test_random_op_sequence_matches_reference(self, rng):
-        config = CacheConfig("T", 16 * 64, ways=4, line_bytes=64)
-        ref = LRUCache(config)
-        fast = FastLRUCache(config)
-        for _ in range(3000):
-            line = int(rng.integers(0, 64))
-            op = int(rng.integers(0, 6))
-            if op == 0:
-                assert ref.lookup(line, FLAG_DIRTY) == fast.lookup(line, FLAG_DIRTY)
-            elif op == 1:
-                assert ref.install(line, FLAG_NTA) == fast.install(line, FLAG_NTA)
-            elif op == 2:
-                assert ref.contains(line) == fast.contains(line)
-            elif op == 3:
-                assert ref.peek_flags(line) == fast.peek_flags(line)
-            elif op == 4:
-                assert ref.touch_flags(line, FLAG_DIRTY) == fast.touch_flags(
-                    line, FLAG_DIRTY
-                )
-            else:
-                assert ref.invalidate(line) == fast.invalidate(line)
-        assert len(ref) == len(fast)
-        assert list(ref.resident_lines()) == list(fast.resident_lines())
-        fast.check_invariants()
+        # The 2-way closed form; then 4 ways over 256 sets, alternating a
+        # batch on eight sets (all on dict sets) with one over every set
+        # where those eight are hot (wavefront rounds, then dict sets):
+        # each wavefront batch starts from rows the dict tail wrote back,
+        # and its victims come from both.
+        few, hot = np.arange(8), np.r_[np.arange(256), np.tile(np.arange(8), 60)]
+        cases = [
+            (
+                CacheConfig("T", 32 * 64, ways=2, line_bytes=64),
+                [random_trace(rng, 500, 64) for _ in range(4)],
+            ),
+            (
+                CacheConfig("T", 256 * 4 * 64, ways=4, line_bytes=64),
+                [set_trace(rng, 2000, few, 256), set_trace(rng, 6000, hot, 256)] * 2,
+            ),
+        ]
+        for config, traces in cases:
+            ref_sim = FunctionalCacheSim(config, backend="reference")
+            fast_sim = FunctionalCacheSim(config, backend="fast")
+            for trace in traces:
+                ref_sim.run(trace, collect_victims=True)
+                fast_sim.run(trace, collect_victims=True)
+                assert np.array_equal(ref_sim.last_miss, fast_sim.last_miss)
+                assert np.array_equal(ref_sim.last_victims, fast_sim.last_victims)
+            assert lru_state(ref_sim.cache) == lru_state(fast_sim.cache)
+            fast_sim.cache.check_invariants()
 
 
 class TestHierarchyDifferential:
@@ -244,10 +240,11 @@ def compare_hierarchies(machine, traces, factory, bandwidth=False, accumulate=Fa
     hiers = {}
     acc = {}
     for backend in BACKENDS:
-        m = replace(machine, sim_backend=backend)
-        bw = BandwidthModel(m.bytes_per_cycle()) if bandwidth else None
-        hiers[backend] = CacheHierarchy(m, prefetcher=factory(), bandwidth=bw)
-        acc[backend] = RunStats(line_bytes=m.line_bytes) if accumulate else None
+        bw = BandwidthModel(machine.bytes_per_cycle()) if bandwidth else None
+        hiers[backend] = CacheHierarchy(
+            machine, prefetcher=factory(), bandwidth=bw, options=backend
+        )
+        acc[backend] = RunStats(line_bytes=machine.line_bytes) if accumulate else None
     for trace in traces:
         stats = {b: h.run(trace, stats=acc[b], **run_kw) for b, h in hiers.items()}
         assert_same_stats(stats["reference"], stats["fast"])
@@ -301,11 +298,10 @@ class TestHierarchyBatchParity:
         for foreign, path in ((False, "batch"), (True, "scalar")):
             results = {}
             for backend in BACKENDS:
-                m = replace(amd, sim_backend=backend)
-                bw = BandwidthModel(m.bytes_per_cycle())
+                bw = BandwidthModel(amd.bytes_per_cycle())
                 util = (lambda bw=bw: bw.utilisation()) if foreign else bw.utilisation
-                pf = amd_hw_prefetcher(m.line_bytes, util)
-                h = CacheHierarchy(m, prefetcher=pf, bandwidth=bw)
+                pf = amd_hw_prefetcher(amd.line_bytes, util)
+                h = CacheHierarchy(amd, prefetcher=pf, bandwidth=bw, options=backend)
                 results[backend] = (h.run(trace, work_per_memop=2.0, mlp=2.0), h)
             ref, fast = results["reference"][0], results["fast"][0]
             assert ref.cycles == fast.cycles
@@ -325,7 +321,7 @@ class TestHierarchyBatchParity:
         trace = pc_correlated_trace(rng, 4000)
         hiers = {
             backend: CacheHierarchy(
-                replace(amd, sim_backend=backend), prefetcher=PREFETCHER_FACTORIES[model]()
+                amd, prefetcher=PREFETCHER_FACTORIES[model](), options=backend
             )
             for backend in BACKENDS
         }
@@ -482,7 +478,7 @@ class TestRewrittenTraceBatch:
         machine = chain_machine()
         trace = speculation_chain_trace()
         compare_hierarchies(machine, [trace], NullPrefetcher)
-        fast = CacheHierarchy(replace(machine, sim_backend="fast"))
+        fast = CacheHierarchy(machine, options="fast")
         attrs = traced_run_attrs(fast, trace)
         assert attrs["spec_rounds"] >= 3
         assert attrs["spec_groups"] >= 2
@@ -535,10 +531,9 @@ def throttled_hierarchies(machine, factory):
     bandwidth model's bound ``utilisation``."""
     hiers = {}
     for backend in BACKENDS:
-        m = replace(machine, sim_backend=backend)
-        bw = BandwidthModel(m.bytes_per_cycle())
-        pf = factory(m.line_bytes, bw.utilisation)
-        hiers[backend] = CacheHierarchy(m, prefetcher=pf, bandwidth=bw)
+        bw = BandwidthModel(machine.bytes_per_cycle())
+        pf = factory(machine.line_bytes, bw.utilisation)
+        hiers[backend] = CacheHierarchy(machine, prefetcher=pf, bandwidth=bw, options=backend)
     return hiers
 
 
@@ -644,22 +639,23 @@ class TestKneeReplay:
         # flags, and both caches then evolve identically.
         config = CacheConfig("T", n_sets * 4 * 64, ways=4, line_bytes=64)
         fast = FastLRUCache(config)
-        n = 40 * n_sets
-        fast.ops_batch(
-            rng.integers(0, 8 * n_sets, n),
-            rng.integers(0, 7, n).astype(np.uint8),
-            rng.integers(1, 32, n),
-        )
+
+        def stream(n):
+            return (
+                rng.integers(0, 8 * n_sets, n),
+                rng.integers(0, 7, n).astype(np.uint8),
+                rng.integers(1, 32, n),
+            )
+
+        fast.ops_batch(*stream(40 * n_sets))
         moved = fast.to_lru()
         assert type(moved) is LRUCache
         assert lru_state(moved) == lru_state(fast)
         moved.check_invariants()
-        for _ in range(2000):
-            line = int(rng.integers(0, 8 * n_sets))
-            flags = int(rng.integers(1, 32))
-            assert moved.install(line, flags) == fast.install(line, flags)
-            line = int(rng.integers(0, 8 * n_sets))
-            assert moved.lookup(line, FLAG_DIRTY) == fast.lookup(line, FLAG_DIRTY)
+        for _ in range(4):
+            ops = stream(1000)
+            for got, want in zip(moved.ops_batch(*ops), fast.ops_batch(*ops)):
+                assert np.array_equal(got, want)
         assert lru_state(moved) == lru_state(fast)
         moved.check_invariants()
         fast.check_invariants()
@@ -679,16 +675,17 @@ class TestDrainWritebacks:
             trace = MemoryTrace.concat([random_trace(rng, 4000, 512, all_ops=True), tail])
             drained = {}
             for backend in BACKENDS:
-                h = CacheHierarchy(replace(tiny_machine, sim_backend=backend))
+                h = CacheHierarchy(tiny_machine, options=backend)
                 st = h.run(trace, work_per_memop=2.0, mlp=2.0)
-                assert h.l1.peek_flags(n_line) & (FLAG_NTA | FLAG_DIRTY) == FLAG_NTA | FLAG_DIRTY
-                assert h.l1.peek_flags(x) & FLAG_DIRTY
-                assert h.l2.peek_flags(x) & FLAG_DIRTY
-                dirty = {
-                    line
+                l1, l2, llc = (
+                    dict(pair for s in lru_state(cache) for pair in s)
                     for cache in (h.l1, h.l2, h.llc)
-                    for line in cache.resident_lines()
-                    if cache.peek_flags(line) & FLAG_DIRTY
+                )
+                assert l1[n_line] & (FLAG_NTA | FLAG_DIRTY) == FLAG_NTA | FLAG_DIRTY
+                assert l1[x] & FLAG_DIRTY
+                assert l2[x] & FLAG_DIRTY
+                dirty = {
+                    line for level in (l1, l2, llc) for line, f in level.items() if f & FLAG_DIRTY
                 }
                 count = h.drain_writebacks(st)
                 assert count == len(dirty)  # a line dirty twice drains once
@@ -802,9 +799,7 @@ class TestDemand2WayKernel:
             assert kvi.tolist() == ovi
             assert kvl.tolist() == ovl
             assert kvf.tolist() == ovf
-            assert sorted(kern.resident_lines()) == sorted(oracle.resident_lines())
-            for line in kern.resident_lines():
-                assert kern.peek_flags(line) == oracle.peek_flags(line)
+            assert lru_state(kern) == lru_state(oracle)
             kern.check_invariants()
 
 
@@ -838,8 +833,8 @@ class TestOpsBatchKinds:
                 victims.append((i, *victim))
         return hit, prior, victims
 
-    #: (sets, ways): the scalar tail, the wavefront, and the Intel L1,
-    #: whose 64 sets run wholly in the scalar tail.
+    #: (sets, ways): the dict tail, the wavefront, and the Intel L1,
+    #: whose 64 sets run wholly on dict sets.
     GEOMETRIES = [
         pytest.param(4, 4, id="4"),
         pytest.param(512, 4, id="512"),
@@ -860,7 +855,7 @@ class TestOpsBatchKinds:
         for batch in range(4):  # state carries across batches
             lines = rng.integers(0, 2 * ways * n_sets, 40 * n_sets)
             if batch == 3:
-                # Too few active sets for the wavefront: the scalar tail
+                # Too few active sets for the wavefront: the dict tail
                 # resumes sets whose rows the wavefront left out of LRU
                 # order.
                 lines = lines[lines % n_sets < 64]
@@ -880,23 +875,15 @@ class TestSimOptionsPrecedence:
     def test_explicit_beats_spec_and_default(self):
         previous = set_default_options(SimOptions(backend="reference"))
         try:
-            opts = resolve_options(SimOptions(backend="fast"), "reference")
-            assert opts.backend == "fast"
-            assert resolve_options("fast", "reference").backend == "fast"
-        finally:
-            set_default_options(previous)
-
-    def test_spec_beats_default(self):
-        previous = set_default_options(SimOptions(backend="reference"))
-        try:
-            assert resolve_options(None, "fast").backend == "fast"
+            assert resolve_options(SimOptions(backend="fast")).backend == "fast"
+            assert resolve_options("fast").backend == "fast"
         finally:
             set_default_options(previous)
 
     def test_default_applies_last(self):
         previous = set_default_options(SimOptions(backend="fast"))
         try:
-            assert resolve_options(None, None).backend == "fast"
+            assert resolve_options(None).backend == "fast"
         finally:
             set_default_options(previous)
 
@@ -935,35 +922,13 @@ class TestSimOptionsPrecedence:
             "reference", "scalar", "reference-backend"
         )
 
-    def test_api_configure_sim_options(self):
-        from repro import api
-
-        previous = get_default_options()
-        try:
-            api.configure(sim_options=SimOptions(backend="fast"))
-            assert get_default_options().backend == "fast"
-        finally:
-            set_default_options(previous)
-            api.reset_default_engine()
-
     def test_api_sim_backend_kwarg_removed(self):
         from repro import api
-        from repro.errors import ExperimentError
 
-        with pytest.raises(ExperimentError, match="sim_options="):
+        with pytest.raises(TypeError, match="sim_backend"):
             api.configure(sim_backend="fast")
         # Removal is an error, not a silent default change.
         assert get_default_options().backend == "reference"
-
-    def test_legacy_backend_helpers_tombstoned(self):
-        from repro import cachesim
-        from repro.errors import ExperimentError
-
-        for name in ("get_default_backend", "set_default_backend", "resolve_backend"):
-            with pytest.raises(ExperimentError, match="SimOptions"):
-                getattr(cachesim, name)
-        with pytest.raises(AttributeError):
-            cachesim.totally_unknown_name
 
 
 class TestPathObservability:
@@ -975,9 +940,9 @@ class TestPathObservability:
         obs.enable()
         try:
             trace = pc_correlated_trace(rng, 3000)
-            fast = CacheHierarchy(replace(amd, sim_backend="fast"))
+            fast = CacheHierarchy(amd, options="fast")
             fast.run(trace, work_per_memop=2.0, mlp=2.0)
-            ref = CacheHierarchy(replace(amd, sim_backend="reference"))
+            ref = CacheHierarchy(amd, options="reference")
             ref.run(trace, work_per_memop=2.0, mlp=2.0)
             assert fast.last_run_path == "batch"
             assert ref.last_run_path == "scalar"
@@ -997,18 +962,18 @@ class TestPathObservability:
     def test_fallback_reasons_and_speculation_fields(self, amd, rng):
         from repro import obs
 
-        fast_m = replace(amd, sim_backend="fast")
-        bw = BandwidthModel(fast_m.bytes_per_cycle())
+        bw = BandwidthModel(amd.bytes_per_cycle())
         hierarchies = {
-            "reference-backend": CacheHierarchy(replace(amd, sim_backend="reference")),
+            "reference-backend": CacheHierarchy(amd, options="reference"),
             # Throttled through a callback that is not the hierarchy's
             # own bound ``bw.utilisation``: the knee check cannot see it.
             "prefetcher-not-batch-safe": CacheHierarchy(
-                fast_m,
-                prefetcher=amd_hw_prefetcher(fast_m.line_bytes, lambda: bw.utilisation()),
+                amd,
+                prefetcher=amd_hw_prefetcher(amd.line_bytes, lambda: bw.utilisation()),
                 bandwidth=bw,
+                options="fast",
             ),
-            "shared-llc": CacheHierarchy(fast_m, llc=LRUCache(fast_m.llc)),
+            "shared-llc": CacheHierarchy(amd, llc=LRUCache(amd.llc), options="fast"),
         }
         trace = prefetch_after_load_trace(rng, 2000, "mixed")
         obs.disable()
@@ -1017,7 +982,7 @@ class TestPathObservability:
         try:
             for h in hierarchies.values():
                 h.run(trace, work_per_memop=2.0, mlp=2.0)
-            batch = CacheHierarchy(fast_m)
+            batch = CacheHierarchy(amd, options="fast")
             batch.run(trace, work_per_memop=2.0, mlp=2.0)
             spans = [s["attrs"] for s in obs.drain_spans() if s["name"] == "cachesim.run"]
             snap = obs.metrics().snapshot()
@@ -1040,8 +1005,8 @@ class TestPathObservability:
         obs.disable()
         obs.reset_metrics()
         trace = prefetch_after_load_trace(rng, 1000, "t0")
-        CacheHierarchy(replace(amd, sim_backend="fast")).run(trace)
-        CacheHierarchy(replace(amd, sim_backend="reference")).run(trace)
+        CacheHierarchy(amd, options="fast").run(trace)
+        CacheHierarchy(amd, options="reference").run(trace)
         assert not [k for k in obs.metrics().snapshot() if k.startswith("sim.hierarchy")]
 
     PASSES = ("l1_s", "observe_s", "l2_llc_s", "timing_build_s", "timing_loop_s")
@@ -1053,7 +1018,7 @@ class TestPathObservability:
         obs.enable()
         try:
             trace = prefetch_after_load_trace(rng, 3000, "mixed")
-            CacheHierarchy(replace(amd, sim_backend="fast")).run(trace)
+            CacheHierarchy(amd, options="fast").run(trace)
             (span,) = [s for s in obs.drain_spans() if s["name"] == "cachesim.run"]
         finally:
             obs.disable()
@@ -1083,14 +1048,14 @@ class TestPathObservability:
         obs.disable()
         monkeypatch.setattr(hierarchy_module, "perf_counter", no_clock)
         before = obs.Span.allocated
-        hier = CacheHierarchy(replace(amd, sim_backend="fast"))
+        hier = CacheHierarchy(amd, options="fast")
         hier.run(prefetch_after_load_trace(rng, 1000, "mixed"))
         assert hier.last_run_path == "batch"
         assert obs.Span.allocated == before
 
     def test_scalar_run_carries_no_pass_times(self, amd, rng):
         attrs = traced_run_attrs(
-            CacheHierarchy(replace(amd, sim_backend="reference")),
+            CacheHierarchy(amd, options="reference"),
             prefetch_after_load_trace(rng, 1000, "mixed"),
         )
         assert attrs["path"] == "scalar"
@@ -1103,14 +1068,13 @@ class TestBackendSelection:
         assert resolve_options(None).backend == "reference"
 
     def test_explicit_wins_over_config_and_default(self):
-        config = CacheConfig("T", 1024, ways=2, backend="reference")
-        sim = FunctionalCacheSim(config, backend="fast")
+        previous = set_default_options(SimOptions(backend="reference"))
+        try:
+            sim = FunctionalCacheSim(CacheConfig("T", 1024, ways=2), backend="fast")
+        finally:
+            set_default_options(previous)
         assert sim.backend == "fast"
         assert isinstance(sim.cache, FastLRUCache)
-
-    def test_config_field_wins_over_default(self):
-        config = CacheConfig("T", 1024, ways=2, backend="fast")
-        assert FunctionalCacheSim(config).backend == "fast"
 
     def test_process_default_applies(self):
         previous = set_default_options(SimOptions(backend="fast"))
@@ -1125,14 +1089,7 @@ class TestBackendSelection:
         with pytest.raises(ConfigError):
             validate_backend("turbo")
         with pytest.raises(ConfigError):
-            CacheConfig("T", 1024, ways=2, backend="turbo")
-        with pytest.raises(ConfigError):
             FunctionalCacheSim(CacheConfig("T", 1024, ways=2), backend="turbo")
-
-    def test_machine_config_validates_backend(self, tiny_machine):
-        with pytest.raises(ConfigError):
-            replace(tiny_machine, sim_backend="turbo")
-        assert replace(tiny_machine, sim_backend="fast").sim_backend == "fast"
 
     def test_api_configure_installs_default(self):
         from repro import api
@@ -1243,11 +1200,10 @@ class TestCrossCorePrefetcherDiff:
         for foreign, path in ((False, "batch"), (True, "scalar")):
             results = {}
             for backend in BACKENDS:
-                m = replace(amd, sim_backend=backend)
-                bw = BandwidthModel(m.bytes_per_cycle())
+                bw = BandwidthModel(amd.bytes_per_cycle())
                 util = (lambda bw=bw: bw.utilisation()) if foreign else bw.utilisation
                 pf = cross_core_prefetcher_for(program, utilisation=util)
-                h = CacheHierarchy(m, prefetcher=pf, bandwidth=bw)
+                h = CacheHierarchy(amd, prefetcher=pf, bandwidth=bw, options=backend)
                 results[backend] = (h.run(trace, work_per_memop=2.0, mlp=2.0), h)
             ref, fast = results["reference"][0], results["fast"][0]
             assert ref.cycles == fast.cycles
@@ -1279,7 +1235,8 @@ def mix_trace(rng, n, core):
 
 
 def mix_sims(machine, traces, factory=lambda core: None, work=MC_WORK, mlp=MC_MLP, **kw):
-    """One :class:`MulticoreSimulator` per backend over the same cores."""
+    """One :class:`MulticoreSimulator` per backend over the same cores;
+    each is built under its backend as the process default."""
     from repro.multicore.simulator import CoreSpec, MulticoreSimulator
 
     sims = {}
@@ -1294,7 +1251,11 @@ def mix_sims(machine, traces, factory=lambda core: None, work=MC_WORK, mlp=MC_ML
             )
             for i, trace in enumerate(traces)
         ]
-        sims[backend] = MulticoreSimulator(replace(machine, sim_backend=backend), cores, **kw)
+        previous = set_default_options(SimOptions(backend=backend))
+        try:
+            sims[backend] = MulticoreSimulator(machine, cores, **kw)
+        finally:
+            set_default_options(previous)
     return sims
 
 
