@@ -14,6 +14,11 @@ simulator:
   most expensive reference prefetcher, so it is the configuration
   where batch observation matters most.
 
+Each row times the two backends in ``ROUNDS`` alternating rounds, one
+run per backend per round, in CPU time (``time.process_time``), and
+gates the median of the per-round speedups: a change in host load
+between rounds moves both runs of a ratio, not one backend's column.
+
 The artifact goes to ``benchmarks/results/sim_backend_speedup.txt``.
 ``REPRO_BENCH_SIM_EVENTS`` shrinks the trace for local smoke runs; the
 speedup gates only apply at full scale, where they were measured (CI
@@ -23,6 +28,7 @@ runs full scale).
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -36,6 +42,8 @@ from repro.trace import MemOp, MemoryTrace
 
 EVENTS = int(os.environ.get("REPRO_BENCH_SIM_EVENTS", "500000"))
 MACHINE = "amd-phenom-ii"
+#: Alternating reference/fast rounds per row.
+ROUNDS = 3
 
 
 def _mixed_trace(n: int) -> MemoryTrace:
@@ -80,24 +88,42 @@ def _spec_like_trace(n: int) -> MemoryTrace:
 
 
 def _time_functional(config, trace, backend):
-    best, stats = float("inf"), None
-    for _ in range(3):
-        sim = FunctionalCacheSim(config, backend=backend)
-        t0 = time.perf_counter()
-        stats = sim.run(trace)
-        best = min(best, time.perf_counter() - t0)
-    return best, stats, sim
+    sim = FunctionalCacheSim(config, backend=backend)
+    t0 = time.process_time()
+    stats = sim.run(trace)
+    return time.process_time() - t0, stats, sim
 
 
 def _time_hierarchy(machine, backend, trace, factory):
-    best, stats, hier = float("inf"), None, None
-    for _ in range(2):
-        bw = BandwidthModel(machine.bytes_per_cycle())
-        hier = CacheHierarchy(machine, prefetcher=factory(), bandwidth=bw, options=backend)
-        t0 = time.perf_counter()
-        stats = hier.run(trace, work_per_memop=2.0, mlp=2.0)
-        best = min(best, time.perf_counter() - t0)
-    return best, stats, hier
+    bw = BandwidthModel(machine.bytes_per_cycle())
+    hier = CacheHierarchy(machine, prefetcher=factory(), bandwidth=bw, options=backend)
+    t0 = time.process_time()
+    stats = hier.run(trace, work_per_memop=2.0, mlp=2.0)
+    return time.process_time() - t0, stats, hier
+
+
+def _alternate(timed):
+    """Run ``timed(backend)`` on both backends in ``ROUNDS`` alternating rounds.
+
+    Returns each backend's median CPU time, the median of the per-round
+    ``reference / fast`` ratios, and each backend's last
+    ``(stats, simulator)``.
+    """
+    times = {"reference": [], "fast": []}
+    last = {}
+    for _ in range(ROUNDS):
+        for backend in times:
+            seconds, stats, sim = timed(backend)
+            times[backend].append(seconds)
+            last[backend] = stats, sim
+    ratio = statistics.median(r / f for r, f in zip(times["reference"], times["fast"]))
+    return (
+        statistics.median(times["reference"]),
+        statistics.median(times["fast"]),
+        ratio,
+        last["reference"],
+        last["fast"],
+    )
 
 
 _STAT_FIELDS = (
@@ -120,35 +146,37 @@ def _run_backend_comparison():
     rows = []
     speedups = {}
     for config in (machine.l1, machine.l2, machine.llc):
-        t_ref, s_ref, sim_ref = _time_functional(config, trace, "reference")
-        t_fast, s_fast, sim_fast = _time_functional(config, trace, "fast")
+        t_ref, t_fast, ratio, (s_ref, sim_ref), (s_fast, sim_fast) = _alternate(
+            lambda backend: _time_functional(config, trace, backend)
+        )
         assert np.array_equal(sim_ref.last_miss, sim_fast.last_miss)
         assert s_ref.accesses == s_fast.accesses
         assert s_ref.misses == s_fast.misses
-        speedups[config.name] = t_ref / t_fast
+        speedups[config.name] = ratio
         rows.append(
             (
                 f"functional {config.name} ({config.ways}-way)",
                 f"{t_ref:.3f}s",
                 f"{t_fast:.3f}s",
-                f"{t_ref / t_fast:.1f}x",
+                f"{ratio:.1f}x",
             )
         )
 
     # End-to-end hierarchy with hardware prefetcher + bandwidth model.
     spec = _spec_like_trace(EVENTS)
     for label, factory in (("ghb", GHBPrefetcher), ("streamer", StreamerPrefetcher)):
-        t_ref, s_ref, _ = _time_hierarchy(machine, "reference", spec, factory)
-        t_fast, s_fast, h_fast = _time_hierarchy(machine, "fast", spec, factory)
+        t_ref, t_fast, ratio, (s_ref, _), (s_fast, h_fast) = _alternate(
+            lambda backend: _time_hierarchy(machine, backend, spec, factory)
+        )
         _assert_identical(s_ref, s_fast)
         assert h_fast.last_run_path == "batch", h_fast.last_run_path
-        speedups[f"e2e-{label}"] = t_ref / t_fast
+        speedups[f"e2e-{label}"] = ratio
         rows.append(
             (
                 f"hierarchy+bw+{label} prefetcher",
                 f"{t_ref:.3f}s",
                 f"{t_fast:.3f}s",
-                f"{t_ref / t_fast:.1f}x",
+                f"{ratio:.1f}x",
             )
         )
     return rows, speedups
@@ -162,7 +190,8 @@ def test_sim_backend_speedup(benchmark, results_dir):
         ("simulation", "reference", "fast", "speedup"),
         rows,
         title=f"Fast cache-simulation backend — {MACHINE}, "
-        f"{EVENTS:,}-event traces (bit-identical results)",
+        f"{EVENTS:,}-event traces (bit-identical results; median CPU time "
+        f"and median per-round speedup over {ROUNDS} alternating rounds)",
     )
     save_artifact(results_dir, "sim_backend_speedup.txt", text)
     if EVENTS >= 500_000:

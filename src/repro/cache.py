@@ -54,7 +54,6 @@ from pathlib import Path
 from repro import faults, obs
 from repro.api import ExperimentSpec, validate_tenant
 from repro.config import get_machine
-from repro.core import serialization
 from repro.errors import AnalysisError, ConfigError
 
 __all__ = [
@@ -185,6 +184,8 @@ class ResultCache:
 
     def stats_key(self, spec: ExperimentSpec, profile_rate: float) -> str:
         """Content address of one grid cell's :class:`RunStats`."""
+        from repro.core import serialization
+
         document = {
             "kind": "stats",
             "epoch": CACHE_EPOCH,
@@ -197,6 +198,8 @@ class ResultCache:
 
     def sampling_key(self, workload: str, input_set: str, scale: float, rate: float) -> str:
         """Content address of one profiling pass's :class:`SamplingResult`."""
+        from repro.core import serialization
+
         document = {
             "kind": "sampling",
             "epoch": CACHE_EPOCH,
@@ -226,6 +229,8 @@ class ResultCache:
 
     def get_stats(self, spec: ExperimentSpec, profile_rate: float):
         """Cached :class:`RunStats` for ``spec``, or ``None`` on a miss."""
+        from repro.core import serialization
+
         data = self._read("stats", self.stats_key(spec, profile_rate))
         if data is None:
             self.stats.misses += 1
@@ -240,6 +245,8 @@ class ResultCache:
 
     def put_stats(self, spec: ExperimentSpec, profile_rate: float, stats) -> None:
         """Store one grid cell's result."""
+        from repro.core import serialization
+
         if self._write(
             "stats",
             self.stats_key(spec, profile_rate),
@@ -251,6 +258,8 @@ class ResultCache:
 
     def get_sampling(self, workload: str, input_set: str, scale: float, rate: float):
         """Cached :class:`SamplingResult`, or ``None`` on a miss."""
+        from repro.core import serialization
+
         key = self.sampling_key(workload, input_set, scale, rate)
         data = self._read("sampling", key)
         if data is None:
@@ -268,6 +277,8 @@ class ResultCache:
         self, workload: str, input_set: str, scale: float, rate: float, sampling
     ) -> None:
         """Store one profiling pass's sampling result."""
+        from repro.core import serialization
+
         key = self.sampling_key(workload, input_set, scale, rate)
         if self._write("sampling", key, serialization.sampling_to_dict(sampling)):
             self.sampling.stores += 1

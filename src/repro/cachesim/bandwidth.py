@@ -92,10 +92,6 @@ class BandwidthModel:
             raise ConfigError("count must be non-negative")
         return [self.transfer(now, n_bytes) for _ in range(count)]
 
-    def queue_delay(self, now: float) -> float:
-        """Cycles a transfer requested at ``now`` would wait for a slot."""
-        return max(0.0, self._free_time - now)
-
     # ------------------------------------------------------------------
     # utilisation
     # ------------------------------------------------------------------

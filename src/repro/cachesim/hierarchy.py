@@ -46,7 +46,6 @@ import copy
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import fields, replace
-from operator import attrgetter
 from time import perf_counter
 
 import numpy as np
@@ -126,9 +125,6 @@ _L1_FLAGS = np.array(
     ],
     dtype=np.int64,
 )
-
-#: A hardware-prefetch request's fields, as ``_hw_requests`` reads them.
-_REQUEST_FIELDS = attrgetter("line", "fill_l2", "llc_bypass")
 
 #: The batch path's passes, as ``cachesim.run`` span attributes: the L1
 #: op stream, prefetcher observation, the L2/LLC op streams, building
@@ -1312,15 +1308,15 @@ class CacheHierarchy:
     def _hw_observe(self, pc: int, addr: int, line: int, l1_hit: bool, stats: RunStats) -> None:
         requests = self.prefetcher.observe(pc, addr, line, l1_hit)
         if requests:
-            self._hw_requests(map(_REQUEST_FIELDS, requests), stats)
+            self._hw_requests(requests, stats)
 
     def _hw_requests(self, requests: Iterable[tuple[int, bool, bool]], stats: RunStats) -> None:
         """Issue one demand event's hardware-prefetch requests, in order.
 
-        Each request is a ``(line, fill_l2, llc_bypass)`` triple: the
-        fields of a :class:`~repro.hwpref.base.PrefetchRequest` from
-        ``observe`` on the scalar loop, or one row of ``observe_batch``'s
-        result in the multicore simulator's batch driver.
+        Each request is a ``(line, fill_l2, llc_bypass)`` triple, the
+        same rows from both drivers: an item of ``observe``'s list on
+        the scalar loop, or one row of ``observe_batch``'s result (with
+        ``llc_bypass`` False) in the multicore simulator's batch driver.
         """
         for target, fill_l2, llc_bypass in requests:
             if self.l2.contains(target):

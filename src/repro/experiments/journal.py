@@ -121,10 +121,6 @@ def _decode(line: bytes) -> dict | None:
     return record if isinstance(record, dict) else None
 
 
-def _spec_key(spec: ExperimentSpec) -> str:
-    return json.dumps(spec.as_dict(), sort_keys=True, separators=(",", ":"))
-
-
 @dataclasses.dataclass
 class JournalReplay:
     """Everything replaying one journal recovers.

@@ -53,10 +53,6 @@ class MixOutcome:
     cycles: tuple[float, ...]
     dram_lines: float
 
-    def speedups_vs(self, baseline: "MixOutcome") -> list[float]:
-        """Per-application speedups against the baseline mix."""
-        return [b / c for b, c in zip(baseline.cycles, self.cycles)]
-
     def weighted_speedup_vs(self, baseline: "MixOutcome") -> float:
         return weighted_speedup(baseline.cycles, self.cycles)
 

@@ -4,7 +4,6 @@ from repro.hwpref.base import (
     DEFAULT_TUNING,
     HardwarePrefetcher,
     NullPrefetcher,
-    PrefetchRequest,
     PrefetchTuning,
     throttle_factor,
 )
@@ -22,7 +21,6 @@ from repro.hwpref.xcore import (
 __all__ = [
     "HardwarePrefetcher",
     "NullPrefetcher",
-    "PrefetchRequest",
     "PrefetchTuning",
     "DEFAULT_TUNING",
     "throttle_factor",

@@ -2,8 +2,10 @@
 
 A hardware prefetcher observes the demand-access stream (program counter,
 byte address, line number, and whether the access hit in L1) and returns
-the cache lines it wants fetched.  The cache hierarchy issues these fills
-into the prefetcher's ``fill_level`` and charges their off-chip traffic —
+the cache lines it wants fetched, each as a plain ``(line, fill_l2,
+llc_bypass)`` tuple: the target line (never negative), whether the fill
+also goes into L2, and whether it skips the shared LLC.  The cache
+hierarchy issues these fills and charges their off-chip traffic —
 speculative fetches are exactly how the paper's hardware baselines waste
 shared resources.
 
@@ -24,7 +26,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "PrefetchRequest",
     "PrefetchTuning",
     "DEFAULT_TUNING",
     "HardwarePrefetcher",
@@ -54,21 +55,6 @@ def throttle_factor(rho: float) -> float:
         return 1.0
     span = (rho - 0.70) / 0.30
     return max(0.25, 1.0 - 0.75 * min(span, 1.0))
-
-
-@dataclass(frozen=True)
-class PrefetchRequest:
-    """One line the hardware prefetcher wants brought on chip."""
-
-    line: int
-    fill_l2: bool = True
-    #: Skip the LLC on the fill (non-temporal), leaving shared space to
-    #: neighbours — set when a coordinator retargets the prefetcher.
-    llc_bypass: bool = False
-
-    def __post_init__(self) -> None:
-        if self.line < 0:
-            raise ValueError("prefetch line must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -125,13 +111,13 @@ class HardwarePrefetcher(ABC):
         """
         self._tuning = tuning
 
-    def _request(self, line: int, fill_l2: bool = True) -> PrefetchRequest:
-        """Build a request that honours the current tuning's NTA bypass."""
-        return PrefetchRequest(line, fill_l2, llc_bypass=self._tuning.nta_bypass)
+    def _request(self, line: int, fill_l2: bool = True) -> tuple[int, bool, bool]:
+        """A ``(line, fill_l2, llc_bypass)`` request under the current tuning's NTA bypass."""
+        return line, fill_l2, self._tuning.nta_bypass
 
     @abstractmethod
-    def observe(self, pc: int, addr: int, line: int, l1_hit: bool) -> list[PrefetchRequest]:
-        """React to one demand access; return lines to prefetch."""
+    def observe(self, pc: int, addr: int, line: int, l1_hit: bool) -> list[tuple[int, bool, bool]]:
+        """React to one demand access; return ``(line, fill_l2, llc_bypass)`` requests."""
 
     @abstractmethod
     def reset(self) -> None:
@@ -165,8 +151,8 @@ class HardwarePrefetcher(ABC):
         for i in range(len(lines_l)):
             for req in observe(pcs_l[i], addrs_l[i], lines_l[i], hits_l[i]):
                 ev.append(i)
-                out_lines.append(req.line)
-                fill.append(req.fill_l2)
+                out_lines.append(req[0])
+                fill.append(req[1])
         if not ev:
             return _EMPTY_BATCH
         return (
@@ -239,7 +225,7 @@ class NullPrefetcher(HardwarePrefetcher):
 
     name = "none"
 
-    def observe(self, pc: int, addr: int, line: int, l1_hit: bool) -> list[PrefetchRequest]:
+    def observe(self, pc: int, addr: int, line: int, l1_hit: bool) -> list[tuple[int, bool, bool]]:
         return []
 
     def observe_batch(

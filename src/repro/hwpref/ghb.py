@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.hwpref.base import _EMPTY_BATCH, HardwarePrefetcher, PrefetchRequest
+from repro.hwpref.base import _EMPTY_BATCH, HardwarePrefetcher
 
 __all__ = ["GHBPrefetcher"]
 
@@ -70,7 +70,7 @@ class GHBPrefetcher(HardwarePrefetcher):
         self.table_size = table_size
         self._table: dict[int, deque[int]] = {}
 
-    def observe(self, pc: int, addr: int, line: int, l1_hit: bool) -> list[PrefetchRequest]:
+    def observe(self, pc: int, addr: int, line: int, l1_hit: bool) -> list[tuple[int, bool, bool]]:
         hist = self._table.get(pc)
         if hist is None:
             if len(self._table) >= self.table_size:
@@ -105,7 +105,7 @@ class GHBPrefetcher(HardwarePrefetcher):
         replay = deltas[match + 1 : match + 1 + degree]
         if not replay:
             return []
-        requests: list[PrefetchRequest] = []
+        requests: list[tuple[int, bool, bool]] = []
         seen = {line}
         predicted = addr
         for delta in replay:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.hwpref.base import HardwarePrefetcher, PrefetchRequest
+from repro.hwpref.base import HardwarePrefetcher
 
 __all__ = ["AdjacentLinePrefetcher"]
 
@@ -34,7 +34,7 @@ class AdjacentLinePrefetcher(HardwarePrefetcher):
         self.on_miss_only = on_miss_only
         self._duty = 0.0
 
-    def observe(self, pc: int, addr: int, line: int, l1_hit: bool) -> list[PrefetchRequest]:
+    def observe(self, pc: int, addr: int, line: int, l1_hit: bool) -> list[tuple[int, bool, bool]]:
         if self.on_miss_only and l1_hit:
             return []
         # Duty-cycled back-off: issue buddies on a deterministic fraction

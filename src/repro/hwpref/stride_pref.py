@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.hwpref.base import _EMPTY_BATCH, HardwarePrefetcher, PrefetchRequest
+from repro.hwpref.base import _EMPTY_BATCH, HardwarePrefetcher
 
 __all__ = ["PCStridePrefetcher"]
 
@@ -85,7 +85,7 @@ class PCStridePrefetcher(HardwarePrefetcher):
         self.table_size = table_size
         self._table: dict[int, _Entry] = {}
 
-    def observe(self, pc: int, addr: int, line: int, l1_hit: bool) -> list[PrefetchRequest]:
+    def observe(self, pc: int, addr: int, line: int, l1_hit: bool) -> list[tuple[int, bool, bool]]:
         entry = self._table.get(pc)
         if entry is None:
             if len(self._table) >= self.table_size:
@@ -118,7 +118,7 @@ class PCStridePrefetcher(HardwarePrefetcher):
         ramp = min(self.max_ramp, entry.confidence - self.train_threshold + 1)
         distance = max(1, round(self.distance_lines * ramp * self._tuning.distance_scale))
         degree = max(1, round(self.degree * factor))
-        requests: list[PrefetchRequest] = []
+        requests: list[tuple[int, bool, bool]] = []
         for k in range(degree):
             target = line + direction * step * (distance + k)
             if target >= 0 and target != line:

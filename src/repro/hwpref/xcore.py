@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.errors import ProgramError
-from repro.hwpref.base import _EMPTY_BATCH, HardwarePrefetcher, PrefetchRequest
+from repro.hwpref.base import _EMPTY_BATCH, HardwarePrefetcher
 
 if TYPE_CHECKING:  # isa imports cachesim imports hwpref — defer the cycle
     from repro.config import MachineConfig
@@ -181,7 +181,7 @@ class CrossCoreLLCPrefetcher(HardwarePrefetcher):
 
     # -- scalar path ---------------------------------------------------
 
-    def observe(self, pc: int, addr: int, line: int, l1_hit: bool) -> list[PrefetchRequest]:
+    def observe(self, pc: int, addr: int, line: int, l1_hit: bool) -> list[tuple[int, bool, bool]]:
         region = self.regions.get(pc)
         if region is None:
             return []
@@ -200,7 +200,7 @@ class CrossCoreLLCPrefetcher(HardwarePrefetcher):
         if lo > hi:
             return []
         lines = self._resolve(region, np.arange(lo, hi + 1, dtype=np.int64))
-        return [self._request(int(t), fill_l2=False) for t in lines]
+        return [self._request(t, fill_l2=False) for t in lines.tolist()]
 
     # -- batched path --------------------------------------------------
 

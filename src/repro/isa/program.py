@@ -91,15 +91,6 @@ class Kernel:
         """Copy of this kernel with a rewritten body."""
         return replace(self, body=body)
 
-    def with_trips(self, trips: int) -> "Kernel":
-        """Copy of this kernel with a different trip count.
-
-        Used by the fuzz shrinker to minimise failing programs: halving
-        trips preserves the body (and thus the PC assignment) while
-        shrinking the generated trace.
-        """
-        return replace(self, trips=trips)
-
 
 @dataclass(frozen=True)
 class Program:

@@ -82,9 +82,6 @@ class MulticoreResult:
     total_bytes: int
     makespan_cycles: float
 
-    def core_cycles(self) -> list[float]:
-        return [s.cycles for s in self.per_core]
-
     def achieved_bandwidth_gbs(self, freq_ghz: float) -> float:
         """Average off-chip bandwidth over the mix's makespan."""
         if self.makespan_cycles <= 0:
@@ -403,8 +400,9 @@ class _LiveEvents:
     to the clock (``gaps[-1]``: after the last one); ``args[i]`` is a
     demand access's write flag, a prefetch's NTA flag or an NT store's
     PC; ``n_requests[i]`` how many hardware-prefetch requests the event
-    issues, the next ones ``requests`` yields; ``victims`` yields each
-    L1 install's victim, for :meth:`CacheHierarchy.replayed_l1`.
+    issues, the next ``(line, fill_l2, llc_bypass)`` triples ``requests``
+    yields; ``victims`` yields each L1 install's victim, for
+    :meth:`CacheHierarchy.replayed_l1`.
     """
 
     gaps: list
@@ -520,11 +518,13 @@ def _victims(
 
 
 def _requests(lines: np.ndarray, fills: np.ndarray) -> Iterator[tuple[int, bool, bool]]:
-    """``observe_batch``'s requests as ``_hw_requests`` reads them, in order.
+    """``observe_batch``'s requests as ``(line, fill_l2, llc_bypass)`` triples, in order.
 
-    Built one chunk at a time: a core can issue several requests per
-    demand event, and whole-trace lists of them would dominate the
-    driver's memory.  An untuned prefetcher never bypasses the LLC.
+    The same rows ``observe`` returns on the event loop; ``_hw_requests``
+    reads both.  Built one chunk at a time: a core can issue several
+    requests per demand event, and whole-trace lists of them would
+    dominate the driver's memory.  An untuned prefetcher never bypasses
+    the LLC.
     """
     for start in range(0, len(lines), _CHUNK):
         end = start + _CHUNK

@@ -78,10 +78,6 @@ class ReuseSampleSet:
         """Samples whose line was never re-accessed."""
         return int(np.count_nonzero(self.distance < 0))
 
-    def finite_distances(self) -> np.ndarray:
-        """Reuse distances of the finite samples."""
-        return self.distance[self.finite_mask]
-
     def merged_with(self, other: "ReuseSampleSet") -> "ReuseSampleSet":
         """Concatenate two sample sets (e.g. from phased sampling)."""
         return ReuseSampleSet(

@@ -181,10 +181,6 @@ class AdvisorServer:
             return None
         return sock.getsockname()[1]
 
-    async def serve_until_shutdown(self) -> None:
-        """Block until :meth:`shutdown` completes."""
-        await self._closed.wait()
-
     async def shutdown(self, drain: bool = True) -> None:
         """Stop listening, drain in-flight work, close every connection."""
         if self._closed.is_set():

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import ReproError
 from repro.validate.differential import TraceDiffResult
 from repro.validate.fuzz import FuzzResult
 from repro.validate.invariants import InvariantResult
@@ -94,16 +93,6 @@ class ValidationReport:
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def summary_from_file(cls, path: str | Path) -> dict:
-        """Load just the summary block of a saved report (CI helper)."""
-        data = json.loads(Path(path).read_text())
-        if data.get("format") != REPORT_FORMAT:
-            raise ReproError(
-                f"unsupported validation report format {data.get('format')!r}"
-            )
-        return data["summary"]
 
     # ------------------------------------------------------------------
     # rendering

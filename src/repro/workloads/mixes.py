@@ -41,10 +41,6 @@ class Mix:
         if len(self.members) != len(self.inputs):
             raise WorkloadError("one input set per member required")
 
-    def with_reference_inputs(self) -> "Mix":
-        """The same mix with every member on its profiling input."""
-        return Mix(self.mix_id, self.members, tuple("ref" for _ in self.members))
-
 
 def generate_mixes(
     count: int = PAPER_MIX_COUNT,

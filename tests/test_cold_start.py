@@ -12,7 +12,7 @@ fails it, naming the module that pulled scipy in.
 ``import repro.api`` on its own loads neither numpy nor
 ``repro.cachesim`` (119 modules instead of 252), so a process that only
 builds specs or requests stays cheap; a second fresh-interpreter test
-pins that.
+pins that, and a third pins that ``repro cache stats`` loads no numpy.
 """
 
 from __future__ import annotations
@@ -110,3 +110,18 @@ def test_importing_the_api_loads_no_numpy(tmp_path):
         tmp_path,
     )
     assert loaded == []
+
+
+def test_cache_stats_loads_no_numpy(tmp_path):
+    # ``repro cache stats`` only sizes the on-disk store; the payload
+    # codecs (and numpy with them) load when an entry is keyed or decoded.
+    cache_dir = tmp_path / "cache"
+    loaded = run_child(
+        "import contextlib, io, json, sys\n"
+        "from repro import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['cache', 'stats', '--cache-dir', {str(cache_dir)!r}])\n"
+        "print(json.dumps([code, 'numpy' in sys.modules]))",
+        tmp_path,
+    )
+    assert loaded == [0, False]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cachesim import CacheHierarchy
-from repro.hwpref import GHBPrefetcher, PCStridePrefetcher
+from repro.hwpref import GHBPrefetcher
 from repro.trace import MemoryTrace
 
 
@@ -13,7 +13,7 @@ def drive(pf, deltas, n, pc=0, start=0):
     fired = []
     for i in range(n):
         addr += deltas[i % len(deltas)]
-        fired += [r.line for r in pf.observe(pc, addr, addr // 64, False)]
+        fired += [r[0] for r in pf.observe(pc, addr, addr // 64, False)]
     return fired
 
 
@@ -92,7 +92,7 @@ class TestDeltaCorrelation:
         fired = []
         for i in range(4):
             fired = pf.observe(0, i * 64, i, False)
-        assert [r.line for r in fired] == [4]  # 4 * 64 = the next line
+        assert [r[0] for r in fired] == [4]  # 4 * 64 = the next line
 
     def test_period_two_delta_pattern_exact_replay(self):
         # +64,+192 alternation: the key pair first re-occurs at the 5th
@@ -105,4 +105,4 @@ class TestDeltaCorrelation:
             fired = pf.observe(0, addr, addr // 64, False)
             if i == 3:
                 assert fired == []  # pattern not seen twice yet
-        assert [r.line for r in fired] == [(512 + 64) // 64]
+        assert [r[0] for r in fired] == [(512 + 64) // 64]

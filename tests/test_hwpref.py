@@ -4,13 +4,16 @@ import pytest
 
 from repro.hwpref import (
     AdjacentLinePrefetcher,
+    GHBPrefetcher,
     NullPrefetcher,
     PCStridePrefetcher,
     PrefetchTuning,
     StreamerPrefetcher,
     amd_hw_prefetcher,
+    cross_core_prefetcher_for,
     intel_hw_prefetcher,
 )
+from repro.workloads import build_program
 
 
 def feed_stream(pf, pc=0, start_line=0, n=10, stride_bytes=64, l1_hit=False):
@@ -19,7 +22,7 @@ def feed_stream(pf, pc=0, start_line=0, n=10, stride_bytes=64, l1_hit=False):
     for i in range(n):
         addr = start_line * 64 + i * stride_bytes
         reqs = pf.observe(pc, addr, addr // 64, l1_hit)
-        all_requests.extend(r.line for r in reqs)
+        all_requests.extend(r[0] for r in reqs)
     return all_requests
 
 
@@ -65,7 +68,7 @@ class TestPCStride:
         fired = []
         for i in range(10):
             a = (1 << 20) - i * 128
-            fired += [r.line for r in pf.observe(0, a, a // 64, False)]
+            fired += [r[0] for r in pf.observe(0, a, a // 64, False)]
         assert fired and all(line < (1 << 20) // 64 for line in fired)
 
     def test_confidence_ramps_distance(self):
@@ -75,8 +78,8 @@ class TestPCStride:
             a = i * 64
             reqs = pf.observe(0, a, i, False)
             if reqs and early is None:
-                early = reqs[0].line - i
-            late = reqs[0].line - i if reqs else None
+                early = reqs[0][0] - i
+            late = reqs[0][0] - i if reqs else None
         assert early is not None and late is not None
         assert late > early
 
@@ -112,7 +115,7 @@ class TestStreamer:
         base = 1 << 14
         for i in range(10):
             line = base - i
-            fired += [r.line for r in pf.observe(0, line * 64, line, False)]
+            fired += [r[0] for r in pf.observe(0, line * 64, line, False)]
         assert fired and all(line < base for line in fired)
 
     def test_streams_are_page_local(self):
@@ -122,7 +125,7 @@ class TestStreamer:
         fired = []
         for i in range(10):
             line = lines_per_page - 10 + i
-            fired += [r.line for r in pf.observe(0, line * 64, line, False)]
+            fired += [r[0] for r in pf.observe(0, line * 64, line, False)]
         assert all(line < lines_per_page for line in fired)
 
     def test_direction_flip_resets(self):
@@ -142,8 +145,8 @@ class TestStreamer:
 class TestAdjacentLine:
     def test_buddy_line(self):
         pf = AdjacentLinePrefetcher()
-        assert [r.line for r in pf.observe(0, 0, 10, False)] == [11]
-        assert [r.line for r in pf.observe(0, 0, 11, False)] == [10]
+        assert [r[0] for r in pf.observe(0, 0, 10, False)] == [11]
+        assert [r[0] for r in pf.observe(0, 0, 11, False)] == [10]
 
     def test_miss_only_by_default(self):
         pf = AdjacentLinePrefetcher()
@@ -202,7 +205,7 @@ class TestThrottling:
         pf = StreamerPrefetcher()
         fired = []
         for line in (8, 7, 6, 5, 4, 3, 2, 1, 0):
-            fired += [r.line for r in pf.observe(0, line * 64, line, False)]
+            fired += [r[0] for r in pf.observe(0, line * 64, line, False)]
         assert fired and all(line >= 0 for line in fired)
 
 
@@ -215,13 +218,13 @@ class TestFactories:
     def test_intel_fires_adjacent_on_any_miss(self):
         pf = intel_hw_prefetcher()
         reqs = pf.observe(0, 4096, 64, False)
-        assert 65 in [r.line for r in reqs]
+        assert 65 in [r[0] for r in reqs]
 
     def test_intel_deduplicates(self):
         pf = intel_hw_prefetcher()
         for i in range(8):
             reqs = pf.observe(0, i * 64, i, False)
-            lines = [r.line for r in reqs]
+            lines = [r[0] for r in reqs]
             assert len(lines) == len(set(lines))
 
 
@@ -285,3 +288,51 @@ class TestAdjacentLineDutyCycle:
         pf.reset()
         second = [len(pf.observe(0, i * 128, i * 2, False)) for i in range(5)]
         assert first == second
+
+
+def _xcore_on_pagerank():
+    """The helper prefetcher of a graph program, and its index walk's PC and base."""
+    pf = cross_core_prefetcher_for(build_program("pagerank", scale=0.02))
+    (region,) = pf.regions.values()
+    return pf, region.index_pc, region.index_base
+
+
+#: Each model as ``(prefetcher, pc, base address)`` of the stream it observes.
+_REQUEST_MODELS = {
+    "stride": lambda: (amd_hw_prefetcher(), 0, 0),
+    "streamer": lambda: (StreamerPrefetcher(cross_page=True), 0, 0),
+    "streamer-page": lambda: (StreamerPrefetcher(cross_page=False), 0, 0),
+    "adjacent": lambda: (AdjacentLinePrefetcher(), 0, 0),
+    "ghb": lambda: (GHBPrefetcher(), 0, 0),
+    "intel": lambda: (intel_hw_prefetcher(), 0, 0),
+    "xcore": _xcore_on_pagerank,
+}
+
+
+class TestRequestFormat:
+    """Every model's ``observe`` returns plain ``(line, fill_l2, llc_bypass)`` tuples."""
+
+    @pytest.mark.parametrize(
+        "tuning",
+        [None, PrefetchTuning(degree_scale=0.5, nta_bypass=True)],
+        ids=["untuned", "half-nta"],
+    )
+    @pytest.mark.parametrize("model", list(_REQUEST_MODELS))
+    def test_requests_are_plain_triples(self, model, tuning):
+        pf, pc, base = _REQUEST_MODELS[model]()
+        if tuning is not None:
+            pf.apply_tuning(tuning)
+        requests = []
+        # A downward stream that ends at line 0 of its region: targets
+        # run ahead of it, below the first line.
+        for k in range(64, -1, -1):
+            addr = base + k * 64
+            requests += pf.observe(pc, addr, addr // 64, False)
+        assert requests
+        for req in requests:
+            assert type(req) is tuple and len(req) == 3
+            line, fill_l2, llc_bypass = req
+            assert type(line) is int and line >= 0
+            assert type(fill_l2) is bool and type(llc_bypass) is bool
+            assert llc_bypass is (tuning is not None)
+            assert fill_l2 is (model != "xcore")

@@ -238,7 +238,7 @@ class TestCrossCorePrefetcher:
                 int(trace.pc[i]), int(trace.addr[i]), int(trace.addr[i]) // 64, False
             )
         assert issued
-        assert all(not req.fill_l2 for req in issued)
+        assert all(not req[1] for req in issued)
 
     def test_tuning_disable_and_degree_scale(self):
         program = indirect_program()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cachesim.stats import LevelStats, PCStats, RunStats
 from repro.experiments.tables import gbs, pct, render_series, render_table
-from repro.hwpref.base import NullPrefetcher, PrefetchRequest
+from repro.hwpref.base import NullPrefetcher
 from repro.trace.util import next_same_value_index
 
 
@@ -24,15 +24,6 @@ class TestFormatting:
     def test_render_series_single_point(self):
         text = render_series({"a": [0.5]}, points=2, fmt="{:.1f}")
         assert text.count("0.5") == 2  # same value at both percentiles
-
-
-class TestPrefetchRequest:
-    def test_negative_line_rejected(self):
-        with pytest.raises(ValueError):
-            PrefetchRequest(-1)
-
-    def test_fill_l2_default(self):
-        assert PrefetchRequest(5).fill_l2 is True
 
 
 class TestThrottleBase:

@@ -714,8 +714,8 @@ class TestObserveBatchParity:
                     int(trace.pc[i]), int(trace.addr[i]), int(lines[i]), bool(hits[i])
                 ):
                     ev.append(i)
-                    tgt.append(req.line)
-                    fill.append(req.fill_l2)
+                    tgt.append(req[0])
+                    fill.append(req[1])
             bev, btgt, bfill = batch_pf.observe_batch(
                 trace.pc, trace.addr, lines, hits
             )
@@ -738,7 +738,7 @@ class TestObserveBatchParity:
                 int(trace.pc[i]), int(trace.addr[i]), int(lines[i]), False
             ):
                 ev.append(i)
-                tgt.append(req.line)
+                tgt.append(req[0])
         bev, btgt, _ = batch_pf.observe_batch(trace.pc, trace.addr, lines, hits)
         assert np.array_equal(np.asarray(ev, dtype=np.int64), bev)
         assert np.array_equal(np.asarray(tgt, dtype=np.int64), btgt)
@@ -1145,8 +1145,8 @@ class TestCrossCorePrefetcherDiff:
                 int(trace.pc[i]), int(trace.addr[i]), int(lines[i]), False
             ):
                 ev.append(i)
-                tgt.append(req.line)
-                fill.append(req.fill_l2)
+                tgt.append(req[0])
+                fill.append(req[1])
         bev, btgt, bfill = batch_pf.observe_batch(trace.pc, trace.addr, lines, hits)
         assert len(ev) > 0  # the helper actually fires on graph traces
         assert np.array_equal(np.asarray(ev, dtype=np.int64), bev)
