@@ -128,6 +128,10 @@ class FastLRUCache:
         the access semantics of the functional simulator for both
         demand and (post prefetch-recency fix) prefetch events.
 
+        A 2-way cache (the AMD L1) takes a round-free closed form
+        (:meth:`_access_batch_2way`); every other geometry, direct-mapped
+        included, runs set-wavefront rounds and the dict tail.
+
         Returns ``(miss, victims)``: a boolean per-access miss vector
         and, when ``collect_victims``, the evicted line numbers in
         program order (empty array otherwise).
@@ -138,8 +142,6 @@ class FastLRUCache:
         if n == 0:
             return miss, np.empty(0, dtype=np.int64)
         sets = lines & self._set_mask
-        if self.ways == 1:
-            return self._access_batch_direct(lines, sets, miss, collect_victims)
         if self.ways == 2:
             return self._access_batch_2way(lines, sets, miss, collect_victims)
         # Set indices fit in 16 bits for every realistic geometry; the
@@ -232,46 +234,6 @@ class FastLRUCache:
         pos_all = np.concatenate(vic_pos)
         line_all = np.concatenate(vic_line)
         return miss, line_all[np.argsort(pos_all, kind="stable")]
-
-    def _access_batch_direct(
-        self,
-        lines: np.ndarray,
-        sets: np.ndarray,
-        miss: np.ndarray,
-        collect_victims: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Round-free batch path for direct-mapped caches (``ways == 1``).
-
-        With one way per set an access hits iff the previous access to
-        its set (or the pre-batch resident, for the first one) carried
-        the same line, so the whole batch reduces to a grouped
-        shift-and-compare with no sequential rounds at all.
-        """
-        n = len(lines)
-        key = sets.astype(np.uint16) if self._set_mask < (1 << 16) else sets
-        order = np.argsort(key, kind="stable")
-        ss = sets[order]
-        ls = lines[order]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        np.not_equal(ss[1:], ss[:-1], out=first[1:])
-        prev_line = np.empty(n, dtype=np.int64)
-        prev_line[1:] = ls[:-1]
-        prev_line[first] = self.tags[ss[first], 0]
-        hit = ls == prev_line
-        miss[order] = ~hit
-        victims = np.empty(0, dtype=np.int64)
-        if collect_victims:
-            evict = ~hit & (prev_line != EMPTY)
-            vpos = order[evict]
-            victims = prev_line[evict][np.argsort(vpos, kind="stable")]
-        last = np.empty(n, dtype=bool)
-        last[:-1] = first[1:]
-        last[-1] = True
-        self.tags[ss[last], 0] = ls[last]
-        self.stamp[ss[last], 0] = self._clock + order[last]
-        self._clock += n
-        return miss, victims
 
     def _access_batch_2way(
         self,

@@ -99,9 +99,7 @@ class FunctionalCacheSim:
                     lines, collect_victims=collect_victims
                 )
             else:
-                miss, victims = self._run_reference(
-                    lines, is_demand, collect_victims
-                )
+                miss, victims = self._run_reference(lines, collect_victims)
             if obs.enabled():
                 obs.metrics().counter(f"sim.functional.events.{self.backend}").inc(
                     len(view)
@@ -112,7 +110,7 @@ class FunctionalCacheSim:
         return self.stats
 
     def _run_reference(
-        self, lines: np.ndarray, is_demand: np.ndarray, collect_victims: bool
+        self, lines: np.ndarray, collect_victims: bool
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-event oracle loop over the dict-based LRU cache.
 
@@ -129,14 +127,7 @@ class FunctionalCacheSim:
         victims: list[int] = []
         for i in range(len(lines)):
             line = int(lines[i])
-            if is_demand[i]:
-                if not cache.lookup(line):
-                    miss[i] = True
-                    victim = cache.install(line)
-                    if collect_victims and victim is not None:
-                        victims.append(victim[0])
-            elif not cache.lookup(line):
-                # Prefetch miss: fetch and install the line (timing-free).
+            if not cache.lookup(line):
                 miss[i] = True
                 victim = cache.install(line)
                 if collect_victims and victim is not None:

@@ -66,10 +66,8 @@ __all__ = [
     "compute_run",
     "run_spec",
     "set_cache",
-    "get_cache",
     "seed_memo",
     "memo_contains",
-    "memo_size",
     "clear_memo",
     "hw_prefetcher_for",
 ]
@@ -98,11 +96,6 @@ def set_cache(cache: ResultCache | None) -> ResultCache | None:
     previous = _CACHE
     _CACHE = cache
     return previous
-
-
-def get_cache() -> ResultCache | None:
-    """The currently active persistent cache, if any."""
-    return _CACHE
 
 
 # The persistent cache is an optimisation: IO trouble (corrupt entry,
@@ -368,11 +361,6 @@ def seed_memo(spec: ExperimentSpec, stats: RunStats, persist: bool = False) -> N
 def memo_contains(spec: ExperimentSpec) -> bool:
     """Whether a cell is already resident in the in-process memo."""
     return spec in _MEMO
-
-
-def memo_size() -> int:
-    """Number of cells resident in the in-process memo."""
-    return len(_MEMO)
 
 
 def clear_memo() -> None:

@@ -131,19 +131,15 @@ class GHBPrefetcher(HardwarePrefetcher):
         deltas), which unrolls into at most ``history - 2`` shifted
         whole-group comparisons, and the replay gather is a fixed
         ``(group, degree)`` window.  Table insertion order is preserved
-        by pre-inserting new PCs in first-occurrence order; when the
-        batch would overflow the FIFO table (eviction order depends on
-        the exact interleaving) the method falls back to a flat scalar
-        loop with identical semantics.  Equivalent to ``observe()``
-        while the throttle factor is 1.0; a tuned model takes the
-        scalar fallback.
+        by pre-inserting new PCs in first-occurrence order.  A batch of
+        fewer than 64 events, or one that would overflow the FIFO table
+        (eviction order depends on the exact interleaving), takes the
+        base class's ``observe()`` loop instead, as does a tuned model.
+        Equivalent to ``observe()`` while the throttle factor is 1.0.
         """
-        if not self.batch_safe:
+        if not self.batch_safe or len(pcs) < 64:
             return super().observe_batch(pcs, addrs, lines, l1_hits)
-        n = len(pcs)
         table = self._table
-        if n < 64:
-            return self._observe_batch_flat(pcs, addrs, lines)
         order = np.argsort(pcs, kind="stable")
         sp = pcs[order]
         uniq, start, counts = np.unique(sp, return_index=True, return_counts=True)
@@ -152,7 +148,7 @@ class GHBPrefetcher(HardwarePrefetcher):
             (pc not in table for pc in uniq.tolist()), dtype=bool, count=len(uniq)
         )
         if len(table) + int(np.count_nonzero(new_sel)) > self.table_size:
-            return self._observe_batch_flat(pcs, addrs, lines)
+            return super().observe_batch(pcs, addrs, lines, l1_hits)
         history = self.history
         for pc in uniq[new_sel][np.argsort(firsts[new_sel])].tolist():
             table[pc] = deque(maxlen=history)
@@ -224,67 +220,6 @@ class GHBPrefetcher(HardwarePrefetcher):
         tgt = np.concatenate(tgt_out)
         o = np.argsort(ev, kind="stable")
         return ev[o], tgt[o], np.ones(len(ev), dtype=bool)
-
-    def _observe_batch_flat(
-        self,
-        pcs: np.ndarray,
-        addrs: np.ndarray,
-        lines: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat scalar loop fallback (FIFO-eviction-exact)."""
-        table = self._table
-        table_size = self.table_size
-        history = self.history
-        degree = self.degree
-        line_bytes = self.line_bytes
-        ev: list[int] = []
-        targets: list[int] = []
-        pcs_l = pcs.tolist()
-        addrs_l = addrs.tolist()
-        lines_l = lines.tolist()
-        for i in range(len(pcs_l)):
-            pc = pcs_l[i]
-            addr = addrs_l[i]
-            hist = table.get(pc)
-            if hist is None:
-                if len(table) >= table_size:
-                    table.pop(next(iter(table)))
-                hist = deque(maxlen=history)
-                table[pc] = hist
-            hist.append(addr)
-            if len(hist) < 4:
-                continue
-            addr_list = list(hist)
-            deltas = [b - a for a, b in zip(addr_list, addr_list[1:])]
-            key0 = deltas[-2]
-            key1 = deltas[-1]
-            match = -1
-            for j in range(len(deltas) - 2, 0, -1):
-                if deltas[j] == key1 and deltas[j - 1] == key0:
-                    match = j
-                    break
-            if match < 0:
-                continue
-            replay = deltas[match + 1 : match + 1 + degree]
-            if not replay:
-                continue
-            line = lines_l[i]
-            seen = {line}
-            predicted = addr
-            for delta in replay:
-                predicted += delta
-                target = predicted // line_bytes
-                if target >= 0 and target not in seen:
-                    seen.add(target)
-                    ev.append(i)
-                    targets.append(target)
-        if not ev:
-            return _EMPTY_BATCH
-        return (
-            np.asarray(ev, dtype=np.int64),
-            np.asarray(targets, dtype=np.int64),
-            np.ones(len(ev), dtype=bool),
-        )
 
     def reset(self) -> None:
         self._table.clear()

@@ -43,7 +43,6 @@ from repro.obs.tracer import (
     enabled,
     get_tracer,
     remove_span_listener,
-    set_tracer,
     span,
 )
 
@@ -68,7 +67,6 @@ __all__ = [
     "metrics_dump",
     "remove_span_listener",
     "reset_metrics",
-    "set_tracer",
     "span",
     "write_chrome_trace",
     "write_metrics",

@@ -54,7 +54,6 @@ __all__ = [
     "enabled",
     "get_tracer",
     "remove_span_listener",
-    "set_tracer",
     "span",
 ]
 
@@ -316,15 +315,6 @@ def enabled() -> bool:
 def get_tracer() -> Tracer | None:
     """The process-wide tracer, if tracing is enabled."""
     return _TRACER
-
-
-def set_tracer(tracer: Tracer | None) -> Tracer | None:
-    """Swap the process-wide tracer (tests); returns the previous one."""
-    global _TRACER, ENABLED
-    previous = _TRACER
-    _TRACER = tracer
-    ENABLED = tracer is not None
-    return previous
 
 
 def add_span_listener(listener) -> bool:

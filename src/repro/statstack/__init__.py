@@ -2,13 +2,10 @@
 
 from repro.statstack.model import StatStackModel
 from repro.statstack.mrc import MissRatioCurve, PerPCMissRatios, default_size_grid
-from repro.statstack.setassoc import associativity_penalty, set_associative_miss_ratio
 
 __all__ = [
     "StatStackModel",
     "MissRatioCurve",
     "PerPCMissRatios",
     "default_size_grid",
-    "set_associative_miss_ratio",
-    "associativity_penalty",
 ]

@@ -2,7 +2,6 @@
 
 from repro.trace.characterize import PCCharacter, TraceCharacter, characterize_trace
 from repro.trace.events import MemOp, MemoryTrace, TraceBuilder
-from repro.trace.interleave import interleave_round_robin, interleave_weighted
 from repro.trace.io import load_trace, save_trace
 from repro.trace.synthesis import (
     burst_strided_pattern,
@@ -25,8 +24,6 @@ __all__ = [
     "gather_pattern",
     "burst_strided_pattern",
     "sweep_pattern",
-    "interleave_round_robin",
-    "interleave_weighted",
     "save_trace",
     "load_trace",
     "characterize_trace",

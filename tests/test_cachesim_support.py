@@ -1,17 +1,12 @@
-"""Tests for the functional simulator, bandwidth model, and interleaving."""
+"""Tests for the functional simulator and the bandwidth model."""
 
 import numpy as np
 import pytest
 
 from repro.cachesim import BandwidthModel, FunctionalCacheSim, simulate_miss_ratios
 from repro.config import CacheConfig
-from repro.errors import ConfigError, TraceError
-from repro.trace import (
-    MemOp,
-    MemoryTrace,
-    interleave_round_robin,
-    interleave_weighted,
-)
+from repro.errors import ConfigError
+from repro.trace import MemOp, MemoryTrace
 from repro.trace.synthesis import strided_pattern
 
 
@@ -130,38 +125,3 @@ class TestBandwidthModel:
         bw = BandwidthModel(peak_bytes_per_cycle=2.0)
         bw.transfer(0.0, 2_000_000)
         assert bw.achieved_gbs(1e6, freq_ghz=1.0) == pytest.approx(2.0)
-
-
-class TestInterleave:
-    def test_round_robin_alternates(self):
-        a = MemoryTrace.loads([0, 0], [0, 1])
-        b = MemoryTrace.loads([1, 1], [100, 101])
-        merged, cores = interleave_round_robin([a, b])
-        assert cores.tolist() == [0, 1, 0, 1]
-        assert merged.addr.tolist() == [0, 100, 1, 101]
-
-    def test_weighted_ratio(self):
-        a = MemoryTrace.loads([0] * 4, list(range(4)))
-        b = MemoryTrace.loads([1] * 2, [100, 101])
-        merged, cores = interleave_weighted([a, b], [2.0, 1.0])
-        # core 0 gets twice the slots
-        assert cores.tolist().count(0) == 4
-        first_half = cores.tolist()[:3]
-        assert first_half.count(0) == 2
-
-    def test_exhausted_core_drops_out(self):
-        a = MemoryTrace.loads([0] * 5, list(range(5)))
-        b = MemoryTrace.loads([1], [100])
-        merged, cores = interleave_round_robin([a, b])
-        assert cores.tolist()[-3:] == [0, 0, 0]
-
-    def test_empty_input(self):
-        merged, cores = interleave_round_robin([])
-        assert len(merged) == 0 and len(cores) == 0
-
-    def test_bad_weights(self):
-        a = MemoryTrace.loads([0], [0])
-        with pytest.raises(TraceError):
-            interleave_weighted([a], [0.0])
-        with pytest.raises(TraceError):
-            interleave_weighted([a], [1.0, 2.0])

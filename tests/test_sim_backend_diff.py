@@ -144,14 +144,15 @@ class TestFunctionalDifferential:
 
     def test_many_set_wavefront(self, rng):
         # Uniform pressure over 1024 sets keeps the wavefront rounds
-        # wide from start to finish.
-        config = CacheConfig("T", 1024 * 4 * 64, ways=4, line_bytes=64)
-        trace = random_trace(rng, 20_000, 8192)
-        ref, ref_miss, ref_vic = run_functional("reference", config, trace, False)
-        fast, fast_miss, fast_vic = run_functional("fast", config, trace, False)
-        assert np.array_equal(ref_miss, fast_miss)
-        assert np.array_equal(ref_vic, fast_vic)
-        assert ref.total_misses() == fast.total_misses()
+        # wide from start to finish, with four ways or one.
+        for ways in (4, 1):
+            config = CacheConfig("T", 1024 * ways * 64, ways=ways, line_bytes=64)
+            trace = random_trace(rng, 20_000, 8192)
+            ref, ref_miss, ref_vic = run_functional("reference", config, trace, False)
+            fast, fast_miss, fast_vic = run_functional("fast", config, trace, False)
+            assert np.array_equal(ref_miss, fast_miss)
+            assert np.array_equal(ref_vic, fast_vic)
+            assert ref.total_misses() == fast.total_misses()
 
     def test_state_carries_across_batches(self, rng):
         # The 2-way closed form; then 4 ways over 256 sets, alternating a
@@ -724,8 +725,8 @@ class TestObserveBatchParity:
             assert np.array_equal(np.asarray(fill, dtype=bool), bfill)
 
     def test_ghb_fifo_eviction_fallback(self, rng):
-        # A batch that would overflow the PC table must take the flat
-        # fallback and still match the scalar loop exactly, including
+        # A batch that would overflow the PC table falls back to the
+        # base observe() loop and must still match it exactly, including
         # FIFO eviction order.
         scalar_pf = GHBPrefetcher(table_size=8)
         batch_pf = GHBPrefetcher(table_size=8)
