@@ -83,7 +83,6 @@ def test_serve_load(bench_scale, results_dir, tmp_path):
     options = ServeOptions(
         unix_socket=socket_path,
         jobs=1,
-        shards=2,
         queue_capacity=max(64, N_REQUESTS),
         batch_linger=0.0,
         use_cache=True,

@@ -400,13 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
         "into one batch (default 0.005)",
     )
     p_srv.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        metavar="N",
-        help="engine shards; tenants map to shards by name hash (default 2)",
-    )
-    p_srv.add_argument(
         "--drain-seconds",
         type=float,
         default=5.0,
@@ -457,26 +450,23 @@ def _cmd_workloads() -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    from repro.core.pipeline import OptimizerSettings, PrefetchOptimizer
-    from repro.isa import emit, execute_program, insert_prefetches
-    from repro.sampling import RuntimeSampler
-    from repro.workloads import build_program, workload_seed
+    # The profile and plan `repro simulate` runs: the runner's sampling
+    # pass and its one reader of plan kinds.
+    from repro.experiments import runner
+    from repro.isa import emit, insert_prefetches
 
-    machine = get_machine(args.machine)
-    program = build_program(args.workload, args.input_set, args.scale)
-    execution = execute_program(
-        program, seed=workload_seed(args.workload, args.input_set)
-    )
-    sampling = RuntimeSampler(rate=2e-3, seed=1).sample(execution.trace)
-    print(sampling.describe())
-    settings = OptimizerSettings(enable_bypass=not args.no_bypass)
-    plan = PrefetchOptimizer(machine, settings).analyze(
-        sampling, refs_per_pc=program.refs_per_pc()
+    profile = runner.profile_for(args.workload, args.input_set, args.scale)
+    print(profile.sampling.describe())
+    plan = runner.derive_plan(
+        "sw" if args.no_bypass else "swnt",
+        profile.sampling,
+        get_machine(args.machine),
+        profile.program,
     )
     print(plan.summary())
     if args.emit_asm:
         print()
-        print(emit(insert_prefetches(program, plan)))
+        print(emit(insert_prefetches(profile.program, plan)))
     return 0
 
 
@@ -548,18 +538,12 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_mrc(args: argparse.Namespace) -> int:
-    from repro.isa import execute_program
+    from repro.experiments import runner
     from repro.experiments.tables import render_table
-    from repro.sampling import RuntimeSampler
     from repro.statstack import StatStackModel, default_size_grid
-    from repro.workloads import build_program, workload_seed
 
     machine = get_machine(args.machine)
-    program = build_program(args.workload, args.input_set, args.scale)
-    execution = execute_program(
-        program, seed=workload_seed(args.workload, args.input_set)
-    )
-    sampling = RuntimeSampler(rate=2e-3, seed=3).sample(execution.trace)
+    sampling = runner.profile_for(args.workload, args.input_set, args.scale).sampling
     model = StatStackModel(sampling.reuse, machine.line_bytes)
     hot = sorted(model.modelled_pcs(), key=model.pc_sample_weight, reverse=True)
     hot = hot[: args.loads]
@@ -847,7 +831,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_capacity=args.queue_capacity,
         batch_max=args.batch_max,
         batch_linger=args.batch_linger,
-        shards=args.shards,
         jobs=opts.jobs,
         cache_dir=opts.cache_dir,
         use_cache=opts.use_cache,

@@ -62,22 +62,18 @@ class PrefetchTuning:
     """Dynamic reconfiguration knobs a coordinator can set per core.
 
     ``degree_scale`` multiplies the model's native degree/back-off
-    factor, ``distance_scale`` its prefetch distance; ``nta_bypass``
-    makes issued fills skip the shared LLC; ``enabled=False`` gates the
-    prefetcher off entirely.  The default tuning is a no-op: every model
-    behaves bit-identically to an untuned prefetcher.
+    factor (``0.0`` switches the prefetcher off: every model issues
+    nothing at factor 0); ``nta_bypass`` makes issued fills skip the
+    shared LLC.  The default tuning is a no-op: every model behaves
+    bit-identically to an untuned prefetcher.
     """
 
     degree_scale: float = 1.0
-    distance_scale: float = 1.0
     nta_bypass: bool = False
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.degree_scale <= 1.0:
             raise ValueError("degree_scale must be in [0, 1]")
-        if not 0.0 < self.distance_scale <= 4.0:
-            raise ValueError("distance_scale must be in (0, 4]")
 
 
 #: The identity tuning (see :class:`PrefetchTuning`).
@@ -208,16 +204,12 @@ class HardwarePrefetcher(ABC):
 
         Combines the shared utilisation back-off curve
         (:func:`throttle_factor`) with the coordinator's
-        ``degree_scale``; ``enabled=False`` yields 0 (models must then
-        issue nothing).  Without a utilisation callback or tuning it is
-        always 1.
+        ``degree_scale``; at 0 models must issue nothing.  Without a
+        utilisation callback or tuning it is always 1.
         """
-        tuning = self._tuning
-        if not tuning.enabled:
-            return 0.0
         if self._utilisation is None:
-            return tuning.degree_scale
-        return tuning.degree_scale * throttle_factor(self._utilisation())
+            return self._tuning.degree_scale
+        return self._tuning.degree_scale * throttle_factor(self._utilisation())
 
 
 class NullPrefetcher(HardwarePrefetcher):

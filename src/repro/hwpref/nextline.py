@@ -25,23 +25,18 @@ class AdjacentLinePrefetcher(HardwarePrefetcher):
     name = "hw-adjacent"
     _state_attrs = ("_duty",)
 
-    def __init__(
-        self,
-        on_miss_only: bool = True,
-        utilisation: Callable[[], float] | None = None,
-    ) -> None:
+    def __init__(self, utilisation: Callable[[], float] | None = None) -> None:
         super().__init__(utilisation)
-        self.on_miss_only = on_miss_only
         self._duty = 0.0
 
     def observe(self, pc: int, addr: int, line: int, l1_hit: bool) -> list[tuple[int, bool, bool]]:
-        if self.on_miss_only and l1_hit:
+        if l1_hit:
             return []
         # Duty-cycled back-off: issue buddies on a deterministic fraction
-        # of eligible accesses equal to the throttle factor, so the
-        # documented linear-to-25%-floor curve holds in expectation over
-        # any utilisation band (no cliff, no RNG).  At factor 1.0 the
-        # accumulator fires on every access.
+        # of L1 misses equal to the throttle factor, so the documented
+        # linear-to-25%-floor curve holds in expectation over any
+        # utilisation band (no cliff, no RNG).  At factor 1.0 the
+        # accumulator fires on every miss.
         factor = self._throttle_factor()
         if factor <= 0.0:
             return []
@@ -59,17 +54,13 @@ class AdjacentLinePrefetcher(HardwarePrefetcher):
         l1_hits: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Equivalent to observe() while the throttle factor is 1.0: every
-        # eligible access fires and the duty accumulator stays at 0.0.
+        # L1 miss fires and the duty accumulator stays at 0.0.
         if not self.batch_safe:
             # Tuned, or a partial duty cycle carried over: per-access
             # gating; use the scalar fallback so behaviour matches.
             return super().observe_batch(pcs, addrs, lines, l1_hits)
-        if self.on_miss_only:
-            ev = np.nonzero(~np.asarray(l1_hits, dtype=bool))[0].astype(np.int64)
-            targets = np.asarray(lines, dtype=np.int64)[ev] ^ 1
-        else:
-            ev = np.arange(len(lines), dtype=np.int64)
-            targets = np.asarray(lines, dtype=np.int64) ^ 1
+        ev = np.nonzero(~np.asarray(l1_hits, dtype=bool))[0].astype(np.int64)
+        targets = np.asarray(lines, dtype=np.int64)[ev] ^ 1
         return ev, targets, np.ones(len(ev), dtype=bool)
 
     @property

@@ -116,7 +116,7 @@ class PCStridePrefetcher(HardwarePrefetcher):
         # larger strides skip `step` lines per access.
         step = max(1, abs(stride) // self.line_bytes)
         ramp = min(self.max_ramp, entry.confidence - self.train_threshold + 1)
-        distance = max(1, round(self.distance_lines * ramp * self._tuning.distance_scale))
+        distance = self.distance_lines * ramp
         degree = max(1, round(self.degree * factor))
         requests: list[tuple[int, bool, bool]] = []
         for k in range(degree):

@@ -24,8 +24,8 @@ when the walk jumps (rewind or wrap), so steady state issues one new
 line per demand index access — the same discipline the streamer models
 use.  Coordinator feedback (:class:`~repro.hwpref.base.PrefetchTuning`)
 applies as everywhere else: ``degree_scale``/utilisation throttle the
-degree, ``distance_scale`` the run-ahead, ``nta_bypass`` marks fills to
-skip even the LLC, ``enabled=False`` gates the engine off.
+degree (``0.0`` gates the engine off) and ``nta_bypass`` marks fills to
+skip even the LLC.
 """
 
 from __future__ import annotations
@@ -132,8 +132,7 @@ class CrossCoreLLCPrefetcher(HardwarePrefetcher):
     degree:
         Consecutive future positions covered per demand index access.
     ahead:
-        Run-ahead distance in index *elements* (scaled by the tuning's
-        ``distance_scale``).
+        Run-ahead distance in index *elements*.
     """
 
     name = "hw-xcore"
@@ -189,8 +188,7 @@ class CrossCoreLLCPrefetcher(HardwarePrefetcher):
         if factor <= 0.0:
             return []
         degree = max(1, round(self.degree * factor))
-        ahead = max(1, round(self.ahead * self._tuning.distance_scale))
-        start = int(region.position_of(addr)) + ahead
+        start = int(region.position_of(addr)) + self.ahead
         hi = start + degree - 1
         nxt = self._next.get(pc)
         # Monotone advance: resume at the pointer; a jump (rewind or

@@ -195,8 +195,8 @@ def solve_mix(
                     f"coordinator returned {len(tunings)} tunings for {n} apps"
                 )
             note_decisions(tunings)
-            kept = [t.degree_scale if t.enabled else 0.0 for t in tunings]
-            bypass = [t.enabled and t.nta_bypass for t in tunings]
+            kept = [t.degree_scale for t in tunings]
+            bypass = [t.nta_bypass for t in tunings]
         throttle_costs = []
         for i, app in enumerate(apps):
             retired = (1.0 - kept[i]) * app.throttleable_lines

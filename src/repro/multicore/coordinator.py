@@ -6,7 +6,7 @@ The paper's resource argument — prefetching decisions must answer for
 the *shared* LLC space and bandwidth they consume — calls for a
 coordination layer: once per control epoch, observe every core's
 bandwidth share, speculative-traffic share and LLC marginal utility,
-and retune each core's prefetcher (degree, distance, NTA bypass)
+and retune each core's prefetcher (degree, NTA bypass)
 through the :meth:`repro.hwpref.base.HardwarePrefetcher.apply_tuning`
 hook.  Modeled on the coordinated RL prefetching architecture surveyed
 in PAPERS.md.
@@ -144,15 +144,12 @@ def note_decisions(tunings: list[PrefetchTuning]) -> None:
         return
     reg = obs.metrics()
     reg.counter("coord.epochs").inc()
-    throttled = sum(1 for t in tunings if t.enabled and t.degree_scale < 1.0)
-    bypassed = sum(1 for t in tunings if t.enabled and t.nta_bypass)
-    disabled = sum(1 for t in tunings if not t.enabled)
+    throttled = sum(1 for t in tunings if t.degree_scale < 1.0)
+    bypassed = sum(1 for t in tunings if t.nta_bypass)
     if throttled:
         reg.counter("coord.throttled").inc(throttled)
     if bypassed:
         reg.counter("coord.bypassed").inc(bypassed)
-    if disabled:
-        reg.counter("coord.disabled").inc(disabled)
 
 
 class HeuristicCoordinator(Coordinator):

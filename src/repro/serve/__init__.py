@@ -17,9 +17,9 @@ Pieces (see ``docs/serving.md`` for the protocol and deployment story):
   kernel shared by the daemon and :func:`repro.api.advise`;
 * :mod:`repro.serve.tenancy` — per-tenant namespaced
   :class:`~repro.cache.ResultCache` views with quota/LRU eviction;
-* :mod:`repro.serve.pool` — the sharded engine pool: batches of
-  requests grouped per tenant and resolved through reusable
-  :class:`~repro.experiments.engine.ExperimentEngine` instances;
+* :mod:`repro.serve.pool` — the engine pool: batches of requests
+  grouped per tenant and resolved in turn through one reusable
+  :class:`~repro.experiments.engine.ExperimentEngine`;
 * :mod:`repro.serve.daemon` — the asyncio intake loop: bounded queue,
   batching, backpressure (429-style rejection with ``retry_after``),
   streaming progress events over the obs layer, graceful SIGTERM drain;

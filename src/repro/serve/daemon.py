@@ -17,7 +17,7 @@ queued requests (lingering ``batch_linger`` seconds to let a burst
 accumulate) and hands the batch to a one-thread executor running
 :meth:`~repro.serve.pool.EnginePool.resolve` — one batch in flight at a
 time, because the runner layer's memo/cache state is process-global.
-Parallelism across a batch comes from each engine's worker processes.
+Parallelism across a batch comes from the engine's worker processes.
 
 Shutdown: SIGTERM/SIGINT (or :meth:`AdvisorServer.shutdown`) stops the
 listener, flips the daemon into *draining* — queued and in-flight
@@ -65,7 +65,6 @@ class ServeOptions:
     queue_capacity: int = 64
     batch_max: int = 16
     batch_linger: float = 0.005
-    shards: int = 2
     jobs: int | None = None
     cache_dir: str | None = None
     use_cache: bool = False
@@ -106,7 +105,6 @@ class AdvisorServer:
             )
         self.tenants = tenants
         self.pool = EnginePool(
-            shards=options.shards,
             jobs=options.jobs,
             tenants=tenants,
             retry=options.retry,

@@ -1,19 +1,16 @@
-"""The sharded engine pool: request batches → responses.
+"""The engine pool: request batches → responses.
 
 The runner layer keeps process-global state (the in-process memo and
 the active persistent cache installed by ``runner.set_cache``), so the
-daemon resolves every batch from **one dispatcher thread** — concurrency
-lives above (the asyncio intake queue) and below (each engine's worker
-process pool), never *across* engines.  Sharding therefore buys
-isolation of engine accounting per tenant-group, not thread parallelism:
-a tenant's retries, failure reports and batch statistics accrue on its
-own shard.
+daemon resolves every batch from **one dispatcher thread** on one
+reusable engine — concurrency lives above it (the asyncio intake
+queue) and below it (the engine's worker process pool).
 
 Resolution of one batch:
 
 1. group the requests by tenant, preserving arrival order;
 2. for each tenant group, swap that tenant's namespaced cache view onto
-   the group's shard engine and resolve all stats-bearing workload specs
+   the engine and resolve all stats-bearing workload specs
    through :meth:`ExperimentEngine.run_with_report` (parallel across
    profile groups, best-effort — one poisoned request must not sink its
    neighbours);
@@ -26,8 +23,6 @@ Resolution of one batch:
 
 from __future__ import annotations
 
-import zlib
-
 from repro import obs
 from repro.api import AdvisorRequest, AdvisorResponse
 from repro.errors import ReproError
@@ -37,51 +32,33 @@ from repro.retry import RetryPolicy
 from repro.serve.advisor import compute_advice
 from repro.serve.tenancy import TenantCaches
 
-__all__ = ["EnginePool", "shard_for"]
-
-
-def shard_for(tenant: str, shards: int) -> int:
-    """Stable tenant → shard assignment (CRC32, not Python's salted hash)."""
-    return zlib.crc32(tenant.encode()) % max(1, shards)
+__all__ = ["EnginePool"]
 
 
 class EnginePool:
-    """A fixed set of reusable :class:`ExperimentEngine` instances.
+    """One reusable :class:`ExperimentEngine` serving every tenant in turn.
 
     Parameters
     ----------
-    shards:
-        Number of engines.  Tenants map to shards by CRC32 of their
-        name, so one tenant's accounting always lands on one engine.
     jobs:
-        Worker processes *per engine* for cold cells (engines run one
-        at a time, so this is also the process-wide compute width).
+        Worker processes for cold cells (the process-wide compute width).
     tenants:
         Per-tenant cache namespaces; ``None`` serves everything
         memo-only (no persistent cache).
     retry:
-        Per-cell retry policy handed to every engine.
+        Per-cell retry policy handed to the engine.
     """
 
     def __init__(
         self,
-        shards: int = 2,
         jobs: int | None = None,
         tenants: TenantCaches | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
-        self.shards = max(1, int(shards))
         self.tenants = tenants
-        self._engines = [
-            ExperimentEngine(jobs=jobs, retry=retry, strict=False)
-            for _ in range(self.shards)
-        ]
+        self._engine = ExperimentEngine(jobs=jobs, retry=retry, strict=False)
         self.batches = 0
         self.requests = 0
-
-    def engine_for(self, tenant: str) -> ExperimentEngine:
-        """The shard engine a tenant's groups resolve on."""
-        return self._engines[shard_for(tenant, self.shards)]
 
     def resolve(self, requests: list[AdvisorRequest]) -> list[AdvisorResponse]:
         """Answer one batch of requests, preserving input order.
@@ -99,8 +76,8 @@ class EnginePool:
                 by_tenant.setdefault(request.tenant, []).append(index)
 
             responses: list[AdvisorResponse | None] = [None] * len(requests)
+            engine = self._engine
             for tenant, indices in by_tenant.items():
-                engine = self.engine_for(tenant)
                 engine.cache = (
                     self.tenants.get(tenant) if self.tenants is not None else None
                 )
@@ -141,10 +118,3 @@ class EnginePool:
                 continue
         if specs:
             engine.run_with_report(specs)
-
-    def summaries(self) -> list[str]:
-        """One accounting line per shard engine."""
-        return [
-            f"shard {i}: {engine.summary()}"
-            for i, engine in enumerate(self._engines)
-        ]

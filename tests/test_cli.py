@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import api
 from repro.cli import build_parser, main
 
 
@@ -54,6 +55,17 @@ class TestCommands:
         assert main(["optimize", "libquantum", "--scale", "0.05"]) == 0
         out = capsys.readouterr().out
         assert "prefetches inserted" in out
+
+    @pytest.mark.parametrize("kind", ["swnt", "sw"])
+    def test_optimize_prints_the_plan_simulate_runs(self, capsys, kind):
+        # The same profile and plan as the cell: the runner's sampling
+        # pass and api.plan, for the default (NTA) and --no-bypass kinds.
+        argv = ["optimize", "lbm", "--machine", "amd-phenom-ii", "--scale", "0.05"]
+        assert main(argv + (["--no-bypass"] if kind == "sw" else [])) == 0
+        spec = api.ExperimentSpec("lbm", "amd-phenom-ii", kind, "ref", 0.05)
+        assert capsys.readouterr().out == (
+            f"{api.profile(spec).sampling.describe()}\n{api.plan(spec).summary()}\n"
+        )
 
     def test_optimize_emit_asm(self, capsys):
         assert main(["optimize", "libquantum", "--scale", "0.05", "--emit-asm"]) == 0

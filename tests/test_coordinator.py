@@ -221,7 +221,7 @@ class TestCoordinatedSolve:
     def test_disabling_retires_speculative_traffic(self):
         class KillAll(Coordinator):
             def decide(self, feedback, rho):
-                return [PrefetchTuning(enabled=False)] * len(feedback)
+                return [PrefetchTuning(degree_scale=0.0)] * len(feedback)
 
         machine = get_machine("amd-phenom-ii")
         (mix,) = synthetic_mixes(7, 1, machine)
@@ -285,7 +285,7 @@ class TestSimulatorCoordination:
         killed = MulticoreSimulator(
             machine,
             _stream_cores(),
-            coordinator=_Recorder(PrefetchTuning(enabled=False)),
+            coordinator=_Recorder(PrefetchTuning(degree_scale=0.0)),
             epoch_events=500,
         ).run()
         assert sum(s.hw_prefetches for s in killed.per_core) < sum(

@@ -167,7 +167,7 @@ class TestThrottling:
         # factor == 0 must gate issue even after confidence is built up.
         pf = StreamerPrefetcher()
         assert feed_stream(pf, n=10)
-        pf.apply_tuning(PrefetchTuning(enabled=False))
+        pf.apply_tuning(PrefetchTuning(degree_scale=0.0))
         assert feed_stream(pf, start_line=1 << 14, n=10) == []
 
     def test_degree_scale_narrows_window(self):
@@ -259,7 +259,7 @@ class TestAdjacentLineDutyCycle:
         from repro.hwpref.base import PrefetchTuning
 
         pf = AdjacentLinePrefetcher()
-        pf.apply_tuning(PrefetchTuning(enabled=False))
+        pf.apply_tuning(PrefetchTuning(degree_scale=0.0))
         assert pf.observe(0, 0, 10, False) == []
 
     def test_partial_duty_cycle_is_not_batch_safe(self):

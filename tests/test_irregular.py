@@ -255,7 +255,7 @@ class TestCrossCorePrefetcher:
 
         full = issues(None)
         assert full > 0
-        assert issues(PrefetchTuning(enabled=False)) == 0
+        assert issues(PrefetchTuning(degree_scale=0.0)) == 0
         scaled = issues(PrefetchTuning(degree_scale=0.25))
         assert 0 < scaled < full
 

@@ -320,6 +320,7 @@ class TestConfigureAndCli:
     def test_cli_trace_and_metrics_out(self, tmp_path, capsys):
         from repro.cli import main
 
+        runner.clear_memo()
         trace_path = tmp_path / "t.json"
         metrics_path = tmp_path / "m.json"
         rc = main([

@@ -31,7 +31,7 @@ from repro.serve import protocol
 from repro.serve.advisor import compute_advice, trace_profile_seed
 from repro.serve.client import AdvisorClient
 from repro.serve.daemon import AdvisorServer, ServeOptions
-from repro.serve.pool import EnginePool, shard_for
+from repro.serve.pool import EnginePool
 from repro.serve.tenancy import TenantCaches
 
 SCALE = 0.05
@@ -162,13 +162,8 @@ class TestTenancy:
 
 
 class TestEnginePool:
-    def test_shard_assignment_is_stable(self):
-        assert shard_for("acme", 4) == shard_for("acme", 4)
-        assert 0 <= shard_for("acme", 4) < 4
-        assert shard_for("anything", 1) == 0
-
     def test_resolve_preserves_order_across_tenants(self, tmp_path):
-        pool = EnginePool(shards=2, jobs=1, tenants=TenantCaches(tmp_path))
+        pool = EnginePool(jobs=1, tenants=TenantCaches(tmp_path))
         requests = [
             trace_request(tenant="a", request_id="0"),
             trace_request(tenant="b", request_id="1"),
@@ -181,7 +176,7 @@ class TestEnginePool:
         assert pool.batches == 1 and pool.requests == 3
 
     def test_bad_request_does_not_sink_neighbours(self):
-        pool = EnginePool(shards=1, jobs=1)
+        pool = EnginePool(jobs=1)
         responses = pool.resolve(
             [
                 trace_request(request_id="good"),
@@ -416,7 +411,6 @@ class TestDaemonEndToEnd:
         options = ServeOptions(
             unix_socket=sock,
             jobs=1,
-            shards=2,
             use_cache=True,
             cache_dir=str(cache_root),
         )
