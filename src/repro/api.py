@@ -453,7 +453,6 @@ def run_journaled(
     run_id: str | None = None,
     runs_dir=None,
     engine: "ExperimentEngine | None" = None,
-    fsync: bool = True,
 ) -> tuple[str, dict[ExperimentSpec, "RunStats"]]:
     """Run many cells under a durable run journal; resumable if killed.
 
@@ -470,7 +469,7 @@ def run_journaled(
     from repro.experiments.journal import RunJournal
 
     specs = list(dict.fromkeys(specs))
-    journal = RunJournal.create(run_id=run_id, runs_dir=runs_dir, fsync=fsync)
+    journal = RunJournal.create(run_id=run_id, runs_dir=runs_dir)
     eng = engine if engine is not None else current_engine()
     previous = eng.journal
     try:
@@ -487,7 +486,6 @@ def resume_run(
     run_id: str,
     runs_dir=None,
     engine: "ExperimentEngine | None" = None,
-    fsync: bool = True,
 ) -> tuple[str, dict[ExperimentSpec, "RunStats"]]:
     """Resume an interrupted journaled run from its journal.
 
@@ -505,7 +503,7 @@ def resume_run(
     from repro.experiments import runner
     from repro.experiments.journal import RunJournal
 
-    journal, replay = RunJournal.open(run_id, runs_dir=runs_dir, fsync=fsync)
+    journal, replay = RunJournal.open(run_id, runs_dir=runs_dir)
     eng = engine if engine is not None else current_engine()
     seeded = 0
     for spec, payload in replay.completed.items():
@@ -584,8 +582,10 @@ def validate(
 # -- engine surface ------------------------------------------------------
 #
 # Drivers, benchmarks and the CLI configure and fetch the process-wide
-# engine through here so they never import repro.experiments.engine
-# directly; the engine module stays an implementation detail.
+# engine through here, the only place it is held; the engine module
+# stays an implementation detail.
+
+_DEFAULT_ENGINE: "ExperimentEngine | None" = None
 
 
 def configure(
@@ -602,6 +602,7 @@ def configure(
 ) -> "ExperimentEngine":
     """Install and return the process-wide default engine.
 
+    Experiment drivers reach it through :func:`current_engine`.
     Parameters mirror :class:`ExperimentEngine`, plus observability and
     simulation knobs:
 
@@ -624,15 +625,16 @@ def configure(
         evicts least-recently-used entries past it at startup and after
         every store (``None`` = unbounded).
     """
+    global _DEFAULT_ENGINE
     from repro import obs
     from repro.cachesim.options import set_default_options
-    from repro.experiments import engine as _engine
+    from repro.experiments.engine import ExperimentEngine
 
     if sim_options is not None:
         set_default_options(sim_options)
     if trace or deterministic_trace:
         obs.enable(deterministic=deterministic_trace)
-    return _engine.configure(
+    _DEFAULT_ENGINE = ExperimentEngine(
         jobs=jobs,
         cache_dir=cache_dir,
         use_cache=use_cache,
@@ -641,20 +643,23 @@ def configure(
         strict=strict,
         cache_quota=cache_quota,
     )
+    return _DEFAULT_ENGINE
 
 
 def current_engine() -> "ExperimentEngine":
     """The default engine, creating a serial, cache-less one on demand."""
-    from repro.experiments import engine as _engine
+    global _DEFAULT_ENGINE
+    if _DEFAULT_ENGINE is None:
+        from repro.experiments.engine import ExperimentEngine
 
-    return _engine.current_engine()
+        _DEFAULT_ENGINE = ExperimentEngine()
+    return _DEFAULT_ENGINE
 
 
 def reset_default_engine() -> None:
     """Forget the default engine (tests and benchmark harness hygiene)."""
-    from repro.experiments import engine as _engine
-
-    _engine.reset_default_engine()
+    global _DEFAULT_ENGINE
+    _DEFAULT_ENGINE = None
 
 
 #: Engine types re-exported lazily so ``repro.api`` stays import-cheap

@@ -19,7 +19,7 @@ Two artefact kinds are stored, both as JSON via
 
 * ``stats`` — :class:`~repro.cachesim.stats.RunStats`, one per grid cell;
 * ``sampling`` — :class:`~repro.sampling.sampler.SamplingResult`, one per
-  (workload, input_set, scale, rate) profiling pass.
+  (workload, input_set, scale) profiling pass.
 
 Durability and self-healing
 ---------------------------
@@ -64,7 +64,15 @@ __all__ = [
     "default_cache_dir",
     "CACHE_EPOCH",
     "ENTRY_FORMAT",
+    "PROFILE_RATE",
 ]
+
+#: Sampling rate of every profiling pass (``repro.experiments.runner``
+#: samples at it; both key documents record it).  The paper samples
+#: 1/100k over full SPEC runs (~1e11 references → ~1e6 samples); our
+#: traces are ~5e5 references, so an equivalent *sample count density
+#: per static instruction* needs a proportionally higher rate.
+PROFILE_RATE = 2e-3
 
 #: Bump to invalidate every existing cache entry (e.g. after a change to
 #: the simulator or analysis pipeline that alters results without
@@ -182,7 +190,7 @@ class ResultCache:
             # layer will raise for them anyway).
             return {"name": machine_name}
 
-    def stats_key(self, spec: ExperimentSpec, profile_rate: float) -> str:
+    def stats_key(self, spec: ExperimentSpec) -> str:
         """Content address of one grid cell's :class:`RunStats`."""
         from repro.core import serialization
 
@@ -192,11 +200,11 @@ class ResultCache:
             "format": serialization.STATS_FORMAT,
             "spec": spec.as_dict(),
             "machine": self._machine_fingerprint(spec.machine),
-            "profile_rate": profile_rate,
+            "profile_rate": PROFILE_RATE,
         }
         return _digest(document)
 
-    def sampling_key(self, workload: str, input_set: str, scale: float, rate: float) -> str:
+    def sampling_key(self, workload: str, input_set: str, scale: float) -> str:
         """Content address of one profiling pass's :class:`SamplingResult`."""
         from repro.core import serialization
 
@@ -207,13 +215,13 @@ class ResultCache:
             "workload": workload,
             "input_set": input_set,
             "scale": float(scale),
-            "rate": float(rate),
+            "rate": PROFILE_RATE,
         }
         return _digest(document)
 
     # -- stats ---------------------------------------------------------
 
-    def has_stats(self, spec: ExperimentSpec, profile_rate: float) -> bool:
+    def has_stats(self, spec: ExperimentSpec) -> bool:
         """Whether a cell is plausibly present on disk (no counters, no
         decode).
 
@@ -221,17 +229,17 @@ class ResultCache:
         a killed process) counts as *absent* — otherwise a memo-only
         cell would never be re-persisted and could never be read back.
         """
-        path = self._path("stats", self.stats_key(spec, profile_rate))
+        path = self._path("stats", self.stats_key(spec))
         try:
             return path.stat().st_size > 0
         except OSError:
             return False
 
-    def get_stats(self, spec: ExperimentSpec, profile_rate: float):
+    def get_stats(self, spec: ExperimentSpec):
         """Cached :class:`RunStats` for ``spec``, or ``None`` on a miss."""
         from repro.core import serialization
 
-        data = self._read("stats", self.stats_key(spec, profile_rate))
+        data = self._read("stats", self.stats_key(spec))
         if data is None:
             self.stats.misses += 1
             return None
@@ -243,24 +251,20 @@ class ResultCache:
         self.stats.hits += 1
         return stats
 
-    def put_stats(self, spec: ExperimentSpec, profile_rate: float, stats) -> None:
+    def put_stats(self, spec: ExperimentSpec, stats) -> None:
         """Store one grid cell's result."""
         from repro.core import serialization
 
-        if self._write(
-            "stats",
-            self.stats_key(spec, profile_rate),
-            serialization.stats_to_dict(stats),
-        ):
+        if self._write("stats", self.stats_key(spec), serialization.stats_to_dict(stats)):
             self.stats.stores += 1
 
     # -- sampling ------------------------------------------------------
 
-    def get_sampling(self, workload: str, input_set: str, scale: float, rate: float):
+    def get_sampling(self, workload: str, input_set: str, scale: float):
         """Cached :class:`SamplingResult`, or ``None`` on a miss."""
         from repro.core import serialization
 
-        key = self.sampling_key(workload, input_set, scale, rate)
+        key = self.sampling_key(workload, input_set, scale)
         data = self._read("sampling", key)
         if data is None:
             self.sampling.misses += 1
@@ -273,13 +277,11 @@ class ResultCache:
         self.sampling.hits += 1
         return sampling
 
-    def put_sampling(
-        self, workload: str, input_set: str, scale: float, rate: float, sampling
-    ) -> None:
+    def put_sampling(self, workload: str, input_set: str, scale: float, sampling) -> None:
         """Store one profiling pass's sampling result."""
         from repro.core import serialization
 
-        key = self.sampling_key(workload, input_set, scale, rate)
+        key = self.sampling_key(workload, input_set, scale)
         if self._write("sampling", key, serialization.sampling_to_dict(sampling)):
             self.sampling.stores += 1
 

@@ -31,9 +31,9 @@
   socket (``repro-advisor-v1``) and are answered with plans/statistics
   byte-identical to the one-shot path.  See ``docs/serving.md``.
 
-The engine/cache/obs flag family is defined once in
-:mod:`repro.cli_options` (:class:`~repro.cli_options.EngineCLIOptions`)
-and shared by every engine-bearing subcommand, including ``serve``.
+The engine and obs option groups are declared once, by
+:func:`_add_engine_options` and :func:`_add_obs_options`, and shared by
+every subcommand that takes them, including ``serve``.
 
 ``simulate`` and ``experiment`` accept ``--jobs N`` (parallel worker
 processes), ``--cache-dir PATH`` and ``--no-cache``: cells of the
@@ -68,7 +68,6 @@ import argparse
 import sys
 
 from repro.api import CONFIGS
-from repro.cli_options import EngineCLIOptions, cli_parent, parse_size
 from repro.config import MACHINES, get_machine
 from repro.errors import ReproError, RunInterrupted
 
@@ -79,8 +78,120 @@ __all__ = ["main", "build_parser", "EXIT_INTERRUPTED"]
 #: see this code can re-invoke ``repro run --resume <run-id>``.
 EXIT_INTERRUPTED = 75
 
-#: Backwards-compatible alias; the definition moved to repro.cli_options.
-_parse_size = parse_size
+
+def parse_size(text: str) -> int:
+    """Parse a byte size with an optional K/M/G suffix (``512M``, ``2G``)."""
+    units = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
+    cleaned = text.strip().lower().removesuffix("b")
+    multiplier = 1
+    if cleaned and cleaned[-1] in units:
+        multiplier = units[cleaned[-1]]
+        cleaned = cleaned[:-1]
+    try:
+        value = int(float(cleaned) * multiplier)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"unreadable size {text!r} (expected e.g. 65536, 512M, 2G)"
+        ) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"size must be non-negative, got {text!r}")
+    return value
+
+
+def _add_obs_options(p: argparse.ArgumentParser) -> None:
+    """The tracing/metrics export flags every subcommand but ``cache`` takes."""
+    group = p.add_argument_group("obs options")
+    group.add_argument(
+        "--trace-out",
+        default=None,
+        metavar="FILE",
+        help="write a Chrome trace_event JSON of the run "
+        "(chrome://tracing / ui.perfetto.dev)",
+    )
+    group.add_argument(
+        "--metrics-out",
+        default=None,
+        metavar="FILE",
+        help="write a flat JSON dump of the run's metrics registry",
+    )
+    group.add_argument(
+        "--deterministic-trace",
+        action="store_true",
+        default=False,
+        help="use a virtual clock so trace output is byte-stable",
+    )
+
+
+def _add_engine_options(p: argparse.ArgumentParser) -> None:
+    """The worker/cache/retry/strictness flags of every engine-bearing
+    subcommand (read by :func:`_configure_engine` and ``serve``), then the
+    obs flags."""
+    group = p.add_argument_group("engine options")
+    group.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker processes for grid cells (default $REPRO_JOBS or 1)",
+    )
+    group.add_argument(
+        "--cache-dir",
+        default=None,
+        help="persistent result cache directory "
+        "(default $REPRO_CACHE_DIR or ./.repro-cache)",
+    )
+    group.add_argument(
+        "--no-cache",
+        action="store_true",
+        default=False,
+        help="disable the persistent result cache",
+    )
+    group.add_argument(
+        "--cache-quota",
+        type=parse_size,
+        default=None,
+        metavar="SIZE",
+        help="size budget for the result cache (e.g. 512M, 2G); "
+        "least-recently-used entries past it are evicted",
+    )
+    group.add_argument(
+        "--retries",
+        type=int,
+        default=2,
+        metavar="N",
+        help="extra attempts for a failed grid cell (default 2)",
+    )
+    group.add_argument(
+        "--cell-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="deadline per dispatched cell group (parallel runs only; "
+        "default unbounded)",
+    )
+    # Literal choices: importing repro.cachesim.options would load numpy
+    # into `repro cache stats`.
+    group.add_argument(
+        "--sim-backend",
+        choices=("reference", "fast"),
+        default=None,
+        help="cache-simulation backend: 'reference' (dict-based oracle) "
+        "or 'fast' (array-native, bit-identical; see docs/performance.md)",
+    )
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--strict",
+        dest="strict",
+        action="store_true",
+        default=True,
+        help="abort on any permanently failed cell (default)",
+    )
+    mode.add_argument(
+        "--best-effort",
+        dest="strict",
+        action="store_false",
+        help="keep going on cell failures; report them and exit non-zero",
+    )
+    _add_obs_options(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,11 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Resource-efficient software prefetching (ICPP'14 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # The engine/cache/obs flag families are declared once in
-    # repro.cli_options and materialised here as argparse parents.
-    obs_parent = cli_parent(("obs",))
-    engine_parent = cli_parent(("engine", "obs"))
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -105,25 +211,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scale", type=float, default=0.3, help="trip-count multiplier")
         p.add_argument("--input", dest="input_set", default="ref", help="input set")
 
-    p_wl = sub.add_parser(
-        "workloads", help="list available benchmark models", parents=[obs_parent]
-    )
+    p_wl = sub.add_parser("workloads", help="list available benchmark models")
+    _add_obs_options(p_wl)
 
-    p_opt = sub.add_parser(
-        "optimize",
-        help="analyse a workload and print its prefetch plan",
-        parents=[obs_parent],
-    )
+    p_opt = sub.add_parser("optimize", help="analyse a workload and print its prefetch plan")
+    _add_obs_options(p_opt)
     p_opt.add_argument("workload")
     add_common(p_opt)
     p_opt.add_argument("--emit-asm", action="store_true", help="print rewritten assembly")
     p_opt.add_argument("--no-bypass", action="store_true", help="disable PREFETCHNTA")
 
-    p_sim = sub.add_parser(
-        "simulate",
-        help="simulate prefetching configurations",
-        parents=[engine_parent],
-    )
+    p_sim = sub.add_parser("simulate", help="simulate prefetching configurations")
+    _add_engine_options(p_sim)
     p_sim.add_argument("workload")
     add_common(p_sim)
     p_sim.add_argument(
@@ -132,26 +231,19 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated configs ({','.join(CONFIGS)})",
     )
 
-    p_chr = sub.add_parser(
-        "characterize",
-        help="summarise a workload's memory behaviour",
-        parents=[obs_parent],
-    )
+    p_chr = sub.add_parser("characterize", help="summarise a workload's memory behaviour")
+    _add_obs_options(p_chr)
     p_chr.add_argument("workload")
     add_common(p_chr)
 
-    p_mrc = sub.add_parser(
-        "mrc", help="print StatStack miss-ratio curves", parents=[obs_parent]
-    )
+    p_mrc = sub.add_parser("mrc", help="print StatStack miss-ratio curves")
+    _add_obs_options(p_mrc)
     p_mrc.add_argument("workload")
     add_common(p_mrc)
     p_mrc.add_argument("--loads", type=int, default=3, help="hottest loads to include")
 
-    p_exp = sub.add_parser(
-        "experiment",
-        help="regenerate a paper table/figure",
-        parents=[engine_parent],
-    )
+    p_exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
+    _add_engine_options(p_exp)
     p_exp.add_argument(
         "name",
         choices=[
@@ -174,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser(
         "train-coordinator",
         help="train and freeze a multicore prefetch-coordinator RL policy",
-        parents=[obs_parent],
     )
+    _add_obs_options(p_train)
     p_train.add_argument("--seed", type=int, default=0, help="training RNG seed")
     p_train.add_argument(
         "--episodes", type=int, default=800, help="synthetic training mixes"
@@ -201,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser(
         "run",
         help="run a workload×config grid under a durable, resumable run journal",
-        parents=[engine_parent],
     )
+    _add_engine_options(p_run)
     p_run.add_argument(
         "--workloads",
         default="libquantum,mcf",
@@ -245,16 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="write {run_id, results} with full serialised stats as JSON",
     )
 
-    p_cache = sub.add_parser(
-        "cache",
-        help="inspect and maintain the on-disk result cache",
-    )
+    p_cache = sub.add_parser("cache", help="inspect and maintain the on-disk result cache")
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     p_cv = cache_sub.add_parser(
         "verify",
         help="check every entry's integrity footer; quarantine corrupt ones",
-        parents=[obs_parent],
     )
+    _add_obs_options(p_cv)
     p_cv.add_argument(
         "--json-out",
         default=None,
@@ -264,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cg = cache_sub.add_parser(
         "gc",
         help="reclaim quarantine/temp debris and enforce the size quota",
-        parents=[obs_parent],
     )
+    _add_obs_options(p_cg)
     p_cg.add_argument(
         "--older-than",
         type=float,
@@ -286,9 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="also reap orphaned journal temp files under this run root",
     )
-    p_cs = cache_sub.add_parser(
-        "stats", help="print cache size accounting", parents=[obs_parent]
-    )
+    p_cs = cache_sub.add_parser("stats", help="print cache size accounting")
+    _add_obs_options(p_cs)
     p_cs.add_argument(
         "--json-out",
         default=None,
@@ -302,11 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="result cache directory (default $REPRO_CACHE_DIR or ./.repro-cache)",
         )
 
-    p_val = sub.add_parser(
-        "validate",
-        help="run the model-vs-simulation conformance harness",
-        parents=[obs_parent],
-    )
+    p_val = sub.add_parser("validate", help="run the model-vs-simulation conformance harness")
+    _add_obs_options(p_val)
     mode = p_val.add_mutually_exclusive_group()
     mode.add_argument(
         "--quick",
@@ -356,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv = sub.add_parser(
         "serve",
         help="run the multi-tenant prefetch-advisor daemon (repro-advisor-v1)",
-        parents=[engine_parent],
     )
+    _add_engine_options(p_srv)
     addr = p_srv.add_mutually_exclusive_group(required=True)
     addr.add_argument(
         "--port",
@@ -416,11 +501,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _retry_policy(args: argparse.Namespace):
+    """The retry policy ``--retries`` and ``--cell-timeout`` describe."""
+    from repro.retry import RetryPolicy
+
+    return RetryPolicy(max_attempts=max(0, args.retries) + 1, timeout=args.cell_timeout)
+
+
+def _sim_options(args: argparse.Namespace):
+    """``SimOptions`` for ``--sim-backend``, or ``None`` if unset."""
+    if args.sim_backend is None:
+        return None
+    from repro.cachesim.options import SimOptions
+
+    return SimOptions(backend=args.sim_backend)
+
+
 def _configure_engine(args: argparse.Namespace):
-    """Install the process-wide engine from the --jobs/--cache/--retries
-    option family (one definition for every subcommand; see
-    :mod:`repro.cli_options`)."""
-    return EngineCLIOptions.from_args(args).install(progress=True)
+    """Install the process-wide engine the engine options describe."""
+    from repro.api import configure
+
+    return configure(
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        use_cache=not args.no_cache,
+        progress=True,
+        retry=_retry_policy(args),
+        strict=args.strict,
+        sim_options=_sim_options(args),
+        cache_quota=args.cache_quota,
+    )
 
 
 def _engine_epilogue(engine) -> int:
@@ -450,23 +560,27 @@ def _cmd_workloads() -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    # The profile and plan `repro simulate` runs: the runner's sampling
-    # pass and its one reader of plan kinds.
+    # The plan `repro simulate --input X` runs: profiled on the reference
+    # input (the paper's single-profile methodology), applied to input X.
+    from repro import api
     from repro.experiments import runner
     from repro.isa import emit, insert_prefetches
+    from repro.workloads import build_program
 
-    profile = runner.profile_for(args.workload, args.input_set, args.scale)
-    print(profile.sampling.describe())
-    plan = runner.derive_plan(
+    program = build_program(args.workload, args.input_set, args.scale)
+    spec = api.ExperimentSpec(
+        args.workload,
+        args.machine,
         "sw" if args.no_bypass else "swnt",
-        profile.sampling,
-        get_machine(args.machine),
-        profile.program,
+        args.input_set,
+        args.scale,
     )
+    print(runner.profile_for(args.workload, "ref", args.scale).sampling.describe())
+    plan = api.plan(spec)
     print(plan.summary())
     if args.emit_asm:
         print()
-        print(emit(insert_prefetches(profile.program, plan)))
+        print(emit(insert_prefetches(program, plan)))
     return 0
 
 
@@ -812,18 +926,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.cachesim.options import set_default_options
     from repro.serve import ServeOptions, serve_forever
 
-    opts = EngineCLIOptions.from_args(args)
     # No process-wide engine here — the daemon owns its engine pool —
     # but the sim backend default must land before workers fork.
-    sim = opts.sim_options()
+    sim = _sim_options(args)
     if sim is not None:
+        from repro.cachesim.options import set_default_options
+
         set_default_options(sim)
-    tenant_quota = (
-        args.tenant_quota if args.tenant_quota is not None else opts.cache_quota
-    )
     options = ServeOptions(
         host=args.host,
         port=args.port,
@@ -831,11 +942,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_capacity=args.queue_capacity,
         batch_max=args.batch_max,
         batch_linger=args.batch_linger,
-        jobs=opts.jobs,
-        cache_dir=opts.cache_dir,
-        use_cache=opts.use_cache,
-        cache_quota=tenant_quota,
-        retry=opts.retry_policy(),
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        use_cache=not args.no_cache,
+        cache_quota=(
+            args.tenant_quota if args.tenant_quota is not None else args.cache_quota
+        ),
+        retry=_retry_policy(args),
         drain_seconds=args.drain_seconds,
     )
     return serve_forever(options)

@@ -17,28 +17,21 @@ fig11_qos           Fig. 11 (QoS degradation bars)
 fig12_parallel      Fig. 12 (multi-threaded suites)
 ==================  ===========================================
 
-The engine surface (``configure``/``current_engine``/…) lives on
-:mod:`repro.api`; import it from there.  The historical stringly-typed
-helpers (``profile_workload`` and friends) are long gone — the
-tombstones that used to point at their replacements finished their
-deprecation cycle, so the old names now raise plain ``AttributeError``.
+The default engine (``configure``, ``current_engine``,
+``reset_default_engine``) lives only on :mod:`repro.api`; import it from
+there.  The historical stringly-typed helpers (``profile_workload`` and
+friends) are long gone — the tombstones that used to point at their
+replacements finished their deprecation cycle, so the old names now
+raise plain ``AttributeError``.
 """
 
-from repro.api import (
-    ExperimentSpec,
-    configure,
-    current_engine,
-    reset_default_engine,
-)
+from repro.api import ExperimentSpec
 from repro.experiments.runner import CONFIGS, WorkloadProfile, run_spec
 
 __all__ = [
     "CONFIGS",
     "ExperimentSpec",
     "WorkloadProfile",
-    "configure",
-    "current_engine",
-    "reset_default_engine",
     "run_spec",
 ]
 

@@ -51,12 +51,12 @@ wrappers can auto-resume; a bare :class:`KeyboardInterrupt` mid-dispatch
 still terminates the pool and leaves every already-journaled cell
 recoverable.
 
-The CLI configures one process-wide default engine via :func:`configure`
-(``--jobs``, ``--cache-dir``, ``--no-cache``, ``--retries``,
-``--cell-timeout``, ``--best-effort``); experiment drivers pick it up
-through :func:`current_engine` so library callers that never think about
-engines transparently inherit the CLI's parallelism, cache, and fault
-tolerance.
+The CLI installs one process-wide default engine through
+:func:`repro.api.configure` (``--jobs``, ``--cache-dir``, ``--no-cache``,
+``--retries``, ``--cell-timeout``, ``--best-effort``); experiment drivers
+pick it up through :func:`repro.api.current_engine`, so library callers
+that never think about engines transparently inherit the CLI's
+parallelism, cache, and fault tolerance.
 """
 
 from __future__ import annotations
@@ -86,13 +86,14 @@ __all__ = [
     "EngineStats",
     "ExperimentEngine",
     "FailureReport",
-    "configure",
-    "current_engine",
-    "reset_default_engine",
 ]
 
 #: Environment variable providing the default worker count.
 JOBS_ENV = "REPRO_JOBS"
+
+#: How long a graceful shutdown waits for in-flight groups before
+#: terminating the pool.
+DRAIN_SECONDS = 5.0
 
 _LOG = obs.get_logger("repro.engine")
 
@@ -328,16 +329,10 @@ class ExperimentEngine:
     cache_quota:
         Size budget in bytes for the persistent cache; enforced with
         LRU eviction at engine start (``None`` — no limit).
-    drain_seconds:
-        How long a graceful shutdown waits for in-flight groups before
-        terminating the pool.
-    cache:
-        A prebuilt :class:`~repro.cache.ResultCache` to use as-is
-        (e.g. a per-tenant namespace view from the serve daemon).
-        Mutually exclusive with ``cache_dir``/``use_cache``; the
-        caller owns sweeping and quota enforcement.  Also assignable
-        between batches (``engine.cache = …``) — the serve dispatcher
-        swaps tenant views onto one engine this way.
+
+    :attr:`cache` is assignable between batches: the serve dispatcher
+    swaps per-tenant :class:`~repro.cache.ResultCache` views onto one
+    engine this way, and owns their sweeping and quota enforcement.
     """
 
     def __init__(
@@ -350,19 +345,10 @@ class ExperimentEngine:
         strict: bool = True,
         journal: RunJournal | None = None,
         cache_quota: int | None = None,
-        drain_seconds: float = 5.0,
-        cache: ResultCache | None = None,
     ) -> None:
         self.jobs = _default_jobs() if jobs is None else max(1, int(jobs))
         self.cache: ResultCache | None = None
-        if cache is not None:
-            if use_cache or cache_dir is not None:
-                raise EngineError(
-                    "pass either a prebuilt cache= or cache_dir=/use_cache=, "
-                    "not both"
-                )
-            self.cache = cache
-        elif use_cache:
+        if use_cache:
             self.cache = ResultCache(
                 cache_dir or default_cache_dir(), quota_bytes=cache_quota
             )
@@ -375,7 +361,6 @@ class ExperimentEngine:
         self.retry = retry if retry is not None else RetryPolicy()
         self.strict = strict
         self.journal = journal
-        self.drain_seconds = drain_seconds
         self.stats = EngineStats()
         #: FailureReport of the most recent :meth:`run` (empty when the
         #: batch was clean).
@@ -517,7 +502,7 @@ class ExperimentEngine:
 
     # A journaled run owns SIGINT/SIGTERM for its duration: the first
     # signal requests a drain (finish in-flight groups under
-    # ``drain_seconds``, journal them, terminate the pool, raise
+    # ``DRAIN_SECONDS``, journal them, terminate the pool, raise
     # RunInterrupted); a second signal restores the default disposition
     # so a third kills the process the ordinary way.
 
@@ -605,20 +590,20 @@ class ExperimentEngine:
     def _cache_get(self, spec: ExperimentSpec) -> RunStats | None:
         with obs.span("engine.cache.get", cell=spec.label()):
             try:
-                return self.cache.get_stats(spec, runner.PROFILE_RATE)
+                return self.cache.get_stats(spec)
             except Exception:
                 return None
 
     def _cache_has(self, spec: ExperimentSpec) -> bool:
         try:
-            return self.cache.has_stats(spec, runner.PROFILE_RATE)
+            return self.cache.has_stats(spec)
         except Exception:
             return True  # don't try to re-persist through a failing cache
 
     def _cache_put(self, spec: ExperimentSpec, stats: RunStats) -> None:
         with obs.span("engine.cache.put", cell=spec.label()):
             try:
-                self.cache.put_stats(spec, runner.PROFILE_RATE, stats)
+                self.cache.put_stats(spec, stats)
             except Exception:
                 pass
 
@@ -831,12 +816,12 @@ class ExperimentEngine:
         batch: _Batch,
         tracing: bool,
     ) -> None:
-        """Give in-flight futures ``drain_seconds`` to finish, absorb the
+        """Give in-flight futures ``DRAIN_SECONDS`` to finish, absorb the
         finishers (journaled like any completion), drop the rest — they
         re-dispatch deterministically on resume."""
         if not pending:
             return
-        done, _ = wait(set(pending), timeout=max(0.0, self.drain_seconds))
+        done, _ = wait(set(pending), timeout=DRAIN_SECONDS)
         drained = 0
         for future in done:
             pending.pop(future)
@@ -967,52 +952,3 @@ def _abandon_pool(pool: ProcessPoolExecutor) -> None:
         except Exception:
             pass
 
-
-# -- process-wide default engine ---------------------------------------
-
-_DEFAULT_ENGINE: ExperimentEngine | None = None
-
-
-def configure(
-    jobs: int | None = None,
-    cache_dir: str | Path | None = None,
-    use_cache: bool = False,
-    progress: bool | Callable[[int, int, ExperimentSpec, str], None] | None = None,
-    retry: RetryPolicy | None = None,
-    strict: bool = True,
-    journal: RunJournal | None = None,
-    cache_quota: int | None = None,
-) -> ExperimentEngine:
-    """Install and return the process-wide default engine.
-
-    Called by the CLI (from ``--jobs`` / ``--cache-dir`` / ``--no-cache``
-    / ``--retries`` / ``--cell-timeout`` / ``--best-effort`` /
-    ``--cache-quota``) and by the benchmark harness; experiment drivers
-    reach it through :func:`current_engine`.
-    """
-    global _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = ExperimentEngine(
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        progress=progress,
-        retry=retry,
-        strict=strict,
-        journal=journal,
-        cache_quota=cache_quota,
-    )
-    return _DEFAULT_ENGINE
-
-
-def current_engine() -> ExperimentEngine:
-    """The default engine, creating a serial, cache-less one on demand."""
-    global _DEFAULT_ENGINE
-    if _DEFAULT_ENGINE is None:
-        _DEFAULT_ENGINE = ExperimentEngine()
-    return _DEFAULT_ENGINE
-
-
-def reset_default_engine() -> None:
-    """Forget the default engine (tests and benchmark harness hygiene)."""
-    global _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.api import PREFETCH_CONFIGS
 from repro.config import get_machine
 from repro.experiments.mixes_common import coordinator_for
-from repro.experiments.runner import derive_plan, prefetcher_for
+from repro.experiments.runner import PROFILE_RATE, derive_plan, prefetcher_for
 from repro.experiments.tables import render_table
 from repro.isa.interpreter import execute_program
 from repro.isa.rewriter import insert_prefetches
@@ -39,14 +39,7 @@ class Fig12Cell:
     bandwidth: dict[str, float]  # config -> achieved GB/s
 
 
-def _run_parallel(
-    name: str,
-    threads: int,
-    machine_name: str,
-    config: str,
-    scale: float,
-    rate: float = 2e-3,
-):
+def _run_parallel(name: str, threads: int, machine_name: str, config: str, scale: float):
     machine = get_machine(machine_name)
     spec = get_parallel_workload(name)
     programs = spec.build(threads, "ref", scale)
@@ -56,9 +49,9 @@ def _run_parallel(
         # Profile thread 0; all threads share the code, so one plan
         # rewrites every thread's program (the paper's single profile).
         profile_exec = execute_program(programs[0], seed=workload_seed(name, "ref"))
-        sampling = RuntimeSampler(rate=rate, seed=workload_seed(name, "ref") & 0xFFFF).sample(
-            profile_exec.trace
-        )
+        sampling = RuntimeSampler(
+            rate=PROFILE_RATE, seed=workload_seed(name, "ref") & 0xFFFF
+        ).sample(profile_exec.trace)
         plan = derive_plan(kind, sampling, machine, programs[0])
         programs = [insert_prefetches(p, plan) for p in programs]
 

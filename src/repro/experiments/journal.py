@@ -225,16 +225,14 @@ class RunJournal:
     / :meth:`record_failure`; cells already journaled (seeded by a
     resume) are skipped, so a resumed journal stays duplicate-free.
 
-    ``fsync=False`` trades durability for speed (tests, benchmarks
-    measuring the fsync tax itself).  ``write_seconds`` accumulates the
-    wall time of every append + fsync — the recovery-overhead benchmark
-    gates it against total run time.
+    Every durable record is fsync'd before the append returns.
+    ``write_seconds`` accumulates the wall time of every append + fsync —
+    the recovery-overhead benchmark gates it against total run time.
     """
 
-    def __init__(self, run_dir: str | Path, run_id: str, fsync: bool = True) -> None:
+    def __init__(self, run_dir: str | Path, run_id: str) -> None:
         self.run_dir = Path(run_dir)
         self.run_id = run_id
-        self.fsync = fsync
         self.path = self.run_dir / "journal.jsonl"
         self.done: set[ExperimentSpec] = set()
         self.appended = 0
@@ -249,17 +247,14 @@ class RunJournal:
 
     @classmethod
     def create(
-        cls,
-        run_id: str | None = None,
-        runs_dir: str | Path | None = None,
-        fsync: bool = True,
+        cls, run_id: str | None = None, runs_dir: str | Path | None = None
     ) -> "RunJournal":
         """Start a fresh journal under ``<runs_dir>/<run_id>/``."""
         run_id = run_id or new_run_id()
         root = Path(runs_dir) if runs_dir is not None else default_runs_dir()
         run_dir = root / run_id
         run_dir.mkdir(parents=True, exist_ok=True)
-        journal = cls(run_dir, run_id, fsync=fsync)
+        journal = cls(run_dir, run_id)
         if journal.path.exists():
             raise JournalError(
                 f"run {run_id!r} already has a journal at {journal.path}; "
@@ -269,10 +264,7 @@ class RunJournal:
 
     @classmethod
     def open(
-        cls,
-        run_id: str,
-        runs_dir: str | Path | None = None,
-        fsync: bool = True,
+        cls, run_id: str, runs_dir: str | Path | None = None
     ) -> tuple["RunJournal", JournalReplay]:
         """Replay an existing run's journal and reopen it for appending."""
         root = Path(runs_dir) if runs_dir is not None else default_runs_dir()
@@ -281,7 +273,7 @@ class RunJournal:
             known = ", ".join(list_runs(root)) or "none"
             raise JournalError(f"no journal for run {run_id!r} under {root} (known runs: {known})")
         replay = replay_journal(path, run_id)
-        journal = cls(root / run_id, run_id, fsync=fsync)
+        journal = cls(root / run_id, run_id)
         journal.done = set(replay.completed)
         # A torn tail means the file may end mid-line; start the next
         # record on a fresh line so it stays parseable.
@@ -391,7 +383,7 @@ class RunJournal:
                 handle = self._handle = open(self.path, "ab")
             handle.write(line)
             handle.flush()
-            if durable and self.fsync:
+            if durable:
                 os.fsync(handle.fileno())
         except OSError as exc:
             self.broken = True

@@ -34,7 +34,7 @@ from functools import lru_cache
 from repro import faults, obs
 from repro.api import CONFIGS, PLAN_KINDS, PREFETCH_CONFIGS, ExperimentSpec
 from repro.baselines.stride_centric import stride_centric_plan
-from repro.cache import ResultCache
+from repro.cache import PROFILE_RATE, ResultCache
 from repro.cachesim.bandwidth import BandwidthModel
 from repro.cachesim.hierarchy import CacheHierarchy
 from repro.cachesim.stats import RunStats
@@ -72,12 +72,6 @@ __all__ = [
     "hw_prefetcher_for",
 ]
 
-#: Sampling rate used for profiling.  The paper samples 1/100k over full
-#: SPEC runs (~1e11 references → ~1e6 samples); our traces are ~5e5
-#: references, so an equivalent *sample count density per static
-#: instruction* needs a proportionally higher rate.
-PROFILE_RATE = 2e-3
-
 #: In-process memo of completed cells, shared by every entry point.  A
 #: plain dict (not ``lru_cache``) so the parallel engine can seed it
 #: with worker-computed and disk-loaded results.
@@ -107,7 +101,7 @@ def _cache_get_stats(spec: ExperimentSpec):
     if _CACHE is None:
         return None
     try:
-        return _CACHE.get_stats(spec, PROFILE_RATE)
+        return _CACHE.get_stats(spec)
     except Exception:
         return None
 
@@ -116,7 +110,7 @@ def _cache_put_stats(spec: ExperimentSpec, stats: RunStats) -> None:
     if _CACHE is None:
         return
     try:
-        _CACHE.put_stats(spec, PROFILE_RATE, stats)
+        _CACHE.put_stats(spec, stats)
     except Exception:
         pass
 
@@ -130,13 +124,8 @@ class WorkloadProfile:
     sampling: SamplingResult
 
 
-def profile_for(
-    name: str,
-    input_set: str = "ref",
-    scale: float = 1.0,
-    rate: float = PROFILE_RATE,
-) -> WorkloadProfile:
-    """Build, execute and sample one workload (cached).
+def profile_for(name: str, input_set: str = "ref", scale: float = 1.0) -> WorkloadProfile:
+    """Build, execute and sample one workload at :data:`PROFILE_RATE` (cached).
 
     The sampling pass — the only part of profiling that is both
     expensive and machine-independent — is additionally served from the
@@ -144,11 +133,11 @@ def profile_for(
     """
     # Normalise before the memo so defaulted and explicit arguments hit
     # one cache entry.
-    return _profile(name, input_set, float(scale), float(rate))
+    return _profile(name, input_set, float(scale))
 
 
 @lru_cache(maxsize=128)
-def _profile(name: str, input_set: str, scale: float, rate: float) -> WorkloadProfile:
+def _profile(name: str, input_set: str, scale: float) -> WorkloadProfile:
     with obs.span(
         "profile.pass", workload=name, input_set=input_set, scale=scale
     ):
@@ -161,15 +150,15 @@ def _profile(name: str, input_set: str, scale: float, rate: float) -> WorkloadPr
         sampling = None
         if _CACHE is not None:
             try:
-                sampling = _CACHE.get_sampling(name, input_set, scale, rate)
+                sampling = _CACHE.get_sampling(name, input_set, scale)
             except Exception:
                 sampling = None
         if sampling is None:
-            sampler = RuntimeSampler(rate=rate, seed=seed & 0xFFFF_FFFF)
+            sampler = RuntimeSampler(rate=PROFILE_RATE, seed=seed & 0xFFFF_FFFF)
             sampling = sampler.sample(execution.trace)
             if _CACHE is not None:
                 try:
-                    _CACHE.put_sampling(name, input_set, scale, rate, sampling)
+                    _CACHE.put_sampling(name, input_set, scale, sampling)
                 except Exception:
                     pass
         elif obs.enabled():

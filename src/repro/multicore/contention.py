@@ -184,7 +184,7 @@ def solve_mix(
         lam = sum(t / c for t, c in zip(new_transfers, cycles))
         rho = min(lam / mu, max_rho)
         if coordinator is None:
-            throttle = _throttle_factor(rho)
+            throttle = throttle_factor(rho)
             kept = [throttle] * n
             bypass = [False] * n
         else:
@@ -257,12 +257,6 @@ def solve_mix(
         )
         for app, c, t, s in zip(apps, cycles, transfers, shares)
     ]
-
-
-# The analytic model and the per-access prefetcher models share one
-# back-off curve (re-exported through the coordinator's feedback
-# utilities); keeping the old private name for existing importers.
-_throttle_factor = throttle_factor
 
 
 def _epoch_feedback(

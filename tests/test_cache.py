@@ -15,7 +15,7 @@ from repro.core.serialization import (
     stats_to_dict,
 )
 from repro.errors import AnalysisError
-from repro.experiments.runner import PROFILE_RATE, compute_run, profile_for
+from repro.experiments.runner import compute_run, profile_for
 
 SCALE = 0.05
 SPEC = ExperimentSpec("libquantum", "amd-phenom-ii", "baseline", scale=SCALE)
@@ -101,9 +101,9 @@ class TestResultCache:
     def test_stats_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
         stats = compute_run(SPEC)
-        assert cache.get_stats(SPEC, PROFILE_RATE) is None
-        cache.put_stats(SPEC, PROFILE_RATE, stats)
-        loaded = cache.get_stats(SPEC, PROFILE_RATE)
+        assert cache.get_stats(SPEC) is None
+        cache.put_stats(SPEC, stats)
+        loaded = cache.get_stats(SPEC)
         assert loaded is not None and _stats_equal(stats, loaded)
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
@@ -112,37 +112,51 @@ class TestResultCache:
     def test_sampling_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
         sampling = profile_for("mcf", "ref", SCALE).sampling
-        assert cache.get_sampling("mcf", "ref", SCALE, PROFILE_RATE) is None
-        cache.put_sampling("mcf", "ref", SCALE, PROFILE_RATE, sampling)
-        loaded = cache.get_sampling("mcf", "ref", SCALE, PROFILE_RATE)
+        assert cache.get_sampling("mcf", "ref", SCALE) is None
+        cache.put_sampling("mcf", "ref", SCALE, sampling)
+        loaded = cache.get_sampling("mcf", "ref", SCALE)
         assert loaded is not None
         np.testing.assert_array_equal(loaded.reuse.distance, sampling.reuse.distance)
 
     def test_key_depends_on_every_spec_field(self, tmp_path):
         cache = ResultCache(tmp_path)
-        base = cache.stats_key(SPEC, PROFILE_RATE)
-        assert cache.stats_key(SPEC.with_config("hw"), PROFILE_RATE) != base
-        assert (
-            cache.stats_key(
-                ExperimentSpec("mcf", "amd-phenom-ii", "baseline", scale=SCALE),
-                PROFILE_RATE,
-            )
-            != base
+        base = cache.stats_key(SPEC)
+        assert cache.stats_key(SPEC.with_config("hw")) != base
+        other_workload = ExperimentSpec("mcf", "amd-phenom-ii", "baseline", scale=SCALE)
+        other_machine = ExperimentSpec("libquantum", "intel-i7-2600k", "baseline", scale=SCALE)
+        assert cache.stats_key(other_workload) != base
+        assert cache.stats_key(other_machine) != base
+
+    def test_keys_are_pinned(self, tmp_path):
+        """The content addresses existing on-disk entries live under: a
+        change that moves one makes every existing cache miss."""
+        cache = ResultCache(tmp_path)
+        assert cache.stats_key(SPEC) == (
+            "351943f4f874bd209f0557ae1f57388f1efc523352418516023c252bbcd2e2a2"
         )
-        assert (
-            cache.stats_key(
-                ExperimentSpec("libquantum", "intel-i7-2600k", "baseline", scale=SCALE),
-                PROFILE_RATE,
-            )
-            != base
+        assert cache.stats_key(ExperimentSpec("mcf", "intel-i7-2600k", "swnt")) == (
+            "a63a3b2f90977b2e69db02ba49d965defbadfaf6c9351d1373e257e1750118ee"
+        )
+        assert cache.sampling_key("mcf", "ref", SCALE) == (
+            "e79430de7ff9eb1443b73f251b06d257014383cc3dbfa734e2cf73a0c1c40f5b"
+        )
+        assert cache.sampling_key("lbm", "train", 1.0) == (
+            "a1998033187a4764035a9a014a325ad4bae44e9f85cd4f0192cca41026953744"
         )
 
     def test_key_invalidated_by_settings_change(self, tmp_path, monkeypatch):
         """Changing a code-relevant setting (profiling rate, machine
         geometry) must address a different cache entry."""
+        from repro import cache as cache_module
+
         cache = ResultCache(tmp_path)
-        base = cache.stats_key(SPEC, PROFILE_RATE)
-        assert cache.stats_key(SPEC, PROFILE_RATE * 2) != base
+        base = cache.stats_key(SPEC)
+        sampling = cache.sampling_key("mcf", "ref", SCALE)
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "PROFILE_RATE", cache_module.PROFILE_RATE * 2)
+            assert cache.stats_key(SPEC) != base
+            assert cache.sampling_key("mcf", "ref", SCALE) != sampling
+        assert cache.stats_key(SPEC) == base
 
         import dataclasses
 
@@ -153,46 +167,46 @@ class TestResultCache:
             llc=dataclasses.replace(config.amd_phenom_ii().llc, size_bytes=12 << 20),
         )
         monkeypatch.setitem(config.MACHINES, "amd-phenom-ii", lambda: bigger_llc)
-        assert cache.stats_key(SPEC, PROFILE_RATE) != base
+        assert cache.stats_key(SPEC) != base
 
     def test_corrupted_entry_is_a_miss_and_removed(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put_stats(SPEC, PROFILE_RATE, compute_run(SPEC))
-        path = cache._path("stats", cache.stats_key(SPEC, PROFILE_RATE))
+        cache.put_stats(SPEC, compute_run(SPEC))
+        path = cache._path("stats", cache.stats_key(SPEC))
         path.write_text("{not json")
-        assert cache.get_stats(SPEC, PROFILE_RATE) is None
+        assert cache.get_stats(SPEC) is None
         assert not path.exists()
 
     def test_wrong_format_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache.stats_key(SPEC, PROFILE_RATE)
+        key = cache.stats_key(SPEC)
         path = cache._path("stats", key)
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({"format": "repro-stats-v999"}))
-        assert cache.get_stats(SPEC, PROFILE_RATE) is None
+        assert cache.get_stats(SPEC) is None
 
     def test_zero_length_entry_is_absent(self, tmp_path):
         """A torn write must not satisfy has_stats — otherwise a
         memo-only cell is never re-persisted and can never be read."""
         cache = ResultCache(tmp_path)
-        cache.put_stats(SPEC, PROFILE_RATE, compute_run(SPEC))
-        assert cache.has_stats(SPEC, PROFILE_RATE)
-        path = cache._path("stats", cache.stats_key(SPEC, PROFILE_RATE))
+        cache.put_stats(SPEC, compute_run(SPEC))
+        assert cache.has_stats(SPEC)
+        path = cache._path("stats", cache.stats_key(SPEC))
         path.write_text("")
-        assert not cache.has_stats(SPEC, PROFILE_RATE)
-        assert cache.get_stats(SPEC, PROFILE_RATE) is None
+        assert not cache.has_stats(SPEC)
+        assert cache.get_stats(SPEC) is None
         assert not path.exists()  # dropped like any corrupt entry
 
     def test_missing_entry_not_present(self, tmp_path):
-        assert not ResultCache(tmp_path).has_stats(SPEC, PROFILE_RATE)
+        assert not ResultCache(tmp_path).has_stats(SPEC)
 
     def test_sweep_stale_tmp_reclaims_orphans(self, tmp_path):
         import os
         import time
 
         cache = ResultCache(tmp_path)
-        cache.put_stats(SPEC, PROFILE_RATE, compute_run(SPEC))
-        bucket = cache._path("stats", cache.stats_key(SPEC, PROFILE_RATE)).parent
+        cache.put_stats(SPEC, compute_run(SPEC))
+        bucket = cache._path("stats", cache.stats_key(SPEC)).parent
         stale = bucket / ".deadbeef-orphan.tmp"
         fresh = bucket / ".cafebabe-live.tmp"
         stale.write_text("{")
@@ -202,14 +216,14 @@ class TestResultCache:
         assert cache.sweep_stale_tmp(older_than=600) == 1
         assert not stale.exists()
         assert fresh.exists()  # possibly a live concurrent writer
-        assert cache.get_stats(SPEC, PROFILE_RATE) is not None  # untouched
+        assert cache.get_stats(SPEC) is not None  # untouched
 
     def test_sweep_on_missing_root_is_noop(self, tmp_path):
         assert ResultCache(tmp_path / "nope").sweep_stale_tmp() == 0
 
     def test_counters_summary(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.get_stats(SPEC, PROFILE_RATE)
+        cache.get_stats(SPEC)
         counters = cache.counters()
         assert counters["stats"] == (0, 1, 0)
         assert "stats 0 hit/1 miss" in cache.describe()
@@ -228,8 +242,8 @@ class TestEntryIntegrity:
 
     def _seeded(self, tmp_path, **kwargs):
         cache = ResultCache(tmp_path, **kwargs)
-        cache.put_stats(SPEC, PROFILE_RATE, compute_run(SPEC))
-        path = cache._path("stats", cache.stats_key(SPEC, PROFILE_RATE))
+        cache.put_stats(SPEC, compute_run(SPEC))
+        path = cache._path("stats", cache.stats_key(SPEC))
         return cache, path
 
     def test_entries_carry_integrity_footer(self, tmp_path):
@@ -245,7 +259,7 @@ class TestEntryIntegrity:
         raw = bytearray(path.read_bytes())
         raw[10] ^= 0x01
         path.write_bytes(bytes(raw))
-        assert cache.get_stats(SPEC, PROFILE_RATE) is None
+        assert cache.get_stats(SPEC) is None
         assert not path.exists()
         assert cache.integrity.corrupt == 1
         assert cache.integrity.quarantined == 1
@@ -255,7 +269,7 @@ class TestEntryIntegrity:
         cache, path = self._seeded(tmp_path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
-        assert cache.get_stats(SPEC, PROFILE_RATE) is None
+        assert cache.get_stats(SPEC) is None
         assert cache.integrity.corrupt == 1
 
     def test_torn_write_fault_never_served(self, tmp_path):
@@ -264,7 +278,7 @@ class TestEntryIntegrity:
         faults.arm("cache.torn_write", kind="corrupt", times=1)
         cache, path = self._seeded(tmp_path)
         assert path.exists()  # the torn entry was published...
-        assert cache.get_stats(SPEC, PROFILE_RATE) is None  # ...but not trusted
+        assert cache.get_stats(SPEC) is None  # ...but not trusted
         assert cache.integrity.quarantined == 1
 
     def test_verify_audits_and_quarantines(self, tmp_path):
@@ -288,8 +302,8 @@ class TestEntryIntegrity:
             for c in ("baseline", "swnt", "hw")
         ]
         for i, spec in enumerate(specs):
-            cache.put_stats(spec, PROFILE_RATE, compute_run(spec))
-            path = cache._path("stats", cache.stats_key(spec, PROFILE_RATE))
+            cache.put_stats(spec, compute_run(spec))
+            path = cache._path("stats", cache.stats_key(spec))
             mtime = time.time() - 1000 + i  # oldest first
             os.utime(path, (mtime, mtime))
         total = cache.entry_stats()["total_bytes"]
@@ -298,8 +312,8 @@ class TestEntryIntegrity:
         assert evicted == 1
         assert cache.integrity.evicted == 1
         # the *oldest* entry went; the youngest survives
-        assert cache.get_stats(specs[0], PROFILE_RATE) is None
-        assert cache.get_stats(specs[-1], PROFILE_RATE) is not None
+        assert cache.get_stats(specs[0]) is None
+        assert cache.get_stats(specs[-1]) is not None
 
     def test_read_hit_refreshes_recency(self, tmp_path):
         import os
@@ -308,7 +322,7 @@ class TestEntryIntegrity:
         cache, path = self._seeded(tmp_path)
         old = time.time() - 5000
         os.utime(path, (old, old))
-        cache.get_stats(SPEC, PROFILE_RATE)
+        cache.get_stats(SPEC)
         assert path.stat().st_mtime > old + 1000
 
     def test_enospc_store_downgrades_to_read_only(self, tmp_path):
@@ -317,20 +331,20 @@ class TestEntryIntegrity:
         cache, path = self._seeded(tmp_path)  # one good entry on disk
         faults.arm("disk.enospc", kind="enospc", times=1)
         other = ExperimentSpec("libquantum", "amd-phenom-ii", "swnt", scale=SCALE)
-        cache.put_stats(other, PROFILE_RATE, compute_run(other))  # must not raise
+        cache.put_stats(other, compute_run(other))  # must not raise
         assert cache.read_only
         assert cache.integrity.write_errors == 1
         assert "[read-only]" in cache.describe()
         # reads keep working; later stores are skipped and counted
-        assert cache.get_stats(SPEC, PROFILE_RATE) is not None
-        cache.put_stats(other, PROFILE_RATE, compute_run(other))
+        assert cache.get_stats(SPEC) is not None
+        cache.put_stats(other, compute_run(other))
         assert cache.integrity.write_errors == 2
         assert cache.stats.stores == 1  # only the pre-failure store counted
 
     def test_gc_reclaims_quarantine_and_reports(self, tmp_path):
         cache, path = self._seeded(tmp_path)
         path.write_bytes(b"junk")
-        cache.get_stats(SPEC, PROFILE_RATE)  # quarantines
+        cache.get_stats(SPEC)  # quarantines
         assert len(list(cache.quarantine_dir.iterdir())) == 1
         summary = cache.gc(older_than=0.0)
         assert summary["quarantine_removed"] == 1

@@ -24,7 +24,8 @@ from repro import api
 from repro.core import serialization
 from repro.errors import RunInterrupted
 from repro.experiments import runner
-from repro.experiments.engine import ExperimentEngine, reset_default_engine
+from repro.api import reset_default_engine
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.journal import RunJournal, replay_journal
 
 SCALE = 0.05

@@ -56,15 +56,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "prefetches inserted" in out
 
-    @pytest.mark.parametrize("kind", ["swnt", "sw"])
-    def test_optimize_prints_the_plan_simulate_runs(self, capsys, kind):
+    @pytest.mark.parametrize(
+        ("kind", "input_set"),
+        [("swnt", "ref"), ("sw", "ref"), ("swnt", "train")],
+        ids=["swnt", "sw", "swnt-train"],
+    )
+    def test_optimize_prints_the_plan_simulate_runs(self, capsys, kind, input_set):
         # The same profile and plan as the cell: the runner's sampling
-        # pass and api.plan, for the default (NTA) and --no-bypass kinds.
+        # pass of the reference input and api.plan, for the default (NTA)
+        # and --no-bypass kinds and for an input other than the profiled one.
         argv = ["optimize", "lbm", "--machine", "amd-phenom-ii", "--scale", "0.05"]
-        assert main(argv + (["--no-bypass"] if kind == "sw" else [])) == 0
-        spec = api.ExperimentSpec("lbm", "amd-phenom-ii", kind, "ref", 0.05)
+        argv += ["--input", input_set] + (["--no-bypass"] if kind == "sw" else [])
+        assert main(argv) == 0
+        spec = api.ExperimentSpec("lbm", "amd-phenom-ii", kind, input_set, 0.05)
+        profiled = api.ExperimentSpec("lbm", "amd-phenom-ii", kind, "ref", 0.05)
         assert capsys.readouterr().out == (
-            f"{api.profile(spec).sampling.describe()}\n{api.plan(spec).summary()}\n"
+            f"{api.profile(profiled).sampling.describe()}\n{api.plan(spec).summary()}\n"
         )
 
     def test_optimize_emit_asm(self, capsys):
@@ -228,12 +235,12 @@ class TestCacheCli:
     def _seed(self, tmp_path):
         from repro.api import ExperimentSpec
         from repro.cache import ResultCache
-        from repro.experiments.runner import PROFILE_RATE, compute_run
+        from repro.experiments.runner import compute_run
 
         cache = ResultCache(tmp_path / "cache")
         spec = ExperimentSpec("libquantum", "amd-phenom-ii", "baseline", scale=0.05)
-        cache.put_stats(spec, PROFILE_RATE, compute_run(spec))
-        return cache, cache._path("stats", cache.stats_key(spec, PROFILE_RATE))
+        cache.put_stats(spec, compute_run(spec))
+        return cache, cache._path("stats", cache.stats_key(spec))
 
     def test_verify_clean_exits_0(self, tmp_path, capsys):
         self._seed(tmp_path)

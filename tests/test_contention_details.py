@@ -5,7 +5,8 @@ import pytest
 
 from repro.config import amd_phenom_ii
 from repro.errors import SimulationError
-from repro.multicore.contention import AppProfile, _miss_scale, _throttle_factor, solve_mix
+from repro.multicore.contention import AppProfile, _miss_scale, solve_mix
+from repro.multicore.coordinator import throttle_factor
 from repro.statstack.mrc import MissRatioCurve
 
 
@@ -31,14 +32,14 @@ def profile(**kw):
 
 class TestThrottleFactor:
     def test_no_throttle_below_70pct(self):
-        assert _throttle_factor(0.0) == 1.0
-        assert _throttle_factor(0.69) == 1.0
+        assert throttle_factor(0.0) == 1.0
+        assert throttle_factor(0.69) == 1.0
 
     def test_floor_at_saturation(self):
-        assert _throttle_factor(1.0) == pytest.approx(0.25)
+        assert throttle_factor(1.0) == pytest.approx(0.25)
 
     def test_monotone(self):
-        values = [_throttle_factor(r) for r in (0.7, 0.8, 0.9, 1.0)]
+        values = [throttle_factor(r) for r in (0.7, 0.8, 0.9, 1.0)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -122,10 +123,10 @@ class TestSharedThrottleCurve:
 
     def test_single_definition(self):
         from repro.hwpref.base import throttle_factor as base_curve
-        from repro.multicore.coordinator import throttle_factor as coord_curve
+        from repro.multicore import contention
 
-        assert _throttle_factor is base_curve
-        assert coord_curve is base_curve
+        assert contention.throttle_factor is base_curve
+        assert throttle_factor is base_curve
 
     def test_prefetcher_model_parity(self):
         # A prefetcher's internal factor must equal the analytic model's
@@ -136,7 +137,7 @@ class TestSharedThrottleCurve:
         pf = PCStridePrefetcher(utilisation=lambda: rho["value"])
         for value in (0.0, 0.5, 0.7, 0.75, 0.85, 0.95, 1.0):
             rho["value"] = value
-            assert pf._throttle_factor() == pytest.approx(_throttle_factor(value))
+            assert pf._throttle_factor() == pytest.approx(throttle_factor(value))
 
 
 class TestPartitionFixedPoint:

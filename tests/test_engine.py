@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.api import ExperimentSpec, run_many
-from repro.experiments import runner
-from repro.experiments.engine import (
-    ExperimentEngine,
+from repro.api import (
+    ExperimentSpec,
     configure,
     current_engine,
     reset_default_engine,
+    run_many,
 )
+from repro.experiments import runner
+from repro.experiments.engine import ExperimentEngine
 
 SCALE = 0.05
 GRID = ExperimentSpec.grid(

@@ -305,18 +305,18 @@ class TestCacheFaultDegradation:
         faults.disarm()
         # The sampling store consumed the one-shot corrupt fault before
         # the stats store?  Locate the stats entry state directly.
-        if cache.has_stats(spec, runner.PROFILE_RATE):
+        if cache.has_stats(spec):
             # Stats entry survived; corrupt it by hand to model the torn
             # write landing there instead.
-            path = cache._path("stats", cache.stats_key(spec, runner.PROFILE_RATE))
+            path = cache._path("stats", cache.stats_key(spec))
             path.write_text("")
-        assert not cache.has_stats(spec, runner.PROFILE_RATE)
-        assert cache.get_stats(spec, runner.PROFILE_RATE) is None
+        assert not cache.has_stats(spec)
+        assert cache.get_stats(spec) is None
         # Second engine pass over the memo-resident cell re-persists it.
         repaired = ExperimentEngine(jobs=1, cache_dir=tmp_path, use_cache=True)
         repaired.run([spec])
-        assert cache.has_stats(spec, runner.PROFILE_RATE)
-        assert cache.get_stats(spec, runner.PROFILE_RATE) is not None
+        assert cache.has_stats(spec)
+        assert cache.get_stats(spec) is not None
 
 
 class TestFailureReport:

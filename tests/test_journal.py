@@ -232,14 +232,6 @@ class TestRunJournal:
         assert journal.write_seconds > 0.0
         assert journal.appended == len(SPECS) * 2 + 2  # start+end+dispatch+done
 
-    def test_fsync_false_still_durable_format(self, tmp_path):
-        journal = RunJournal.create(run_id="nofsync", runs_dir=tmp_path, fsync=False)
-        journal.start(SPECS)
-        journal.record_cell(SPECS[0], compute_run(SPECS[0]), "computed")
-        journal.close()
-        replay = replay_journal(journal.path, "nofsync")
-        assert SPECS[0] in replay.completed
-
 
 class TestListRuns:
     def test_lists_only_journaled_dirs(self, tmp_path):
