@@ -65,6 +65,7 @@ __all__ = [
     "CACHE_EPOCH",
     "ENTRY_FORMAT",
     "PROFILE_RATE",
+    "machine_fingerprint",
 ]
 
 #: Sampling rate of every profiling pass (``repro.experiments.runner``
@@ -151,6 +152,16 @@ class VerifyReport:
         return line
 
 
+def machine_fingerprint(machine_name: str) -> dict:
+    """Everything about the machine model a result depends on."""
+    try:
+        return dataclasses.asdict(get_machine(machine_name))
+    except ConfigError:
+        # Unknown machines still key deterministically (the compute
+        # layer will raise for them anyway).
+        return {"name": machine_name}
+
+
 class ResultCache:
     """Directory-backed cache of simulation results and profiles.
 
@@ -181,15 +192,6 @@ class ResultCache:
 
     # -- keys ----------------------------------------------------------
 
-    def _machine_fingerprint(self, machine_name: str) -> dict:
-        """Everything about the machine model a result depends on."""
-        try:
-            return dataclasses.asdict(get_machine(machine_name))
-        except ConfigError:
-            # Unknown machines still key deterministically (the compute
-            # layer will raise for them anyway).
-            return {"name": machine_name}
-
     def stats_key(self, spec: ExperimentSpec) -> str:
         """Content address of one grid cell's :class:`RunStats`."""
         from repro.core import serialization
@@ -199,7 +201,7 @@ class ResultCache:
             "epoch": CACHE_EPOCH,
             "format": serialization.STATS_FORMAT,
             "spec": spec.as_dict(),
-            "machine": self._machine_fingerprint(spec.machine),
+            "machine": machine_fingerprint(spec.machine),
             "profile_rate": PROFILE_RATE,
         }
         return _digest(document)

@@ -76,21 +76,33 @@ class BandwidthModel:
         self._update_ewma(now, n_bytes)
         return start, duration
 
-    def charge_batch(
-        self, now: float, n_bytes: int, count: int
-    ) -> list[tuple[float, float]]:
+    def charge_batch(self, now: float, n_bytes: int, count: int) -> None:
         """Reserve ``count`` consecutive slots of ``n_bytes`` at ``now``.
 
-        Batch counterpart of :meth:`transfer` for callers that issue a
-        burst of same-size transfers at one instant (writeback drains,
-        batched fill accounting).  Exactly equivalent to calling
-        :meth:`transfer` ``count`` times — same slots, same totals, same
-        EWMA trajectory — so it can replace scalar loops without
-        perturbing bit-identical statistics.
+        Batch counterpart of :meth:`transfer` for a burst of same-size
+        transfers at one instant (a writeback drain).  It leaves the
+        queue, the totals and the EWMA bit-identical to ``count``
+        :meth:`transfer` calls: after the first, each slot starts where
+        the previous one ended and no time has passed for the EWMA, so
+        each only adds its duration and its share of the window, one
+        float addition at a time.
         """
         if count < 0:
             raise ConfigError("count must be non-negative")
-        return [self.transfer(now, n_bytes) for _ in range(count)]
+        if count == 0:
+            return
+        self.transfer(now, n_bytes)
+        duration = n_bytes / self.peak
+        share = n_bytes / self.window
+        free = self._free_time
+        ewma = self._ewma_bpc
+        for _ in range(count - 1):
+            free += duration
+            ewma += share
+        self._free_time = free
+        self._ewma_bpc = ewma
+        self.total_bytes += n_bytes * (count - 1)
+        self.total_transfers += count - 1
 
     # ------------------------------------------------------------------
     # utilisation

@@ -77,7 +77,7 @@ from repro.errors import SimulationError
 from repro.hwpref.base import HardwarePrefetcher, NullPrefetcher, throttle_factor
 from repro.trace.events import MemOp, MemoryTrace
 
-__all__ = ["CacheHierarchy"]
+__all__ = ["CacheHierarchy", "l2_resident_requests"]
 
 #: Events per checkpointed batch span of a throttled prefetcher's run:
 #: long enough to amortise the batch passes and the checkpoint, short
@@ -135,6 +135,57 @@ _PASSES = ("l1_s", "observe_s", "l2_llc_s", "timing_build_s", "timing_loop_s")
 def _unreferenced(flags: np.ndarray, bit: int) -> np.ndarray:
     """Lines carrying ``bit`` that no demand access has touched."""
     return ((flags & bit) != 0) & ((flags & FLAG_REFERENCED) == 0)
+
+
+def l2_resident_requests(
+    set_mask: int,
+    req_ev: np.ndarray,
+    req_line: np.ndarray,
+    req_fill: np.ndarray,
+    op_ev: np.ndarray,
+    op_line: np.ndarray,
+    op_holds: np.ndarray,
+) -> np.ndarray:
+    """The hardware-prefetch requests that provably hit a private L2.
+
+    ``req_*`` are one batch's requests in issue order (``req_ev`` their
+    triggering events, non-decreasing) and ``op_*`` the events' own L2
+    ops: demand L1 misses, software prefetches that missed L1 and NT
+    stores, at increasing events; ``op_holds`` marks the demand misses.
+    Within an event the requests precede its own op, as in
+    :meth:`CacheHierarchy._demand_access`.
+
+    A request is resident when the previous op in its L2 set is a demand
+    L1 miss or an L2-filling request on the same line: either leaves the
+    line in L2.  L1 victims' dirty touches are left out of the stream,
+    because they change neither residency nor LRU order; a software
+    prefetch, an NT store or a request that does not fill L2 ends the
+    chain.  ``_hw_requests`` answers a resident request with
+    ``l2.contains(...) -> continue``, so dropping it changes nothing.
+
+    One sort of composite keys (L2 set, position in the batch's L2 op
+    stream) puts each op right after its set's previous op.  Returns a
+    mask over the requests.
+    """
+    m_h = len(req_ev)
+    if not m_h:
+        return np.zeros(0, dtype=bool)
+    pos = np.concatenate(
+        (
+            np.arange(m_h) + np.searchsorted(op_ev, req_ev),
+            np.arange(len(op_ev)) + np.searchsorted(req_ev, op_ev, side="right"),
+        )
+    )
+    line = np.concatenate((req_line, op_line))
+    order = np.argsort(((line & set_mask) << len(pos).bit_length()) | pos)
+    del pos
+    line = line[order]
+    holds = np.concatenate((req_fill, op_holds))[order[:-1]]
+    order = order[1:]
+    after = (line[1:] == line[:-1]) & holds & (order < m_h)
+    resident = np.zeros(m_h, dtype=bool)
+    resident[order[after]] = True
+    return resident
 
 
 class _PassClock:
@@ -293,17 +344,17 @@ class CacheHierarchy:
             events=n,
             backend=self.backend,
         ) as run_span:
-            batch_events = rounds = groups = 0
+            batch_events = rounds = groups = dropped = 0
             peak = None
             if path == "batch":
                 if self.prefetcher.throttled:
-                    batch_events, rounds, groups, peak = self._run_spans(
+                    batch_events, rounds, groups, peak, dropped = self._run_spans(
                         trace, work_per_memop, mlp, stats, clock
                     )
                     if batch_events < n:
                         path, reason = "scalar", "knee-crossed"
                 else:
-                    rounds, groups, peak = self._run_events_batch(
+                    rounds, groups, peak, dropped = self._run_events_batch(
                         trace, work_per_memop, mlp, stats, clock
                     )
                     batch_events = n
@@ -325,10 +376,12 @@ class CacheHierarchy:
                 if peak is not None:
                     metrics.counter("sim.hierarchy.spec_rounds").inc(rounds)
                     metrics.counter("sim.hierarchy.spec_groups").inc(groups)
+                    metrics.counter("sim.hwpref.l2_resident_dropped").inc(dropped)
                     run_span.set(
                         spec_rounds=rounds,
                         spec_groups=groups,
                         max_utilisation=min(peak / self.bandwidth.peak, 1.0),
+                        hw_dropped=dropped,
                     )
                 if reason is not None:
                     metrics.counter(f"sim.hierarchy.reason.{reason}").inc()
@@ -376,7 +429,7 @@ class CacheHierarchy:
         mlp: float,
         stats: RunStats,
         clock: _PassClock | _NoPassClock = _NO_PASS_CLOCK,
-    ) -> tuple[int, int, int, float]:
+    ) -> tuple[int, int, int, float, int]:
         """Batch a throttled prefetcher's run, one checkpointed span at a time.
 
         Each span of ``_KNEE_SPAN`` events runs on the batch path at
@@ -389,21 +442,22 @@ class CacheHierarchy:
         dict-backed caches, ready for the scalar loop.
 
         Returns the events committed on the batch path, and the
-        speculation's ``(rounds, groups)`` and the largest EWMA over the
-        spans run.
+        speculation's ``(rounds, groups)``, the largest EWMA and the
+        requests dropped as L2-resident over the spans run.
         """
         bw = self.bandwidth
         n = len(trace)
-        done = rounds = groups = 0
+        done = rounds = groups = dropped = 0
         peak = 0.0
         while done < n:
             end = min(done + _KNEE_SPAN, n)
             saved = self._checkpoint(stats)
-            r, g, span_peak = self._run_events_batch(
+            r, g, span_peak, d = self._run_events_batch(
                 trace[done:end], work_per_memop, mlp, stats, clock
             )
             rounds += r
             groups += g
+            dropped += d
             peak = max(peak, span_peak)
             if throttle_factor(min(peak / bw.peak, 1.0)) != 1.0:
                 self._restore(saved, stats)
@@ -411,7 +465,7 @@ class CacheHierarchy:
                 self._knee_crossed = True
                 break
             done = end
-        return done, rounds, groups, peak
+        return done, rounds, groups, peak, dropped
 
     def _checkpoint(self, stats: RunStats) -> tuple:
         """Everything one batch span can change, for :meth:`_restore`.
@@ -494,7 +548,7 @@ class CacheHierarchy:
         mlp: float,
         stats: RunStats,
         clock: _PassClock | _NoPassClock = _NO_PASS_CLOCK,
-    ) -> tuple[int, int, float]:
+    ) -> tuple[int, int, float, int]:
         """Batched whole-hierarchy event loop (the ``batch`` path).
 
         The whole trace — loads, stores, software prefetches and NT
@@ -505,16 +559,19 @@ class CacheHierarchy:
         install, invalidation, writeback and bandwidth reservation
         happens in precisely the order the scalar loop would produce it;
         the one L2 op that depends on an LLC outcome is speculated and
-        repaired per set group (:meth:`_l2_llc_passes`).  Timing is then
+        repaired per set group (:meth:`_l2_llc_passes`).  Hardware
+        requests that provably hit L2 (:func:`l2_resident_requests`)
+        never enter the L2 stream.  Timing is then
         accumulated over *interesting* events only (misses, software
         prefetches, writebacks, in-flight-line hits); the gaps between
         them are pure ``+= demand_cost`` sequences.  Bit-identity with
         the reference loop is enforced by ``tests/test_sim_backend_diff.py``.
 
-        Returns the speculation's ``(rounds, groups)`` and the largest
-        bandwidth EWMA of the batch: its entry value or any value right
-        after a transfer, the only values ``utilisation()`` can read.
-        ``clock`` times the passes (see :data:`_PASSES`).
+        Returns the speculation's ``(rounds, groups)``, the largest
+        bandwidth EWMA of the batch (its entry value or any value right
+        after a transfer, the only values ``utilisation()`` can read)
+        and the number of requests dropped as L2-resident.  ``clock``
+        times the passes (see :data:`_PASSES`).
         """
         clock.start()
         machine = self.machine
@@ -534,7 +591,7 @@ class CacheHierarchy:
         demand_cost = machine.cycles_per_memop + machine.cpi_base * work_per_memop
         stats.sw_prefetches += n_pf
         if n == 0:
-            return 0, 0, self.bandwidth._ewma_bpc
+            return 0, 0, self.bandwidth._ewma_bpc, 0
 
         # ---- pass 1: L1 op wavefront ------------------------------------
         of1 = _L1_FLAGS[ops]
@@ -565,26 +622,25 @@ class CacheHierarchy:
                 pcs[dm_idx], addrs[dm_idx], lines[dm_idx], hit1[dm_idx]
             )
             h_ev = dm_idx[h_ev]
-        m_h = len(h_ev)
-        if m_h:
-            # Per-event issue index j of each request: requests sort
-            # before the event's own op (minor j < _MINOR_DA) and encode
-            # their within-event timing slots as (j + 1) * 8.
-            hm_idx = np.arange(m_h)
-            new_grp = np.empty(m_h, dtype=bool)
-            new_grp[0] = True
-            new_grp[1:] = h_ev[1:] != h_ev[:-1]
-            h_j = hm_idx - np.maximum.accumulate(np.where(new_grp, hm_idx, 0))
-        else:
-            h_j = np.empty(0, dtype=np.int64)
         clock.lap("observe_s")
 
         # ---- passes 3-4: ordered L2 and LLC op streams ------------------
         # Per event, in scalar order: hardware-prefetch requests (fill or
         # probe, by issue index), then the event's own op — a demand
         # access or software prefetch that missed L1, or an NT store —
-        # then the L1 victim's dirty touch.
+        # then the L1 victim's dirty touch.  Requests that provably hit
+        # L2 are dropped first.
         mp = np.nonzero(~hit1 | is_nt)[0]
+        keep = ~l2_resident_requests(
+            self.l2.config.num_sets - 1, h_ev, h_line, h_fill, mp, lines[mp], is_dm[mp]
+        )
+        h_ev, h_line, h_fill = h_ev[keep], h_line[keep], h_fill[keep]
+        m_h = len(h_ev)
+        dropped = len(keep) - m_h
+        # Per-event issue index j of each request: requests sort before
+        # the event's own op (minor j < _MINOR_DA) and encode their
+        # within-event timing slots as (j + 1) * 8.
+        h_j = np.arange(m_h) - np.searchsorted(h_ev, h_ev)
         cat_p = np.where(
             is_dm[mp],
             _CAT_DEMAND,
@@ -956,7 +1012,7 @@ class CacheHierarchy:
         stats.dram_writebacks += n_wb
         stats.nt_store_writes += n_ntw
         clock.lap("timing_loop_s")
-        return rounds, groups, peak
+        return rounds, groups, peak, dropped
 
     def _l2_llc_passes(
         self,
@@ -1084,20 +1140,20 @@ class CacheHierarchy:
             groups += int(np.count_nonzero(bad_grp))
         return hit2, prior2, hit3, prior3, v3f, wb2, rounds, groups
 
-    def drain_writebacks(self, stats: RunStats) -> int:
+    def drain_writebacks(self, stats: RunStats, llc_dirty: np.ndarray | None = None) -> int:
         """Account writebacks of dirty lines still resident at run end.
 
         Without this, a configuration that parks dirty data in the LLC
         looks cheaper than one (e.g. NTA) that wrote it back eagerly —
-        the bytes must reach DRAM either way.  Returns the number of
-        lines drained.
+        the bytes must reach DRAM either way.  ``llc_dirty`` is the
+        LLC's :meth:`~LRUCache.dirty_lines`, when the caller has already
+        read them (a shared LLC, drained once per core).  Returns the
+        number of lines drained.
         """
+        if llc_dirty is None:
+            llc_dirty = self.llc.dirty_lines()
         count = len(
-            np.unique(
-                np.concatenate(
-                    [cache.dirty_lines() for cache in (self.l1, self.l2, self.llc)]
-                )
-            )
+            np.unique(np.concatenate((self.l1.dirty_lines(), self.l2.dirty_lines(), llc_dirty)))
         )
         self.bandwidth.charge_batch(self.now, self.machine.line_bytes, count)
         stats.dram_writebacks += count

@@ -24,8 +24,10 @@ signature of a killed writer and replay simply stops trusting the tail;
 a corrupt interior line is skipped and counted.  Record types:
 
 * ``run.start`` — run id, journal version, the full ordered spec list,
-  the profiling rate and stats codec format (so replay refuses to seed
-  results produced under an incompatible codec);
+  the stats codec format, the profiling rate and the fingerprint of
+  every machine the specs name (what the result cache keys on), so
+  replay refuses to seed results produced under an incompatible codec
+  or other settings;
 * ``batch.dispatch`` — the cell labels of one dispatched group
   (advisory: replay derives pending work from ``run.start`` minus the
   completed cells, so dispatch records need no fsync of their own);
@@ -54,7 +56,7 @@ import uuid
 import zlib
 from pathlib import Path
 
-from repro import faults, obs
+from repro import cache, faults, obs
 from repro.api import ExperimentSpec
 from repro.core import serialization
 from repro.errors import ExperimentError
@@ -194,6 +196,7 @@ def replay_journal(path: str | Path, run_id: str = "?") -> JournalReplay:
                 replay.specs = [ExperimentSpec(**d) for d in record["specs"]]
             except (KeyError, TypeError, ExperimentError) as exc:
                 raise JournalError(f"journal {path} has an unusable spec list: {exc}") from exc
+            _check_settings(path, record, replay.specs)
         elif kind == "cell.done":
             try:
                 spec = ExperimentSpec(**record["spec"])
@@ -215,6 +218,46 @@ def replay_journal(path: str | Path, run_id: str = "?") -> JournalReplay:
     if not replay.specs:
         raise JournalError(f"journal {path} has no run.start record; nothing to resume")
     return replay
+
+
+def _machines(specs: list[ExperimentSpec]) -> dict[str, dict]:
+    """The fingerprint of each machine ``specs`` name, as JSON reads it back."""
+    return {
+        name: json.loads(json.dumps(cache.machine_fingerprint(name)))
+        for name in sorted({s.machine for s in specs})
+    }
+
+
+def _check_settings(path: Path, record: dict, specs: list[ExperimentSpec]) -> None:
+    """Refuse a ``run.start`` whose results this build would key differently.
+
+    The result cache's keys hold the profiling rate and the machine
+    fingerprints; a journal written under other values (or before they
+    were recorded) would seed stale cells.
+    """
+    if "profile_rate" not in record:
+        raise JournalError(f"journal {path} records no profile_rate; results cannot be reused")
+    if record["profile_rate"] != cache.PROFILE_RATE:
+        raise JournalError(
+            f"journal {path} was profiled at profile_rate {record['profile_rate']!r}; "
+            f"this build profiles at {cache.PROFILE_RATE!r} — results cannot be reused"
+        )
+    recorded = record.get("machines")
+    if not isinstance(recorded, dict):
+        raise JournalError(f"journal {path} records no machines; results cannot be reused")
+    for name, current in _machines(specs).items():
+        if name not in recorded:
+            raise JournalError(
+                f"journal {path} records no fingerprint of machine {name!r}; "
+                "results cannot be reused"
+            )
+        if recorded[name] != current:
+            old = recorded[name] if isinstance(recorded[name], dict) else {}
+            changed = sorted(k for k in current.keys() | old.keys() if old.get(k) != current.get(k))
+            raise JournalError(
+                f"journal {path} recorded machine {name!r} with other "
+                f"{', '.join(changed)}; results cannot be reused"
+            )
 
 
 class RunJournal:
@@ -293,6 +336,8 @@ class RunJournal:
                 "version": JOURNAL_VERSION,
                 "run_id": self.run_id,
                 "stats_format": serialization.STATS_FORMAT,
+                "profile_rate": cache.PROFILE_RATE,
+                "machines": _machines(specs),
                 "specs": [s.as_dict() for s in specs],
                 "resumed_from": resumed_from,
             },

@@ -126,12 +126,16 @@ class StreamerPrefetcher(HardwarePrefetcher):
         lines: np.ndarray,
         l1_hits: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched observe: one flat loop over the run.
+        """Batched observe: one flat loop over the run, then NumPy windows.
 
         The FIFO page table (``max_streams``) makes stream tracking
-        order-sensitive across pages, so this stays a loop — but a flat
-        one with local bindings, no call per event and no request tuple
-        per line, cheaper than ``observe()`` per event.  Equivalent
+        order-sensitive across pages, so training stays a flat loop with
+        local bindings and no call per event.  It records one signed
+        window (direction times width) per access that fires; NumPy
+        expands each into its run-ahead targets and masks out those
+        below line 0 and, without ``cross_page``, those off the page.
+        The targets are monotone in ``k``, so the mask keeps the same
+        prefix of each window as ``observe()``'s ``break``.  Equivalent
         to ``observe()`` while the throttle factor is 1.0; a tuned
         streamer takes the scalar fallback.
         """
@@ -141,9 +145,10 @@ class StreamerPrefetcher(HardwarePrefetcher):
         lpp = self.lines_per_page
         max_streams = self.max_streams
         quarter_degree = self.max_degree / 4
-        cross_page = self.cross_page
-        ev: list[int] = []
-        targets: list[int] = []
+        # Window width by confidence, as observe() rounds it.
+        widths = [max(1, round(c * quarter_degree)) for c in range(9)]
+        fired: list[int] = []
+        windows: list[int] = []
         for i, line in enumerate(lines.tolist()):
             page = line // lpp
             stream = streams.get(page)
@@ -165,22 +170,22 @@ class StreamerPrefetcher(HardwarePrefetcher):
             if confidence < 8:
                 confidence += 1
                 stream.confidence = confidence
-            window = max(1, round(confidence * quarter_degree))
-            for k in range(1, window + 1):
-                target = line + direction * k
-                if target < 0:
-                    break
-                if not cross_page and target // lpp != page:
-                    break
-                ev.append(i)
-                targets.append(target)
-        if not ev:
+            fired.append(i)
+            windows.append(direction * widths[confidence])
+        if not fired:
             return _EMPTY_BATCH
-        return (
-            np.asarray(ev, dtype=np.int64),
-            np.asarray(targets, dtype=np.int64),
-            np.ones(len(ev), dtype=bool),
-        )
+        signed = np.asarray(windows, dtype=np.int64)
+        width = np.abs(signed)
+        ev = np.repeat(np.asarray(fired, dtype=np.int64), width)
+        # k = 1..width within each window.
+        k = np.arange(1, len(ev) + 1) - np.repeat(np.cumsum(width) - width, width)
+        line = lines[ev]
+        target = line + np.repeat(np.sign(signed), width) * k
+        keep = target >= 0
+        if not self.cross_page:
+            keep &= target // lpp == line // lpp
+        ev = ev[keep]
+        return ev, target[keep], np.ones(len(ev), dtype=bool)
 
     def reset(self) -> None:
         self._streams.clear()

@@ -17,7 +17,9 @@ pushes every event through one heap; it is the oracle, and it runs the
 ``reference`` backend, coordinated runs and throttled or tuned
 prefetchers.  The batch driver (``path="batch"``) replays each core's
 private L1 and prefetcher up front and heap-orders only the events that
-reach shared state, bit-identical to the event loop.
+reach shared state, bit-identical to the event loop; a hardware-prefetch
+request that provably hits its core's private L2 is dropped before the
+heap sees it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from repro import obs
 from repro.cachesim.bandwidth import BandwidthModel
-from repro.cachesim.hierarchy import CacheHierarchy
+from repro.cachesim.hierarchy import CacheHierarchy, l2_resident_requests
 from repro.cachesim.lru import FLAG_DIRTY, LRUCache
 from repro.cachesim.stats import RunStats
 from repro.config import MachineConfig
@@ -140,11 +142,15 @@ class MulticoreSimulator:
             "multicore.run", machine=machine.name, cores=len(self.cores), events=events
         ) as run_span:
             stats = [RunStats(line_bytes=machine.line_bytes) for _ in self.cores]
+            dropped = 0
             if path == "batch":
-                live = self._run_batch(stats)
+                live, dropped = self._run_batch(stats)
             else:
                 self._run_events(stats)
                 live = events
+            # Every core's hierarchy holds the shared LLC: read its dirty
+            # lines once for all the drains.
+            llc_dirty = self.shared_llc.dirty_lines() if drain else None
             for spec, hier, core_stats in zip(self.cores, self.hierarchies, stats):
                 trace = spec.trace
                 n_pf = trace.n_prefetch
@@ -153,13 +159,16 @@ class MulticoreSimulator:
                 )
                 core_stats.cycles = hier.now
                 if drain:
-                    hier.drain_writebacks(core_stats)
+                    hier.drain_writebacks(core_stats, llc_dirty)
             if obs.enabled():
                 metrics = obs.metrics()
                 metrics.counter(f"sim.multicore.path.{path}").inc()
                 if reason is not None:
                     metrics.counter(f"sim.multicore.reason.{reason}").inc()
                     run_span.set(reason=reason)
+                if path == "batch":
+                    metrics.counter("sim.hwpref.l2_resident_dropped").inc(dropped)
+                    run_span.set(hw_dropped=dropped)
             run_span.set(path=path, live_events=live)
 
         return MulticoreResult(
@@ -255,7 +264,7 @@ class MulticoreSimulator:
             else:
                 item = heapq.heappop(heap) if heap else None
 
-    def _run_batch(self, stats: list[RunStats]) -> int:
+    def _run_batch(self, stats: list[RunStats]) -> tuple[int, int]:
         """The batch driver: private passes per core, then a heap of live events.
 
         Each core's L1 is replayed and its prefetcher observed up front
@@ -265,11 +274,12 @@ class MulticoreSimulator:
         skipped event touches no L2, LLC, controller or live in-flight
         entry and only adds its cost to its core's clock, so every live
         event keeps the key and tie-break the event loop gives it.
-        Returns the number of live events.
+        Returns the number of live events and of hardware-prefetch
+        requests dropped as L2-resident.
         """
         cores = []
         heap: list[tuple[float, int]] = []
-        n_live = 0
+        n_live = n_dropped = 0
         with ExitStack() as replayed:
             for idx, (spec, hier, core_stats) in enumerate(
                 zip(self.cores, self.hierarchies, stats)
@@ -298,6 +308,7 @@ class MulticoreSimulator:
                     # key of its first event.
                     heap.append((hier.now if gap else 0.0, idx))
                 n_live += len(live.codes)
+                n_dropped += live.dropped
             heapq.heapify(heap)
             cursor = [0] * len(cores)
 
@@ -328,7 +339,7 @@ class MulticoreSimulator:
                     item = heapq.heappushpop(heap, (hier.now, idx))
                 else:
                     item = heapq.heappop(heap) if heap else None
-        return n_live
+        return n_live, n_dropped
 
     def _control_epoch(
         self,
@@ -402,7 +413,8 @@ class _LiveEvents:
     PC; ``n_requests[i]`` how many hardware-prefetch requests the event
     issues, the next ``(line, fill_l2, llc_bypass)`` triples ``requests``
     yields; ``victims`` yields each L1 install's victim, for
-    :meth:`CacheHierarchy.replayed_l1`.
+    :meth:`CacheHierarchy.replayed_l1`; ``dropped`` counts the requests
+    left out as L2-resident.
     """
 
     gaps: list
@@ -412,6 +424,7 @@ class _LiveEvents:
     n_requests: list[int]
     requests: Iterator[tuple[int, bool, bool]]
     victims: Iterator[tuple[int, int] | None]
+    dropped: int
 
 
 def _advance(now: float, gap, demand_cost: float) -> float:
@@ -436,10 +449,11 @@ def _private_pass(
     """Replay one core's L1 and prefetcher, and keep its live events.
 
     A live event is an L1 miss (demand access or software prefetch), an
-    NT store, a demand access with hardware-prefetch requests, or a
-    demand L1 hit whose in-flight pop can find an entry
-    (:func:`_live_pops`).  Whole-trace columns stay in NumPy; Python
-    lists hold live events only.
+    NT store, a demand access with hardware-prefetch requests that may
+    miss L2 (:func:`~repro.cachesim.hierarchy.l2_resident_requests`
+    drops the others), or a demand L1 hit whose in-flight pop can find
+    an entry (:func:`_live_pops`).  Whole-trace columns stay in NumPy;
+    Python lists hold live events only.
     """
     n = len(trace)
     hit, vic_idx, vic_line, vic_flags = hier.replay_l1(trace, stats)
@@ -448,6 +462,12 @@ def _private_pass(
     is_dm = ops <= _STORE
     is_nt = ops == _STORE_NT
     h_ev, h_line, h_fill = _observe(hier.prefetcher, trace, lines, is_dm, hit)
+    own = np.nonzero(~hit | is_nt)[0]
+    keep = ~l2_resident_requests(
+        hier.l2.config.num_sets - 1, h_ev, h_line, h_fill, own, lines[own], is_dm[own]
+    )
+    h_ev, h_line, h_fill = h_ev[keep], h_line[keep], h_fill[keep]
+    dropped = len(keep) - len(h_ev)
 
     live = ~hit | is_nt
     live[h_ev] = True
@@ -493,6 +513,7 @@ def _private_pass(
         n_requests=np.bincount(h_ev, minlength=n)[live_ev].tolist(),
         requests=_requests(h_line, h_fill),
         victims=_victims(np.nonzero(~hit & ~is_nt)[0], vic_idx, vic_line, vic_flags),
+        dropped=dropped,
     )
 
 

@@ -121,6 +121,35 @@ class TestBandwidthModel:
         with pytest.raises(ConfigError):
             BandwidthModel(peak_bytes_per_cycle=0.0)
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 1000])
+    @pytest.mark.parametrize("now", ["below-last", "below-free", "idle"])
+    def test_charge_batch_matches_repeated_transfers(self, count, now):
+        # 64 / 2.7 and 64 / 3000 are inexact in binary, so a product
+        # in place of repeated additions would show in the floats.
+        def warm():
+            bw = BandwidthModel(peak_bytes_per_cycle=2.7, window_cycles=3000.0)
+            for t in (0.0, 5.0, 7.5, 400.0, 400.0, 401.25):
+                bw.transfer(t, 64)
+            return bw
+
+        probe = warm()
+        assert probe._last_time > 100.0 and probe._free_time > probe._last_time
+        at = {
+            "below-last": 100.0,  # an earlier instant than the last transfer
+            "below-free": probe._last_time + 1.0,  # queued behind the busy slot
+            "idle": probe._free_time + 500.0,  # the EWMA decays first
+        }[now]
+        batched, looped = warm(), warm()
+        assert batched.charge_batch(at, 64, count) is None
+        for _ in range(count):
+            looped.transfer(at, 64)
+        for name in ("_free_time", "_ewma_bpc", "_last_time", "total_bytes", "total_transfers"):
+            assert getattr(batched, name) == getattr(looped, name), name
+
+    def test_charge_batch_rejects_negative_count(self):
+        with pytest.raises(ConfigError):
+            BandwidthModel(peak_bytes_per_cycle=2.0).charge_batch(0.0, 64, -1)
+
     def test_achieved_gbs(self):
         bw = BandwidthModel(peak_bytes_per_cycle=2.0)
         bw.transfer(0.0, 2_000_000)

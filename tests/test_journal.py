@@ -11,7 +11,7 @@ import zlib
 
 import pytest
 
-from repro import faults
+from repro import cache, faults
 from repro.api import ExperimentSpec
 from repro.core import serialization
 from repro.errors import ExperimentError
@@ -161,6 +161,65 @@ class TestReplay:
         path = tmp_path / "journal.jsonl"
         path.write_bytes(_encode({"type": "run.end", "cells": 0}))
         with pytest.raises(JournalError, match="run.start"):
+            replay_journal(path)
+
+
+def _start_record(path):
+    """The decoded ``run.start`` record of the journal at ``path``."""
+    record = _decode(path.read_bytes().split(b"\n")[0])
+    assert record["type"] == "run.start"
+    return record
+
+
+class TestSettingsFingerprint:
+    """``run.start`` records what the result cache keys on, and replay
+    refuses a journal written under other settings."""
+
+    SPECS = [*SPECS, ExperimentSpec("mcf", "intel-i7-2600k", "hw", scale=SCALE)]
+
+    def _journal(self, tmp_path):
+        journal = RunJournal.create(run_id="settings", runs_dir=tmp_path)
+        journal.start(self.SPECS)
+        journal.close()
+        return journal.path
+
+    def test_start_records_rate_and_machine_fingerprints(self, tmp_path):
+        record = _start_record(self._journal(tmp_path))
+        assert record["profile_rate"] == cache.PROFILE_RATE
+        assert sorted(record["machines"]) == ["amd-phenom-ii", "intel-i7-2600k"]
+        for name, fingerprint in record["machines"].items():
+            assert fingerprint == json.loads(json.dumps(cache.machine_fingerprint(name)))
+        assert replay_journal(self._journal(tmp_path / "again")).specs == self.SPECS
+
+    def test_changed_profile_rate_refused(self, tmp_path, monkeypatch):
+        path = self._journal(tmp_path)
+        monkeypatch.setattr(cache, "PROFILE_RATE", cache.PROFILE_RATE * 2)
+        with pytest.raises(JournalError, match="profile_rate"):
+            replay_journal(path)
+
+    def test_changed_machine_model_refused(self, tmp_path):
+        path = self._journal(tmp_path)
+        record = _start_record(path)
+        record["machines"]["intel-i7-2600k"]["dram_latency"] += 1
+        path.write_bytes(_encode(record))
+        with pytest.raises(JournalError, match="'intel-i7-2600k'.*dram_latency"):
+            replay_journal(path)
+
+    @pytest.mark.parametrize("field", ["profile_rate", "machines"])
+    def test_missing_field_refused(self, tmp_path, field):
+        path = self._journal(tmp_path)
+        record = _start_record(path)
+        del record[field]
+        path.write_bytes(_encode(record))
+        with pytest.raises(JournalError, match=field):
+            replay_journal(path)
+
+    def test_missing_machine_refused(self, tmp_path):
+        path = self._journal(tmp_path)
+        record = _start_record(path)
+        del record["machines"]["amd-phenom-ii"]
+        path.write_bytes(_encode(record))
+        with pytest.raises(JournalError, match="'amd-phenom-ii'"):
             replay_journal(path)
 
 

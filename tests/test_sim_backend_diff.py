@@ -17,7 +17,13 @@ import pytest
 import repro.cachesim.hierarchy as hierarchy_module
 from repro.cachesim import BandwidthModel, CacheHierarchy, FunctionalCacheSim, RunStats
 from repro.cachesim.fastlru import EMPTY, FastLRUCache
-from repro.cachesim.lru import FLAG_DIRTY, FLAG_NTA, LRUCache
+from repro.cachesim.lru import (
+    FLAG_DIRTY,
+    FLAG_HW_PREFETCH,
+    FLAG_NTA,
+    FLAG_SW_PREFETCH,
+    LRUCache,
+)
 from repro.cachesim.options import (
     BACKENDS,
     SimOptions,
@@ -698,6 +704,109 @@ class TestDrainWritebacks:
             assert drained["reference"] == drained["fast"]
 
 
+#: Own L2 ops of the residency-rule streams: a demand L1 miss, a T0 or
+#: NTA software prefetch that missed L1, an NT store.
+_DEMAND, _T0, _NTA, _NT = range(4)
+
+
+def l2_bound_events(rng, n, n_lines=24):
+    """Seeded events whose L2 ops crowd a few lines: each demand event
+    issues 0-3 filling or non-filling requests near its line and may
+    miss L1; a software prefetch or NT store has no requests; any event
+    may be followed by an L1 victim's dirty touch.  Returns one
+    ``(requests, own, touch)`` row per event: ``requests`` a list of
+    ``(line, fill)``, ``own`` ``(kind, line)`` or None, ``touch`` a
+    line or None."""
+    events = []
+    for _ in range(n):
+        line = int(rng.integers(0, n_lines))
+        roll = rng.random()
+        requests = []
+        if roll < 0.75:  # a demand access: an L1 hit (own None) or miss
+            own = (_DEMAND, line) if rng.random() < 0.5 else None
+            for _ in range(int(rng.integers(0, 4))):
+                target = max(0, line + int(rng.integers(-2, 3)))
+                requests.append((target, bool(rng.random() < 0.8)))
+        else:
+            own = (int(rng.choice([_T0, _NTA, _NT])), line)
+        touch = int(rng.integers(0, n_lines)) if rng.random() < 0.2 else None
+        events.append((requests, own, touch))
+    return events
+
+
+def resident_by_rule(events, set_mask):
+    """The rule, event by event: a request is resident when its set's
+    previous op (touches skipped) is a demand miss or a filling request
+    on its line."""
+    last = {}
+    out = []
+    for requests, own, _ in events:
+        for line, fill in requests:
+            prev = last.get(line & set_mask)
+            out.append(prev == (line, True))
+            last[line & set_mask] = (line, fill)
+        if own is not None:
+            last[own[1] & set_mask] = (own[1], own[0] == _DEMAND)
+    return out
+
+
+class TestL2ResidentRule:
+    """``l2_resident_requests`` drops only requests that hit L2 and
+    change nothing, the ``l2.contains(...) -> continue`` of the scalar
+    ``_hw_requests``."""
+
+    def test_dropped_requests_hit_and_leave_their_set_unchanged(self, rng):
+        l2 = LRUCache(CacheConfig("L2", 512, ways=2, line_bytes=64, hit_latency=8))
+        set_mask = l2.config.num_sets - 1
+        dropped_total = kept_total = 0
+        for _ in range(4):  # the cache carries its state between batches
+            events = l2_bound_events(rng, 3000)
+            req = [(e, line, fill) for e, (reqs, _, _) in enumerate(events) for line, fill in reqs]
+            own = [(e, *o) for e, (_, o, _) in enumerate(events) if o is not None]
+            req_ev, req_line, req_fill = (np.array(c) for c in zip(*req))
+            op_ev, op_kind, op_line = (np.array(c) for c in zip(*own))
+            resident = hierarchy_module.l2_resident_requests(
+                set_mask, req_ev, req_line, req_fill.astype(bool), op_ev, op_line, op_kind == _DEMAND
+            )
+            assert resident.tolist() == resident_by_rule(events, set_mask)
+            flags = iter(resident.tolist())
+            for requests, own_op, touch in events:
+                for line, fill in requests:
+                    drop = next(flags)
+                    before = list(l2._sets[line & set_mask].items())
+                    hit = l2.contains(line)
+                    if not hit and fill:
+                        l2.install(line, FLAG_HW_PREFETCH)
+                    if drop:
+                        assert hit
+                        assert list(l2._sets[line & set_mask].items()) == before
+                if own_op is not None:
+                    kind, line = own_op
+                    if kind == _DEMAND:
+                        if not l2.lookup(line, FLAG_DIRTY):
+                            l2.install(line, FLAG_DIRTY)
+                    elif kind == _NT:
+                        l2.invalidate(line)
+                    elif not l2.lookup(line) and kind == _T0 and rng.random() < 0.5:
+                        l2.install(line, FLAG_SW_PREFETCH)  # the LLC missed too
+                if touch is not None:
+                    l2.touch_flags(touch, FLAG_DIRTY)
+            dropped_total += int(resident.sum())
+            kept_total += int((~resident).sum())
+        assert dropped_total > 1000 and kept_total > 1000
+
+    def test_empty_streams(self):
+        empty = np.empty(0, dtype=np.int64)
+        one = np.array([5])
+        for args in (
+            (empty, empty, empty.astype(bool), empty, empty, empty.astype(bool)),
+            (empty, empty, empty.astype(bool), one, one, np.array([True])),
+            (one, one, np.array([True]), empty, empty, empty.astype(bool)),
+        ):
+            resident = hierarchy_module.l2_resident_requests(3, *args)
+            assert resident.dtype == bool and not resident.any()
+
+
 class TestObserveBatchParity:
     """observe_batch must equal an observe() loop, per model, with state."""
 
@@ -723,6 +832,53 @@ class TestObserveBatchParity:
             assert np.array_equal(np.asarray(ev, dtype=np.int64), bev)
             assert np.array_equal(np.asarray(tgt, dtype=np.int64), btgt)
             assert np.array_equal(np.asarray(fill, dtype=bool), bfill)
+
+    @pytest.mark.parametrize("cross_page", [True, False])
+    @pytest.mark.parametrize("max_degree,max_streams", [(1, 2), (4, 32), (8, 3), (16, 8)])
+    def test_streamer_descending_and_page_crossing(self, rng, cross_page, max_degree, max_streams):
+        # Interleaved streams: descending ones that run into line 0 and
+        # start over, and ones that cross a 64-line page boundary either
+        # way; two batches, so the second starts from the first's
+        # stream table.
+        starts = [(6, -1), (13, -2), (40, -1), (64 * 5 - 4, 1), (64 * 9 + 3, -1), (64 * 2 - 2, 2)]
+        lines = []
+        cursor = [start for start, _ in starts]
+        for k in rng.integers(0, len(starts), 1600).tolist():
+            lines.append(cursor[k])
+            cursor[k] += starts[k][1]
+            if cursor[k] < 0:
+                cursor[k] = starts[k][0]
+        lines = np.array(lines, dtype=np.int64)
+
+        def make():
+            return StreamerPrefetcher(
+                max_degree=max_degree, max_streams=max_streams, cross_page=cross_page
+            )
+
+        scalar_pf, batch_pf = make(), make()
+        zeros = np.zeros(len(lines), dtype=np.int64)
+        hits = rng.random(len(lines)) < 0.5
+        for part in np.array_split(np.arange(len(lines)), 2):
+            ev, tgt = [], []
+            for i in part.tolist():
+                for req in scalar_pf.observe(0, int(lines[i]) * 64, int(lines[i]), bool(hits[i])):
+                    ev.append(i - part[0])
+                    tgt.append(req[0])
+            bev, btgt, bfill = batch_pf.observe_batch(
+                zeros[part], lines[part] * 64, lines[part], hits[part]
+            )
+            assert np.array_equal(np.asarray(ev, dtype=np.int64), bev)
+            assert np.array_equal(np.asarray(tgt, dtype=np.int64), btgt)
+            assert bfill.dtype == bool and bfill.all() and len(bfill) == len(bev)
+            assert [
+                (page, s.last_line, s.direction, s.confidence)
+                for page, s in scalar_pf._streams.items()
+            ] == [
+                (page, s.last_line, s.direction, s.confidence)
+                for page, s in batch_pf._streams.items()
+            ]
+        if not cross_page:
+            assert (btgt // 64 == lines[part][bev] // 64).all()
 
     def test_ghb_fifo_eviction_fallback(self, rng):
         # A batch that would overflow the PC table falls back to the
@@ -1000,6 +1156,25 @@ class TestPathObservability:
         assert snap["sim.hierarchy.spec_rounds"]["value"] == batched["spec_rounds"]
         assert snap["sim.hierarchy.spec_groups"]["value"] == batched["spec_groups"]
 
+    def test_dropped_requests_span_and_counter(self, intel, rng):
+        from repro import obs
+
+        trace = pc_correlated_trace(rng, 4000)
+        obs.disable()
+        obs.reset_metrics()
+        obs.enable()
+        try:
+            for backend in BACKENDS:
+                CacheHierarchy(intel, intel_hw_prefetcher(), options=backend).run(trace)
+            spans = [s["attrs"] for s in obs.drain_spans() if s["name"] == "cachesim.run"]
+            snap = obs.metrics().snapshot()
+        finally:
+            obs.disable()
+            obs.reset_metrics()
+        scalar, batch = sorted(spans, key=lambda a: a["path"] == "batch")
+        assert batch["hw_dropped"] > 0 and "hw_dropped" not in scalar
+        assert snap["sim.hwpref.l2_resident_dropped"]["value"] == batch["hw_dropped"]
+
     def test_disabled_tracing_touches_no_counters(self, amd, rng):
         from repro import obs
 
@@ -1007,8 +1182,11 @@ class TestPathObservability:
         obs.reset_metrics()
         trace = prefetch_after_load_trace(rng, 1000, "t0")
         CacheHierarchy(amd, options="fast").run(trace)
+        CacheHierarchy(amd, amd_hw_prefetcher(), options="fast").run(trace)
         CacheHierarchy(amd, options="reference").run(trace)
-        assert not [k for k in obs.metrics().snapshot() if k.startswith("sim.hierarchy")]
+        assert not [
+            k for k in obs.metrics().snapshot() if k.startswith(("sim.hierarchy", "sim.hwpref"))
+        ]
 
     PASSES = ("l1_s", "observe_s", "l2_llc_s", "timing_build_s", "timing_loop_s")
 
@@ -1360,6 +1538,29 @@ class TestMulticoreFastPath:
         assert attrs["path"] == "batch"
         assert ref.per_core[0].hw_prefetches > 0
 
+    def test_fig8_hw_mix_drops_l2_resident_requests(self, intel):
+        # The paper's Fig. 8 mix under the Intel streamer and
+        # adjacent-line prefetchers: most requests the streamer repeats
+        # hit L2 and never reach the heap, and the result is the event
+        # loop's.
+        from repro.experiments import runner
+        from repro.workloads.mixes import fig8_mix
+
+        executions = [
+            runner.profile_for(name, "ref", 0.01).execution for name in fig8_mix().members
+        ]
+        (ref,), (attrs,) = compare_mix(
+            intel,
+            [ex.trace for ex in executions],
+            lambda core: runner.hw_prefetcher_for(intel),
+            drains=(True,),
+            work=[ex.work_per_memop for ex in executions],
+            mlp=[ex.mlp for ex in executions],
+        )
+        assert attrs["path"] == "batch"
+        issued = sum(s.hw_prefetches for s in ref.per_core)
+        assert attrs["hw_dropped"] > issued > 0
+
     def test_identical_traces_tie_on_core_index(self, tiny_machine, rng):
         # Equal work and MLP: both cores' clocks tie before every event
         # until their paths split, and the lower index goes first.
@@ -1467,6 +1668,8 @@ class TestMulticoreFastPath:
         assert spans[-1]["live_events"] < 1400
         assert snap["sim.multicore.path.scalar"]["value"] == 5
         assert snap["sim.multicore.path.batch"]["value"] == 1
+        assert all("hw_dropped" not in attrs for attrs in spans[:-1])
+        assert snap["sim.hwpref.l2_resident_dropped"]["value"] == spans[-1]["hw_dropped"] == 0
         assert snap["sim.multicore.reason.prefetcher-not-batch-safe"]["value"] == 2
         for reason in ("coordinated", "shared-prefetcher", "reference-backend"):
             assert snap[f"sim.multicore.reason.{reason}"]["value"] == 1
@@ -1476,9 +1679,12 @@ class TestMulticoreFastPath:
 
         obs.disable()
         obs.reset_metrics()
-        for sim in mix_sims(tiny_machine, self.random_mix(rng, (500, 500))).values():
+        traces = self.random_mix(rng, (500, 500))
+        for sim in mix_sims(tiny_machine, traces, lambda core: StreamerPrefetcher()).values():
             sim.run()
-        assert not [k for k in obs.metrics().snapshot() if k.startswith("sim.multicore")]
+        assert not [
+            k for k in obs.metrics().snapshot() if k.startswith(("sim.multicore", "sim.hwpref"))
+        ]
 
     def test_exception_in_merge_loop_reattaches_real_l1(self, tiny_machine, rng, monkeypatch):
         sim = mix_sims(tiny_machine, self.random_mix(rng, (500, 500, 500)))["fast"]
