@@ -13,7 +13,10 @@ sort keys (original position, inserted events at position + ½) and the
 result is one stable sort.
 
 For insertion into the mini-IR (the "assembler level" of this
-reproduction) see :mod:`repro.isa.rewriter`.
+reproduction) see :mod:`repro.isa.rewriter`; experiments decode a
+rewritten program with :func:`repro.isa.splice_execution`.  This
+function is the path for traces without a program (the online
+optimiser's windows) and the validators' independent oracle.
 """
 
 from __future__ import annotations
@@ -72,8 +75,9 @@ def apply_prefetch_plan(
         src = np.flatnonzero(hits)
         which = match_idx_clipped[src]
         new_addr = trace.addr[src] + dist_arr[which]
-        # Prefetching below address zero would fault; the rewriter drops
-        # those (a real compiler guards the loop prologue similarly).
+        # A target below address 0 is dropped, by the same rule as the
+        # interpreter's (`repro.isa.interpreter`): a prefetch is a hint,
+        # and a hint to an unmapped address does nothing.
         valid = new_addr >= 0
         src = src[valid]
         which = which[valid]

@@ -47,7 +47,7 @@ from repro.hwpref import (
     cross_core_prefetcher_for,
     intel_hw_prefetcher,
 )
-from repro.isa.interpreter import ExecutionResult, execute_program
+from repro.isa.interpreter import ExecutionResult, execute_program, splice_execution
 from repro.isa.program import Program
 from repro.isa.rewriter import insert_prefetches
 from repro.sampling.sampler import RuntimeSampler, SamplingResult
@@ -251,15 +251,18 @@ def prefetcher_for(config: str, machine: MachineConfig, program: Program, utilis
 def _rewritten_execution(
     workload: str, input_set: str, scale: float, machine_name: str, kind: str
 ) -> ExecutionResult:
-    """Rewrite and re-execute one workload under one prefetch plan.
+    """Rewrite one workload under one prefetch plan and decode it.
 
-    Decoding (executing) the rewritten program is the most expensive
-    machine-dependent stage of a cell; grid sweeps evaluate the same
-    rewritten program under many configurations (prefetch-honour modes,
-    backend choices, multicore mixes), so one decode serves them all.
-    The memo keys on everything the rewrite depends on: the plan is a
-    function of (workload, machine, kind, scale), the execution seed of
-    (workload, input_set).
+    The rewritten program's trace is spliced from the profiled one
+    (:func:`~repro.isa.interpreter.splice_execution`): its demand
+    columns are the profile's, so only the prefetch columns are new and
+    no pattern runs again.  The memo keeps each decoded trace because
+    several readers ask for it again: grid sweeps evaluate one rewritten
+    program under many configurations (``swnt`` and ``hwsw`` share the
+    ``swnt`` plan), and the census and Fig. 8's mixes reread it.  It keys
+    on everything the rewrite depends on: the plan is a function of
+    (workload, machine, kind, scale), the profiled execution of
+    (workload, input_set, scale).
     """
     profile = profile_for(workload, input_set, scale)
     plan = _plan(workload, machine_name, kind, scale)
@@ -267,7 +270,7 @@ def _rewritten_execution(
         "rewrite.apply", workload=workload, machine=machine_name, kind=kind
     ):
         rewritten = insert_prefetches(profile.program, plan)
-        return execute_program(rewritten, seed=workload_seed(workload, input_set))
+        return splice_execution(rewritten, profile.program, profile.execution)
 
 
 def execution_for(spec: ExperimentSpec) -> ExecutionResult:

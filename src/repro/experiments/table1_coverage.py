@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 from repro.cachesim.functional import FunctionalCacheSim
 from repro.config import get_machine
-from repro.core.insertion import apply_prefetch_plan
 from repro.api import ExperimentSpec
 from repro.experiments.runner import plan_for_spec, profile_for
 from repro.experiments.tables import render_table
+from repro.isa import insert_prefetches, splice_execution
 from repro.workloads.spec2006 import ALL_SINGLE_CORE
 
 __all__ = ["CoverageRow", "coverage_for", "run_table1", "render_table1"]
@@ -46,7 +46,8 @@ def coverage_for(
     total_misses = baseline.total_misses()
 
     plan = plan_for_spec(ExperimentSpec(name, _MACHINE, kind, scale=scale))
-    optimised_trace = apply_prefetch_plan(profile.execution.trace, plan)
+    rewritten = insert_prefetches(profile.program, plan)
+    optimised_trace = splice_execution(rewritten, profile.program, profile.execution).trace
     optimised_sim = FunctionalCacheSim(machine.l1)
     optimised = optimised_sim.run(optimised_trace, honor_prefetches=True)
     removed = total_misses - optimised.total_misses()

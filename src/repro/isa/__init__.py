@@ -20,7 +20,12 @@ from repro.isa.instructions import (
     StreamAccess,
     StridedAccess,
 )
-from repro.isa.interpreter import ExecutionResult, execute_kernel, execute_program
+from repro.isa.interpreter import (
+    ExecutionResult,
+    execute_kernel,
+    execute_program,
+    splice_execution,
+)
 from repro.isa.program import Kernel, Program
 from repro.isa.rewriter import convert_nt_stores, insert_prefetches
 
@@ -47,6 +52,7 @@ __all__ = [
     "ExecutionResult",
     "execute_program",
     "execute_kernel",
+    "splice_execution",
     "insert_prefetches",
     "convert_nt_stores",
     "emit",

@@ -10,8 +10,10 @@ historically break tools like this one:
   the sampling codec (:mod:`repro.core.serialization`): the decoded
   profile must be field-for-field identical.
 * ``rewriter`` — a random generated workload, rewritten with a random
-  prefetch plan, re-executed: the demand stream must be bit-identical
-  and trace-level insertion must agree with IR-level insertion.
+  prefetch plan (distances of either sign), decoded three ways: by
+  re-execution, by splicing the profiled trace
+  (:func:`repro.isa.splice_execution`) and by trace-level insertion.
+  The demand stream must be bit-identical and all three must agree.
 * ``indirect-rewrite`` — the same law for the indirect rewrite
   (``prefetch B[i+d]; prefetch A[B[i+d]]``) over workloads guaranteed
   to carry ``A[B[i]]`` pairs, with random run-ahead depths.
@@ -212,7 +214,9 @@ def _gen_rewriter(rng: np.random.Generator) -> dict:
         "program_seed": int(rng.integers(0, 1 << 31)),
         "exec_seed": int(rng.integers(0, 1 << 31)),
         "decision_slots": rng.integers(0, 64, size=n_decisions).tolist(),
-        "distances": (rng.integers(1, 64, size=n_decisions) * 64).tolist(),
+        "distances": (
+            rng.choice([-1, 1], size=n_decisions) * rng.integers(1, 64, size=n_decisions) * 64
+        ).tolist(),
         "nta": rng.integers(0, 2, size=n_decisions).astype(bool).tolist(),
     }
 
@@ -242,6 +246,7 @@ def _check_rewriter(case: dict) -> None:
     if re_exec.trace.demand_only() != original_demand:
         raise AssertionError("rewriting changed the demand stream")
 
+    _check_splice(rewritten, program, execution, re_exec)
     trace_level = apply_prefetch_plan(execution.trace, decisions)
     if trace_level.demand_only() != original_demand:
         raise AssertionError("trace-level insertion changed the demand stream")
@@ -249,6 +254,19 @@ def _check_rewriter(case: dict) -> None:
     # its target, so the full event streams must agree, not just demand.
     if trace_level != re_exec.trace:
         raise AssertionError("IR-level and trace-level insertion disagree")
+
+
+def _check_splice(rewritten, program, execution, re_exec) -> None:
+    """Splicing the profiled trace must decode exactly what re-execution does."""
+    spliced = interpreter.splice_execution(rewritten, program, execution)
+    if spliced.trace != re_exec.trace:
+        raise AssertionError("spliced and re-executed traces disagree")
+    if (spliced.work_per_memop, spliced.mlp, spliced.kernel_slices) != (
+        re_exec.work_per_memop,
+        re_exec.mlp,
+        re_exec.kernel_slices,
+    ):
+        raise AssertionError("spliced and re-executed metadata disagree")
 
 
 def _shrink_rewriter(case: dict):
@@ -318,6 +336,7 @@ def _check_indirect_rewrite(case: dict) -> None:
     if re_exec.trace.demand_only() != original_demand:
         raise AssertionError("indirect rewriting changed the demand stream")
 
+    _check_splice(rewritten, program, execution, re_exec)
     trace_level = apply_prefetch_plan(execution.trace, decisions)
     if trace_level.demand_only() != original_demand:
         raise AssertionError("trace-level indirect insertion changed the demand stream")

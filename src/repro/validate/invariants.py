@@ -11,7 +11,8 @@ properties with mathematical provenance, not golden numbers:
 * ``rewrite-preserves-semantics`` — inserting prefetches (both at the
   mini-IR level and at the trace level) leaves the demand access stream
   bit-identical: the optimiser may add events, never change the
-  program.
+  program; and splicing the profiled trace decodes the rewritten
+  program exactly as re-executing it does.
 * ``bypass-model-consistent`` — every ``PREFETCHNTA`` decision is
   re-derivable from the model, and the modelled LLC misses bypassing
   could add stay within the analysis' flatness tolerance (bypass never
@@ -196,6 +197,11 @@ def _check_rewrite_semantics(
             return InvariantResult(
                 name, entry.name, False,
                 f"{label} plan: IR rewriting changed the demand stream",
+            )
+        if interpreter.splice_execution(rewritten, program, execution).trace != re_exec.trace:
+            return InvariantResult(
+                name, entry.name, False,
+                f"{label} plan: splicing the profiled trace disagrees with re-execution",
             )
         inserted = re_exec.trace.select(re_exec.trace.prefetch_mask)
         # An indirect decision inserts at the data load's PC *and* a

@@ -5,6 +5,8 @@ import pytest
 
 from repro.cachesim import CacheHierarchy
 from repro.cachesim.stats import RunStats
+from repro.core.insertion import apply_prefetch_plan
+from repro.core.report import PrefetchDecision
 from repro.errors import ProgramError
 from repro.isa import (
     FixedAccess,
@@ -13,8 +15,10 @@ from repro.isa import (
     Prefetch,
     Program,
     StreamAccess,
+    StridedAccess,
     execute_kernel,
     execute_program,
+    insert_prefetches,
 )
 from repro.isa.instructions import AccessPattern
 from repro.sampling import collect_reuse_samples
@@ -44,7 +48,7 @@ class TestInterpreterEdges:
         with pytest.raises(ProgramError, match="yielded"):
             execute_kernel(k, {("k", "a"): 0}, seed=0)
 
-    def test_prefetch_address_clamped_at_zero(self):
+    def test_prefetch_address_below_zero_dropped(self):
         p = Program(
             "neg",
             (
@@ -56,7 +60,25 @@ class TestInterpreterEdges:
             ),
         )
         res = execute_program(p, seed=0)
-        assert res.trace.addr.min() >= 0
+        assert res.trace.addr.tolist() == [0, 8, 16, 24]
+        assert res.kernel_slices == {"k": slice(0, 4)}
+
+    def test_below_zero_rule_shared_with_trace_insertion(self):
+        """A −64 B walk from 0x500 with a −256 B prefetch: 3 of 20 targets
+        fall below 0, and the interpreter and the trace-level insertion
+        both drop them."""
+        strided = Kernel(
+            "k", (Load("a", StridedAccess(0x500, -64)),), trips=20
+        )
+        tail = Kernel("tail", (Load("z", FixedAccess(0x40)),), trips=2)
+        p = Program("neg", (strided, tail))
+        plan = [PrefetchDecision(pc=0, stride=-64, distance_bytes=-256, nta=False)]
+        execution = execute_program(p, seed=0)
+        rewritten = execute_program(insert_prefetches(p, plan), seed=0)
+        assert len(rewritten.trace) == 39
+        assert rewritten.trace == apply_prefetch_plan(execution.trace, plan)
+        assert rewritten.kernel_slices == {"k": slice(0, 37), "tail": slice(37, 39)}
+        assert rewritten.trace.addr.min() >= 0
 
     def test_rewriting_insensitive_to_prefetch_count(self):
         """Random patterns must not shift when more prefetches are added."""
