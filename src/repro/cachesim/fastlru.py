@@ -372,10 +372,10 @@ class FastLRUCache:
         empty_i = np.empty(0, dtype=np.int64)
         if n == 0:
             return hit, prior, empty_i, empty_i, empty_i
-        if self.ways == 2 and n > 2 and not kinds.any():
-            # Pure-demand stream on a 2-way cache (the L1 geometry of the
-            # paper's AMD machine): round-free run-level algorithm.
-            return self._ops_demand_2way(lines, oflags, hit, prior)
+        if self.ways == 2 and n > 2 and not (kinds > OP_FILL).any():
+            # Demand and fill stream on a 2-way cache (the L1 geometry of
+            # the paper's AMD machine): round-free run-level algorithm.
+            return self._ops_demand_2way(lines, kinds, oflags, hit, prior)
         sets = lines & self._set_mask
         key = sets.astype(np.uint16) if self._set_mask < (1 << 16) else sets
         order = np.argsort(key, kind="stable")
@@ -500,11 +500,12 @@ class FastLRUCache:
     def _ops_demand_2way(
         self,
         lines: np.ndarray,
+        kinds: np.ndarray,
         oflags: np.ndarray,
         hit: np.ndarray,
         prior: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Round-free demand-only kernel for 2-way caches, with flags.
+        """Round-free ``OP_DEMAND``/``OP_FILL`` kernel for 2-way caches.
 
         Extends the :meth:`_access_batch_2way` run decomposition to the
         full :meth:`ops_batch` contract.  Group each set's accesses into
@@ -521,6 +522,15 @@ class FastLRUCache:
         the even/odd run subsequences of each group, and each flag bit
         reduces to a ``maximum.accumulate`` reachability scan at run
         level — no sequential rounds anywhere.
+
+        A fill that hits is a no-op: inside a run, or on the pre-batch
+        MRU line, the run view already holds, so only its flags are left
+        out.  A fill that misses installs like a demand miss.  A fill
+        that hits the LRU way does not promote it, which the run view
+        cannot express; every op of such a set before its first such
+        fill ran on exact state, so the first one is always detected.
+        Those sets skip the write-back and are replayed from their
+        pre-batch rows on dict sets (:meth:`_dict_tail`).
         """
         n = len(lines)
         sets = lines & self._set_mask
@@ -545,7 +555,6 @@ class FastLRUCache:
         run_line = ls[rsi]
         run_first = first[rsi]
         run_pos0 = order[rsi]
-        run_of = np.bitwise_or.reduceat(of, rsi)
         run_ar = np.arange(n_runs)
         gfr = np.maximum.accumulate(np.where(run_first, run_ar, 0))
         rj = run_ar - gfr
@@ -604,6 +613,21 @@ class FastLRUCache:
         run_hit[b2] = cont[b2]
         vic_line_r[b2] = prev2_line[b2]
 
+        # ---- fills: no-op hits, and the sets the run view cannot hold -
+        hit_sorted = ~change
+        hit_sorted[rsi] = run_hit
+        bad_run = None
+        if kinds.any():
+            fill = kinds[order] == OP_FILL
+            of = np.where(fill & hit_sorted, 0, of)
+            lru_fill = fill[rsi] & run_hit
+            lru_fill[b0] &= ~h_mru
+            if lru_fill.any():
+                bad_group = np.zeros(len(sets_f), dtype=bool)
+                bad_group[gmap[lru_fill]] = True
+                bad_run = bad_group[gmap]
+        run_of = np.bitwise_or.reduceat(of, rsi)
+
         # ---- flag chains via per-bit reachability scans --------------
         g_flags = np.empty(n_runs, dtype=np.int64)
         prev_g = np.zeros(n_runs, dtype=np.int64)
@@ -642,8 +666,6 @@ class FastLRUCache:
         )
 
         # ---- per-access outputs --------------------------------------
-        hit_sorted = ~change
-        hit_sorted[rsi] = run_hit
         ob = int(np.bitwise_or.reduce(of))
         prior_part = np.zeros(n, dtype=np.int64)
         accp = np.empty(n, dtype=np.int64)
@@ -662,10 +684,11 @@ class FastLRUCache:
 
         # ---- victims --------------------------------------------------
         vmask = ~run_hit & (vic_line_r != EMPTY)
+        if bad_run is not None:
+            vmask &= ~bad_run
         vic_idx = run_pos0[vmask]
         vic_line = vic_line_r[vmask]
         vic_flags = vic_flags_r[vmask]
-        vo = np.argsort(vic_idx, kind="stable")
 
         # ---- state write-back ----------------------------------------
         clock = self._clock
@@ -687,13 +710,25 @@ class FastLRUCache:
         )
         lru_flags_f = np.where(two, g_flags[glast_m1], f_pre)
         lru_empty = lru_line_f == EMPTY
-        self.tags[sets_f, 0] = mru_line_f
-        self.stamp[sets_f, 0] = mru_stamp_f
-        self.flags[sets_f, 0] = mru_flags_f
-        self.tags[sets_f, 1] = lru_line_f
-        self.stamp[sets_f, 1] = np.where(lru_empty, EMPTY, lru_stamp_f)
-        self.flags[sets_f, 1] = np.where(lru_empty, 0, lru_flags_f)
+        # The sets replayed on dict sets below keep their pre-batch rows.
+        keep = slice(None) if bad_run is None else ~bad_group
+        rows = sets_f[keep]
+        self.tags[rows, 0] = mru_line_f[keep]
+        self.stamp[rows, 0] = mru_stamp_f[keep]
+        self.flags[rows, 0] = mru_flags_f[keep]
+        self.tags[rows, 1] = lru_line_f[keep]
+        self.stamp[rows, 1] = np.where(lru_empty, EMPTY, lru_stamp_f)[keep]
+        self.flags[rows, 1] = np.where(lru_empty, 0, lru_flags_f)[keep]
+        if bad_run is not None:
+            pos = np.sort(order[bad_run[gmap_acc]])
+            hit[pos], prior[pos], t_idx, t_line, t_flags = self._dict_tail(
+                pos, lines[pos], kinds[pos], oflags[pos], clock + n
+            )
+            vic_idx = np.concatenate((vic_idx, t_idx))
+            vic_line = np.concatenate((vic_line, t_line))
+            vic_flags = np.concatenate((vic_flags, t_flags))
         self._clock = clock + n
+        vo = np.argsort(vic_idx, kind="stable")
         return hit, prior, vic_idx[vo], vic_line[vo], vic_flags[vo]
 
     def _dict_tail(

@@ -77,7 +77,7 @@ from repro.errors import SimulationError
 from repro.hwpref.base import HardwarePrefetcher, NullPrefetcher, throttle_factor
 from repro.trace.events import MemOp, MemoryTrace
 
-__all__ = ["CacheHierarchy", "l2_resident_requests"]
+__all__ = ["CacheHierarchy", "clock_charges", "l2_resident_requests"]
 
 #: Events per checkpointed batch span of a throttled prefetcher's run:
 #: long enough to amortise the batch passes and the checkpoint, short
@@ -92,6 +92,11 @@ _MINOR_DA = 1 << 20
 
 #: Timing-op sequence key of an event's own op within the event.
 _SEQ_DA = 1 << 22
+
+#: Longest span of events whose clock charges :func:`clock_charges`
+#: keys by bit pattern: one bit per event, under a length bit, in an
+#: int64.
+_PATTERN_BITS = 62
 
 #: Batch-path L2 op categories: hardware-prefetch request, demand
 #: access, NTA / T0 software prefetch, NT store, L1-victim dirty touch.
@@ -128,7 +133,8 @@ _L1_FLAGS = np.array(
 
 #: The batch path's passes, as ``cachesim.run`` span attributes: the L1
 #: op stream, prefetcher observation, the L2/LLC op streams, building
-#: the timing stream (emit, sort and liveness) and its serial loop.
+#: the timing stream (emit, sort, liveness and clock charges) and its
+#: serial loop.
 _PASSES = ("l1_s", "observe_s", "l2_llc_s", "timing_build_s", "timing_loop_s")
 
 
@@ -186,6 +192,63 @@ def l2_resident_requests(
     resident = np.zeros(m_h, dtype=bool)
     resident[order[after]] = True
     return resident
+
+
+def clock_charges(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    is_pf: np.ndarray,
+    demand_cost: float,
+    pf_cost: float,
+) -> list[tuple[float, ...]]:
+    """What each span of events adds to the clock, one tuple per span.
+
+    Span ``j`` holds events ``starts[j]`` to ``ends[j] - 1`` (possibly
+    none); spans are disjoint and in program order.  A software prefetch
+    (``is_pf``) charges ``pf_cost`` and any other event ``demand_cost``,
+    as the scalar handlers do, and each tuple lists its span's charges in
+    program order, so adding them one at a time makes the scalar loop's
+    float additions.
+
+    Few patterns recur, so each distinct one is built once and shared.
+    Spans without a prefetch are keyed by length, spans of at most
+    :data:`_PATTERN_BITS` events with one by their prefetch bits under a
+    length bit, and the rare longer ones are built one at a time.
+    """
+    lengths = ends - starts
+    pf_before = np.concatenate(([0], np.cumsum(is_pf)))
+    first_pf = pf_before[starts]
+    n_pf = pf_before[ends] - first_pf
+    keys = -lengths
+    mixed = n_pf > 0
+    short = np.nonzero(mixed & (lengths <= _PATTERN_BITS))[0]
+    if len(short):
+        # The prefetches of a span are a contiguous run of all of them.
+        count = n_pf[short]
+        offsets = np.cumsum(count) - count
+        take = np.arange(int(offsets[-1] + count[-1])) + np.repeat(
+            first_pf[short] - offsets, count
+        )
+        shift = np.nonzero(is_pf)[0][take] - np.repeat(starts[short], count)
+        bits = np.bitwise_or.reduceat(np.left_shift(1, shift), offsets)
+        keys[short] = bits | np.left_shift(1, lengths[short])
+    long_mixed = np.nonzero(mixed & (lengths > _PATTERN_BITS))[0]
+    keys[long_mixed] = 0  # built one at a time below
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    table = np.empty(len(uniq), dtype=object)
+    for u, key in enumerate(uniq.tolist()):
+        if key <= 0:
+            table[u] = (demand_cost,) * -key
+        else:
+            table[u] = tuple(
+                [pf_cost if key >> k & 1 else demand_cost for k in range(key.bit_length() - 1)]
+            )
+    charges = table[inverse].tolist()
+    patterns: dict[tuple[float, ...], tuple[float, ...]] = {}
+    for j in long_mixed.tolist():
+        costs = tuple(np.where(is_pf[starts[j] : ends[j]], pf_cost, demand_cost).tolist())
+        charges[j] = patterns.setdefault(costs, costs)
+    return charges
 
 
 class _PassClock:
@@ -563,9 +626,10 @@ class CacheHierarchy:
         requests that provably hit L2 (:func:`l2_resident_requests`)
         never enter the L2 stream.  Timing is then
         accumulated over *interesting* events only (misses, software
-        prefetches, writebacks, in-flight-line hits); the gaps between
-        them are pure ``+= demand_cost`` sequences.  Bit-identity with
-        the reference loop is enforced by ``tests/test_sim_backend_diff.py``.
+        prefetches that miss L1, writebacks, in-flight-line hits), each
+        carrying the clock charges of the events since the previous one
+        (:func:`clock_charges`).  Bit-identity with the reference loop is
+        enforced by ``tests/test_sim_backend_diff.py``.
 
         Returns the speculation's ``(rounds, groups)``, the largest
         bandwidth EWMA of the batch (its entry value or any value right
@@ -721,10 +785,12 @@ class CacheHierarchy:
         # (writeback or NT store), 2/3/4 demand served from L2/LLC/DRAM,
         # 5 in-flight drop (L1 victim or NT store), 6 in-flight check on
         # an L1 hit, 7/8 demand served from L2/LLC with the line provably
-        # not in flight, 9 software prefetch hitting L1, 10/11/12
-        # software prefetch served from L2/LLC/DRAM.  Sequence keys
-        # replicate the scalar within-event order (hardware requests,
-        # the event's own op, the victim chain).
+        # not in flight, 10/11/12 software prefetch served from
+        # L2/LLC/DRAM.  Sequence keys replicate the scalar within-event
+        # order (hardware requests, the event's own op, the victim
+        # chain).  A software prefetch that hits L1 only charges
+        # ``prefetch_cost``, so it gets no op: its charge rides in the
+        # clock charges of the next op (:func:`clock_charges`).
         inflight = self._inflight
         cand_parts = [h_line, lines[is_pf & ~hit1]]
         keys0 = None
@@ -759,8 +825,6 @@ class CacheHierarchy:
         hp = np.nonzero(is_dm & hit1)[0]
         inf_ev = hp[in_cand(lines[hp])]
         emit(inf_ev, 0, 6, lines[inf_ev])
-        # Software prefetches: L1 hits only cost their issue slot.
-        emit(np.nonzero(is_pf & hit1)[0], _SEQ_DA, 9, 0)
         # Hardware-prefetch DRAM fills.
         hd = np.nonzero(is_h2 & dram)[0]
         emit(pos2[hd], (minor2[hd] + 1) * 8, 0, line2[hd])
@@ -873,7 +937,19 @@ class CacheHierarchy:
                 ev_s = ev_s[keep]
                 code_s = code_s[keep]
                 arg_s = arg_s[keep]
-        ev_l = ev_s.tolist()
+        # Each op carries the clock charges of the events since the
+        # previous op's, its own event's included: empty when it shares
+        # that event.  The last span runs to the end of the batch.
+        gaps = clock_charges(
+            np.concatenate(([0], ev_s + 1)),
+            np.concatenate((ev_s + 1, [n])),
+            is_pf,
+            demand_cost,
+            machine.prefetch_cost,
+        )
+        tail = gaps.pop()
+        # Codes 0, 1, 4 and 12 move one line off or on chip each.
+        n_transfers = int(np.count_nonzero((code_s <= 1) | (code_s == 4) | (code_s == 12)))
         code_l = code_s.tolist()
         arg_l = arg_s.tolist()
         clock.lap("timing_build_s")
@@ -883,13 +959,10 @@ class CacheHierarchy:
         free = bw._free_time
         ewma = bw._ewma_bpc
         last = bw._last_time
-        totb = bw.total_bytes
-        tott = bw.total_transfers
         line_bytes = machine.line_bytes
         dur = line_bytes / bw.peak
         bpw = line_bytes / window
         dram_latency = machine.dram_latency
-        pf_cost = machine.prefetch_cost
         l2_hit = machine.l2.hit_latency
         llc_hit = machine.llc.hit_latency
         l2_lat = l2_hit / mlp
@@ -898,116 +971,91 @@ class CacheHierarchy:
         now = self.now
         peak = ewma
         sw_late = 0
-        prev = -1
-        for e, c, g in zip(ev_l, code_l, arg_l):
-            # Hit-gap events each charge demand_cost, as does the
-            # interesting event itself unless it is a software prefetch
-            # (codes 9-12, always its event's only or first op), which
-            # charges prefetch_cost; the repeated addition keeps float
-            # identity with the scalar loop.
-            if e != prev:
-                if c < 9:
-                    for _ in range(e - prev):
-                        now += demand_cost
-                    prev = e
-                else:
-                    for _ in range(e - prev - 1):
-                        now += demand_cost
-                    now += pf_cost
-                    prev = e
-                    if c == 9:
-                        continue
-            if c == 6:
+        # A transfer decays the EWMA by the time since the previous one,
+        # as BandwidthModel.transfer does: ``1 - min(dt / window, 1)``.
+        for gap, c, g in zip(gaps, code_l, arg_l):
+            for cost in gap:
+                now += cost
+            if c < 5:
+                if c == 4:
+                    start = now if now > free else free
+                    free = start + dur
+                    if now > last:
+                        x = (now - last) / window
+                        ewma *= 1.0 - x if x < 1.0 else 0.0
+                        last = now
+                    ewma += bpw
+                    if ewma > peak:
+                        peak = ewma
+                    now = start + dram_term
+                elif c == 0:
+                    start = now if now > free else free
+                    free = start + dur
+                    if now > last:
+                        x = (now - last) / window
+                        ewma *= 1.0 - x if x < 1.0 else 0.0
+                        last = now
+                    ewma += bpw
+                    if ewma > peak:
+                        peak = ewma
+                    inflight[g] = start + dur + dram_latency
+                elif c == 2:
+                    completion = inflight.pop(g, None)
+                    if completion is not None and completion > now:
+                        now += (completion - now) / mlp
+                    else:
+                        now += l2_lat
+                elif c == 3:
+                    completion = inflight.pop(g, None)
+                    if completion is not None and completion > now:
+                        now += (completion - now) / mlp
+                    else:
+                        now += llc_lat
+                else:  # c == 1, off-chip write
+                    start = now if now > free else free
+                    free = start + dur
+                    if now > last:
+                        x = (now - last) / window
+                        ewma *= 1.0 - x if x < 1.0 else 0.0
+                        last = now
+                    ewma += bpw
+                    if ewma > peak:
+                        peak = ewma
+            elif c == 12:
+                start = now if now > free else free
+                free = start + dur
+                if now > last:
+                    x = (now - last) / window
+                    ewma *= 1.0 - x if x < 1.0 else 0.0
+                    last = now
+                ewma += bpw
+                if ewma > peak:
+                    peak = ewma
+                inflight[g] = start + dur + dram_latency
+            elif c == 6:
                 completion = inflight.pop(g, None)
                 if completion is not None and completion > now:
                     now += (completion - now) / mlp
                     sw_late += 1
-            elif c == 12:
-                start = now if now > free else free
-                free = start + dur
-                totb += line_bytes
-                tott += 1
-                t = now if now > last else last
-                dt = t - last
-                if dt > 0:
-                    ewma *= 1.0 - min(dt / window, 1.0)
-                    last = t
-                ewma += bpw
-                if ewma > peak:
-                    peak = ewma
-                inflight[g] = start + dur + dram_latency
-            elif c == 4:
-                start = now if now > free else free
-                free = start + dur
-                totb += line_bytes
-                tott += 1
-                t = now if now > last else last
-                dt = t - last
-                if dt > 0:
-                    ewma *= 1.0 - min(dt / window, 1.0)
-                    last = t
-                ewma += bpw
-                if ewma > peak:
-                    peak = ewma
-                now = start + dram_term
             elif c == 7:
                 now += l2_lat
-            elif c == 5:
-                inflight.pop(g, None)
-            elif c == 1:  # off-chip write
-                start = now if now > free else free
-                free = start + dur
-                totb += line_bytes
-                tott += 1
-                t = now if now > last else last
-                dt = t - last
-                if dt > 0:
-                    ewma *= 1.0 - min(dt / window, 1.0)
-                    last = t
-                ewma += bpw
-                if ewma > peak:
-                    peak = ewma
-            elif c == 10:
-                inflight[g] = now + l2_hit
             elif c == 8:
                 now += llc_lat
-            elif c == 2:
-                completion = inflight.pop(g, None)
-                if completion is not None and completion > now:
-                    now += (completion - now) / mlp
-                else:
-                    now += l2_lat
-            elif c == 3:
-                completion = inflight.pop(g, None)
-                if completion is not None and completion > now:
-                    now += (completion - now) / mlp
-                else:
-                    now += llc_lat
-            elif c == 11:
+            elif c == 5:
+                inflight.pop(g, None)
+            elif c == 10:
+                inflight[g] = now + l2_hit
+            else:  # c == 11
                 inflight[g] = now + llc_hit
-            else:  # c == 0
-                start = now if now > free else free
-                free = start + dur
-                totb += line_bytes
-                tott += 1
-                t = now if now > last else last
-                dt = t - last
-                if dt > 0:
-                    ewma *= 1.0 - min(dt / window, 1.0)
-                    last = t
-                ewma += bpw
-                if ewma > peak:
-                    peak = ewma
-                inflight[g] = start + dur + dram_latency
-        for _ in range(n - 1 - prev):
-            now += demand_cost
+        for cost in tail:
+            now += cost
 
         self.now = now
         bw._free_time = free
         bw._ewma_bpc = ewma
         bw._last_time = last
-        bw.total_bytes = totb
-        bw.total_transfers = tott
+        bw.total_bytes += n_transfers * line_bytes
+        bw.total_transfers += n_transfers
         stats.sw_late += sw_late
         stats.dram_writebacks += n_wb
         stats.nt_store_writes += n_ntw

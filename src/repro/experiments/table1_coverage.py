@@ -10,6 +10,7 @@ AMD Phenom II L1 (64 kB, 2-way, 64 B lines), exactly as in paper §IV.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.cachesim.functional import FunctionalCacheSim
 from repro.config import get_machine
@@ -35,15 +36,24 @@ class CoverageRow:
     stride_oh: float
 
 
+@lru_cache(maxsize=64)
+def _baseline_misses(name: str, scale: float) -> int:
+    """L1 misses of the original program: the ground truth of both methods.
+
+    Memoised, so the two methods of one benchmark simulate its
+    baseline L1 once.
+    """
+    trace = profile_for(name, "ref", scale).execution.trace
+    return FunctionalCacheSim(get_machine(_MACHINE).l1).run(trace).total_misses()
+
+
 def coverage_for(
     name: str, kind: str, scale: float = 1.0
 ) -> tuple[float, float, int]:
     """(coverage, OH, prefetches executed) of one method on one benchmark."""
     machine = get_machine(_MACHINE)
     profile = profile_for(name, "ref", scale)
-    baseline_sim = FunctionalCacheSim(machine.l1)
-    baseline = baseline_sim.run(profile.execution.trace)
-    total_misses = baseline.total_misses()
+    total_misses = _baseline_misses(name, float(scale))
 
     plan = plan_for_spec(ExperimentSpec(name, _MACHINE, kind, scale=scale))
     rewritten = insert_prefetches(profile.program, plan)

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro import obs
 from repro.cachesim.bandwidth import BandwidthModel
-from repro.cachesim.hierarchy import CacheHierarchy, l2_resident_requests
+from repro.cachesim.hierarchy import CacheHierarchy, clock_charges, l2_resident_requests
 from repro.cachesim.lru import FLAG_DIRTY, LRUCache
 from repro.cachesim.stats import RunStats
 from repro.config import MachineConfig
@@ -287,8 +287,10 @@ class MulticoreSimulator:
                 demand_cost = self._demand_cost(spec)
                 live = _private_pass(hier, spec.trace, core_stats, demand_cost)
                 replayed.enter_context(hier.replayed_l1(live.victims))
-                gap = live.gaps[0]
-                hier.now = _advance(hier.now, gap, demand_cost)
+                now = hier.now
+                for cost in live.gaps[0]:
+                    now += cost
+                hier.now = now
                 cores.append(
                     (
                         hier,
@@ -306,7 +308,7 @@ class MulticoreSimulator:
                 if live.codes:
                     # The event loop seeds every core at clock 0.0, the
                     # key of its first event.
-                    heap.append((hier.now if gap else 0.0, idx))
+                    heap.append((now if live.gaps[0] else 0.0, idx))
                 n_live += len(live.codes)
                 n_dropped += live.dropped
             heapq.heapify(heap)
@@ -334,9 +336,12 @@ class MulticoreSimulator:
                     hier._nt_store(args[i], lines[i], dc, core_stats)
                 i += 1
                 cursor[idx] = i
-                hier.now = _advance(hier.now, gaps[i], dc)
+                now = hier.now
+                for cost in gaps[i]:
+                    now += cost
+                hier.now = now
                 if i < len(codes):
-                    item = heapq.heappushpop(heap, (hier.now, idx))
+                    item = heapq.heappushpop(heap, (now, idx))
                 else:
                     item = heapq.heappop(heap) if heap else None
         return n_live, n_dropped
@@ -407,8 +412,10 @@ class MulticoreSimulator:
 class _LiveEvents:
     """One core's live events, in program order, as the batch driver runs them.
 
-    ``gaps[i]`` is what the skipped events before live event ``i`` add
-    to the clock (``gaps[-1]``: after the last one); ``args[i]`` is a
+    ``gaps[i]`` lists what the skipped events before live event ``i``
+    add to the clock, one charge per event in program order
+    (:func:`~repro.cachesim.hierarchy.clock_charges`; ``gaps[-1]``:
+    after the last one); ``args[i]`` is a
     demand access's write flag, a prefetch's NTA flag or an NT store's
     PC; ``n_requests[i]`` how many hardware-prefetch requests the event
     issues, the next ``(line, fill_l2, llc_bypass)`` triples ``requests``
@@ -417,7 +424,7 @@ class _LiveEvents:
     left out as L2-resident.
     """
 
-    gaps: list
+    gaps: list[tuple[float, ...]]
     codes: list[int]
     lines: list[int]
     args: list[int]
@@ -425,22 +432,6 @@ class _LiveEvents:
     requests: Iterator[tuple[int, bool, bool]]
     victims: Iterator[tuple[int, int] | None]
     dropped: int
-
-
-def _advance(now: float, gap, demand_cost: float) -> float:
-    """The clock after a gap of skipped events.
-
-    ``gap`` counts skipped demand hits, or is the tuple of costs of a
-    gap that holds software prefetches too, in program order.  One addition per
-    event, as the event loop charges them, keeps the clock bit-identical.
-    """
-    if gap.__class__ is int:
-        for _ in range(gap):
-            now += demand_cost
-    else:
-        for cost in gap:
-            now += cost
-    return now
 
 
 def _private_pass(
@@ -475,23 +466,14 @@ def _private_pass(
     live[_live_pops(lines, hit, is_dm, is_nt, vic_idx, vic_line, h_ev, h_line, inflight)] = True
     live_ev = np.nonzero(live)[0]
 
-    # Gaps: skipped demand hits cost demand_cost, skipped prefetches (L1
-    # hits) prefetch_cost.
-    bounds = np.concatenate(([-1], live_ev, [n]))
-    skipped_pf = ~live & ~is_dm
-    pf_before = np.concatenate(([0], np.cumsum(skipped_pf)))
-    gaps = (np.diff(bounds) - 1).tolist()
-    mixed = np.nonzero(pf_before[bounds[1:]] - pf_before[bounds[:-1] + 1])[0]
-    if len(mixed):
-        pf_cost = hier.machine.prefetch_cost
-        is_pf = skipped_pf.tolist()
-        starts = bounds.tolist()
-        # Few patterns recur: one tuple per pattern.
-        patterns: dict[tuple[float, ...], tuple[float, ...]] = {}
-        for j in mixed.tolist():
-            gap = is_pf[starts[j] + 1 : starts[j + 1]]
-            costs = tuple([pf_cost if pf else demand_cost for pf in gap])
-            gaps[j] = patterns.setdefault(costs, costs)
+    # Skipped events are demand L1 hits and software prefetches that hit L1.
+    gaps = clock_charges(
+        np.concatenate(([0], live_ev + 1)),
+        np.concatenate((live_ev, [n])),
+        (ops > _STORE) & ~is_nt,
+        demand_cost,
+        hier.machine.prefetch_cost,
+    )
 
     live_op = ops[live_ev]
     live_dm = live_op <= _STORE

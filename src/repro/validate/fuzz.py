@@ -10,7 +10,8 @@ historically break tools like this one:
   the sampling codec (:mod:`repro.core.serialization`): the decoded
   profile must be field-for-field identical.
 * ``rewriter`` — a random generated workload, rewritten with a random
-  prefetch plan (distances of either sign), decoded three ways: by
+  prefetch plan (distances of either sign, some reaching below address
+  0 from the decision PC's own addresses), decoded three ways: by
   re-execution, by splicing the profiled trace
   (:func:`repro.isa.splice_execution`) and by trace-level insertion.
   The demand stream must be bit-identical and all three must agree.
@@ -198,7 +199,7 @@ def _gen_rewriter(rng: np.random.Generator) -> dict:
     weights = rng.dirichlet(np.ones(5)).round(3).tolist()
     n_instructions = int(rng.integers(2, 7))
     n_decisions = int(rng.integers(1, n_instructions + 1))
-    return {
+    case = {
         "recipe": {
             "stream_weight": weights[0],
             "chase_weight": weights[1],
@@ -219,15 +220,30 @@ def _gen_rewriter(rng: np.random.Generator) -> dict:
         ).tolist(),
         "nta": rng.integers(0, 2, size=n_decisions).astype(bool).tolist(),
     }
+    # A quarter of the decisions derive their distance from the trace.
+    derived = rng.random(n_decisions) < 0.25
+    case["distances"] = [None if d else x for x, d in zip(case["distances"], derived)]
+    return case
 
 
-def _rewriter_decisions(case: dict, program) -> list[PrefetchDecision]:
+def _rewriter_decisions(case: dict, program, trace: MemoryTrace) -> list[PrefetchDecision]:
+    """The case's prefetch decisions on ``program``, whose trace is ``trace``.
+
+    Generated regions lie far above address 0, so a drawn distance never
+    reaches below it.  A ``None`` distance is derived instead: minus the
+    PC's middle address, rounded down to a line, minus a line (one line
+    back if the PC never runs).  The prefetches of the PC's lower
+    addresses then target below 0, and are dropped, and those of its
+    upper addresses are not.
+    """
     pcs = sorted(program.pc_map().values())
     decisions: dict[int, PrefetchDecision] = {}
-    for slot, distance, nta in zip(
-        case["decision_slots"], case["distances"], case["nta"]
-    ):
+    for slot, distance, nta in zip(case["decision_slots"], case["distances"], case["nta"]):
         pc = pcs[slot % len(pcs)]
+        if distance is None:
+            addrs = trace.addr[trace.pc == pc]
+            lo, hi = (int(addrs.min()), int(addrs.max())) if len(addrs) else (0, 0)
+            distance = -((lo + (hi - lo) // 2) // 64 * 64 + 64)
         decisions[pc] = PrefetchDecision(
             pc=pc, stride=64, distance_bytes=int(distance), nta=bool(nta)
         )
@@ -239,7 +255,7 @@ def _check_rewriter(case: dict) -> None:
     program = generate_workload(recipe, seed=case["program_seed"], name="fuzz")
     execution = interpreter.execute_program(program, seed=case["exec_seed"])
     original_demand = execution.trace.demand_only()
-    decisions = _rewriter_decisions(case, program)
+    decisions = _rewriter_decisions(case, program, execution.trace)
 
     rewritten = rewriter.insert_prefetches(program, decisions)
     re_exec = interpreter.execute_program(rewritten, seed=case["exec_seed"])

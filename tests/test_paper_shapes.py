@@ -8,7 +8,7 @@ backend, which is bit-identical to ``reference``.
 
 Claims that hold only at scale 1 are the ``slow`` tier: CI runs them in
 their own step with ``pytest tests/test_paper_shapes.py -m slow``.
-Table I's claims hold at scale 0.05 and run in tier 1.
+Table I's and Fig. 4's claims hold at scale 0.05 and run in tier 1.
 """
 
 from __future__ import annotations
@@ -109,4 +109,64 @@ def test_table1_coverage_claims():
     for claim, margin in margins.items():
         assert margin == pytest.approx(TABLE1_MARGINS[claim], abs=5e-4), (
             f"Table I {claim}: margin {margin:+.4f}, recorded {TABLE1_MARGINS[claim]:+.4f}"
+        )
+
+
+#: Fig. 4 (§VII): software prefetching speeds libquantum up by more
+#: than 25%, the pointer chasers omnetpp and xalan by less than 15% and
+#: 10%, and cigar at all, while AMD's hardware prefetcher slows cigar
+#: down; stride-centric never beats MDDLI's average by more than 0.01
+#: (``benchmarks/bench_fig4_speedup.py`` asserts the same six bounds).
+#: All hold from scale 0.05.  Fig. 4 reads cycles, so these margins
+#: guard the timing pass.
+FIG4_SCALE = 0.05
+
+#: How far each claim clears its bound at ``FIG4_SCALE``: libquantum's
+#: speedup minus 0.25, 0.15 and 0.10 minus omnetpp's and xalan's,
+#: cigar's speedup, minus cigar's ``hw`` speedup (AMD only), and the
+#: average ``swnt`` speedup minus (average ``stride`` speedup - 0.01).
+FIG4_MARGINS = {
+    "amd-phenom-ii": {
+        "libquantum": 0.3926,
+        "omnetpp": 0.0861,
+        "xalan": 0.0554,
+        "cigar": 0.1166,
+        "cigar_hw": 0.0930,
+        "average": 0.0110,
+    },
+    "intel-i7-2600k": {
+        "libquantum": 0.4408,
+        "omnetpp": 0.0848,
+        "xalan": 0.0561,
+        "cigar": 0.1107,
+        "average": 0.0136,
+    },
+}
+
+
+def _fig4_speedup(machine: str, workload: str, config: str) -> float:
+    """Speedup over the baseline, as ``run_fig4`` computes it."""
+    base = api.ExperimentSpec(workload, machine, "baseline", "ref", FIG4_SCALE)
+    return api.run(base).cycles / api.run(base.with_config(config)).cycles - 1.0
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_fig4_speedup_claims(machine):
+    swnt = {w: _fig4_speedup(machine, w, "swnt") for w in ALL_SINGLE_CORE}
+    stride = {w: _fig4_speedup(machine, w, "stride") for w in ALL_SINGLE_CORE}
+    margins = {
+        "libquantum": swnt["libquantum"] - 0.25,
+        "omnetpp": 0.15 - swnt["omnetpp"],
+        "xalan": 0.10 - swnt["xalan"],
+        "cigar": swnt["cigar"],
+        "average": sum(swnt.values()) / len(swnt) - (sum(stride.values()) / len(stride) - 0.01),
+    }
+    if machine == "amd-phenom-ii":
+        margins["cigar_hw"] = -_fig4_speedup(machine, "cigar", "hw")
+    assert all(m > 0.0 for m in margins.values()), margins
+    assert margins.keys() == FIG4_MARGINS[machine].keys()
+    for claim, margin in margins.items():
+        recorded = FIG4_MARGINS[machine][claim]
+        assert margin == pytest.approx(recorded, abs=5e-4), (
+            f"Fig. 4 {claim} on {machine}: margin {margin:+.4f}, recorded {recorded:+.4f}"
         )

@@ -499,6 +499,26 @@ class TestRewrittenTraceBatch:
         assert fast_h.last_run_path == "batch"
 
     @pytest.mark.parametrize("model", ["null", "stride"])
+    def test_long_mixed_gap_and_prefetch_tail(self, tiny_machine, rng, model):
+        # Line 5000 is loaded once, then loaded and prefetched while it
+        # stays in L1 and was never in flight: no timing op, so 241
+        # events of demand and prefetch charges form one gap, longer
+        # than a pattern key holds.  The trace ends in L1-hit prefetches,
+        # which only the tail span charges.
+        load, pf = MemOp.LOAD, MemOp.PREFETCH
+        hot, other = 5000, 5001  # L1 sets 0 and 1 of the tiny machine
+        gap = crafted_trace(
+            [hot] + [hot, hot, hot] * 80 + [other] + [hot, hot] * 20 + [hot] * 3,
+            [load] + [load, pf, pf] * 80 + [load] + [pf, load] * 20 + [pf] * 3,
+        )
+        assert 3 * 80 > hierarchy_module._PATTERN_BITS
+        trace = MemoryTrace.concat([random_trace(rng, 2000, 256, all_ops=True), gap])
+        fast_h = compare_hierarchies(
+            tiny_machine, [trace, gap], PREFETCHER_FACTORIES[model], mlp=2.0
+        )
+        assert fast_h.last_run_path == "batch"
+
+    @pytest.mark.parametrize("model", ["null", "stride"])
     def test_repeated_runs_accumulate_into_one_stats(self, tiny_machine, rng, model):
         trace = random_trace(rng, 6000, 512, all_ops=True)
         fast_h = compare_hierarchies(
@@ -510,6 +530,38 @@ class TestRewrittenTraceBatch:
             mlp=2.0,
         )
         assert fast_h.last_run_path == "batch"
+
+
+class TestClockCharges:
+    """``clock_charges``, which builds the gaps of the hierarchy's batch
+    path and of the multicore simulator's, against one charge per event."""
+
+    def test_charges_in_program_order_and_interned(self, rng):
+        from repro.cachesim.hierarchy import _PATTERN_BITS, clock_charges
+
+        n = 4000
+        is_pf = rng.random(n) < 0.4
+        is_pf[1000:1100] = False
+        # Random cuts (repeats make empty spans) around spans of exactly
+        # the key's bit budget, one event more, 100 demand events and
+        # 200 mixed ones; a fifth of the other spans are left out.
+        fixed = [500, 500 + _PATTERN_BITS, 501 + 2 * _PATTERN_BITS, 1000, 1100, 1300]
+        cuts = np.sort(
+            np.concatenate(
+                (rng.integers(0, 500, 150), fixed, rng.integers(1300, n + 1, 250), [0, n])
+            )
+        )
+        starts, ends = cuts[:-1], cuts[1:]
+        keep = (rng.random(len(starts)) < 0.8) | np.isin(starts, fixed)
+        starts, ends = starts[keep], ends[keep]
+        charges = clock_charges(starts, ends, is_pf, 2.5, 1.0)
+        assert len(charges) == len(starts)
+        shared = {}
+        for s, e, got in zip(starts.tolist(), ends.tolist(), charges):
+            assert got == tuple(1.0 if p else 2.5 for p in is_pf[s:e].tolist())
+            assert shared.setdefault(got, got) is got
+        lengths = {len(c) for c in charges}
+        assert {0, _PATTERN_BITS, _PATTERN_BITS + 1, 100, 200} <= lengths
 
 
 def saturating_trace(rng, n_calm=2500, n_sweep=3500):
@@ -919,7 +971,8 @@ class TestObserveBatchParity:
 
 
 class TestDemand2WayKernel:
-    """The round-free 2-way demand kernel vs chunked replay of itself.
+    """The round-free 2-way kernel, on demand and fill ops, vs chunked
+    replay of itself and vs the dict cache.
 
     Chunks of <= 2 ops never dispatch to the kernel (it requires n > 2),
     so a second cache fed the same stream two ops at a time replays the
@@ -959,6 +1012,74 @@ class TestDemand2WayKernel:
             assert lru_state(kern) == lru_state(oracle)
             kern.check_invariants()
 
+    @staticmethod
+    def fill_stream(rng, n_sets, n):
+        """Demand and fill ops over three lines per set, 40% fills (the
+        share of a rewritten trace), so fills often hit the LRU way."""
+        from repro.cachesim.fastlru import OP_DEMAND, OP_FILL
+
+        lines = rng.integers(0, n_sets, n) + n_sets * rng.integers(0, 3, n)
+        kinds = np.where(rng.random(n) < 0.4, OP_FILL, OP_DEMAND).astype(np.uint8)
+        return lines, kinds, rng.integers(0, 32, n)
+
+    @staticmethod
+    def lru_way_fills(cache, lines, kinds):
+        """Replay on a dict cache, op by op; count the fills that hit the
+        LRU way (a resident line that is not its set's MRU line)."""
+        from repro.cachesim.fastlru import OP_FILL
+
+        count = 0
+        for line, kind in zip(lines.tolist(), kinds.tolist()):
+            s = cache._sets[line & cache._set_mask]
+            if kind == OP_FILL and line in s:
+                count += line != next(reversed(s))
+            elif not cache.lookup(line):
+                cache.install(line)
+        return count
+
+    def test_fills_match_chunked_replay(self, rng):
+        config = CacheConfig("T", 64 * 2 * 64, ways=2, line_bytes=64)
+        kern = FastLRUCache(config)
+        oracle = FastLRUCache(config)
+        for batch in range(4):  # state carries across batches
+            lines, kinds, flags = self.fill_stream(rng, 64, 700 + 250 * batch)
+            got = kern.ops_batch(lines, kinds, flags)
+            parts = [
+                oracle.ops_batch(lines[s : s + 2], kinds[s : s + 2], flags[s : s + 2])
+                for s in range(0, len(lines), 2)
+            ]
+            assert np.array_equal(got[0], np.concatenate([p[0] for p in parts]))
+            assert np.array_equal(got[1], np.concatenate([p[1] for p in parts]))
+            victims = [
+                (i + 2 * k, line, f)
+                for k, p in enumerate(parts)
+                for i, line, f in zip(p[2].tolist(), p[3].tolist(), p[4].tolist())
+            ]
+            assert list(zip(*(v.tolist() for v in got[2:]))) == victims
+            assert lru_state(kern) == lru_state(oracle)
+            kern.check_invariants()
+
+    @pytest.mark.parametrize("n_sets", [1, 8, 512])
+    def test_fills_match_dict_cache_across_batches(self, rng, n_sets):
+        # The sets whose fills hit the LRU way finish on dict sets from
+        # their pre-batch rows; the other sets keep the run view's
+        # write-back.  Both must leave the dict cache's state.
+        config = CacheConfig("T", n_sets * 2 * 64, ways=2, line_bytes=64)
+        for trial in range(8):
+            kern, ref, probe = FastLRUCache(config), LRUCache(config), LRUCache(config)
+            lru_fills = 0
+            for batch in range(3):
+                n = int(rng.integers(3, 6 * n_sets + 400))
+                lines, kinds, flags = self.fill_stream(rng, n_sets, n)
+                lru_fills += self.lru_way_fills(probe, lines, kinds)
+                got = kern.ops_batch(lines, kinds, flags)
+                want = ref.ops_batch(lines, kinds, flags)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+                assert lru_state(kern) == lru_state(ref)
+                kern.check_invariants()
+            assert lru_fills > 0
+
 
 class TestOpsBatchKinds:
     """Every ``ops_batch`` kind, on both cache classes, against the dict
@@ -990,12 +1111,14 @@ class TestOpsBatchKinds:
                 victims.append((i, *victim))
         return hit, prior, victims
 
-    #: (sets, ways): the dict tail, the wavefront, and the Intel L1,
-    #: whose 64 sets run wholly on dict sets.
+    #: (sets, ways): the dict tail, the wavefront, the Intel L1, whose
+    #: 64 sets run wholly on dict sets, and the AMD L1, whose demand and
+    #: fill batches take the 2-way kernel.
     GEOMETRIES = [
         pytest.param(4, 4, id="4"),
         pytest.param(512, 4, id="512"),
         pytest.param(64, 8, id="64x8"),
+        pytest.param(512, 2, id="512x2"),
     ]
 
     @pytest.mark.parametrize(("n_sets", "ways"), GEOMETRIES)
@@ -1009,7 +1132,7 @@ class TestOpsBatchKinds:
     def check_every_kind(self, rng, n_sets, ways, cls):
         config = CacheConfig("T", n_sets * ways * 64, ways=ways, line_bytes=64)
         batched, ref = cls(config), LRUCache(config)
-        for batch in range(4):  # state carries across batches
+        for batch in range(5):  # state carries across batches
             lines = rng.integers(0, 2 * ways * n_sets, 40 * n_sets)
             if batch == 3:
                 # Too few active sets for the wavefront: the dict tail
@@ -1017,7 +1140,9 @@ class TestOpsBatchKinds:
                 # order.
                 lines = lines[lines % n_sets < 64]
             n = len(lines)
-            kinds = rng.integers(0, 7, n).astype(np.uint8)
+            # The last batch holds demand and fill ops only, the kinds
+            # of the 2-way kernel.
+            kinds = rng.integers(0, 2 if batch == 4 else 7, n).astype(np.uint8)
             oflags = rng.integers(1, 32, n)
             h, p, vi, vl, vf = batched.ops_batch(lines, kinds, oflags)
             rh, rp, rv = self.scalar_replay(ref, lines, kinds, oflags)

@@ -156,6 +156,29 @@ class TestFuzzFast:
         b = run_fuzz(seed=5, cases_per_target=2)
         assert a.as_dict() == b.as_dict()
 
+    def test_rewriter_cases_reach_below_address_zero(self):
+        # Of the 25 rewriter cases a seed-0 run draws, some prefetch
+        # below address 0, where every decoder drops the prefetch, and
+        # keep others of the same PC above it.
+        from repro.isa.interpreter import execute_program
+        from repro.validate.fuzz import _check_rewriter, _gen_rewriter, _rewriter_decisions
+        from repro.workloads.generator import WorkloadRecipe, generate_workload
+
+        t_idx = list(TARGETS).index("rewriter")
+        reaching = 0
+        for c_idx in range(25):
+            case = _gen_rewriter(np.random.default_rng(np.random.SeedSequence((0, t_idx, c_idx))))
+            recipe = WorkloadRecipe(**case["recipe"])
+            program = generate_workload(recipe, seed=case["program_seed"], name="fuzz")
+            trace = execute_program(program, seed=case["exec_seed"]).trace
+            for decision in _rewriter_decisions(case, program, trace):
+                targets = trace.addr[trace.pc == decision.pc] + decision.distance_bytes
+                if (targets < 0).any() and (targets >= 0).any():
+                    reaching += 1
+                    _check_rewriter(case)
+                    break
+        assert reaching >= 1
+
     def test_committed_fixtures_stay_fixed(self, fuzz_fixture_paths):
         # Every shrunk repro committed under tests/fixtures/fuzz must
         # keep passing: replay_fixture returns the error or None.
