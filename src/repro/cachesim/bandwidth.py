@@ -65,6 +65,11 @@ class BandwidthModel:
         controller during ``[start_time, start_time + duration)``, with
         ``start_time >= now`` delayed behind earlier transfers.  Callers
         add their DRAM access latency on top to get data arrival.
+
+        The utilisation EWMA first decays by the time since the previous
+        transfer, ``1 - min(dt / window, 1)`` (no time passes for a
+        request at or before it), then adds this transfer's share of the
+        window.
         """
         if n_bytes < 0:
             raise ConfigError("n_bytes must be non-negative")
@@ -73,7 +78,12 @@ class BandwidthModel:
         self._free_time = start + duration
         self.total_bytes += n_bytes
         self.total_transfers += 1
-        self._update_ewma(now, n_bytes)
+        last = self._last_time
+        if now > last:
+            x = (now - last) / self.window
+            self._ewma_bpc *= 1.0 - x if x < 1.0 else 0.0
+            self._last_time = now
+        self._ewma_bpc += n_bytes / self.window
         return start, duration
 
     def charge_batch(self, now: float, n_bytes: int, count: int) -> None:
@@ -107,15 +117,6 @@ class BandwidthModel:
     # ------------------------------------------------------------------
     # utilisation
     # ------------------------------------------------------------------
-
-    def _update_ewma(self, now: float, n_bytes: int) -> None:
-        now = max(now, self._last_time)
-        dt = now - self._last_time
-        if dt > 0:
-            decay = 1.0 - min(dt / self.window, 1.0)
-            self._ewma_bpc *= decay
-            self._last_time = now
-        self._ewma_bpc += n_bytes / self.window
 
     def utilisation(self) -> float:
         """Smoothed utilisation ``rho`` in [0, 1] for throttling decisions."""

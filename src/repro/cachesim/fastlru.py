@@ -87,7 +87,9 @@ _ORS_FLAGS = np.array([1, 0, 0, 0, 1, 0, 0], dtype=bool)
 #: vector rounds: cutting at the first narrow round instead moved 19,630
 #: of the 408,767 ops of a seed-0 ``sw-rewrite`` cell-benchmark pass to
 #: the dict loop and raised its ``ops_batch`` CPU from 0.18 to 0.26 s
-#: (``docs/performance.md``, "The dict tail").
+#: (``docs/performance.md``, "The dict tail").  A level with fewer sets
+#: (the Intel L1's 64) can never start a band, so both kernels send its
+#: whole batch to the dict tail without sorting it by set first.
 MIN_WAVEFRONT_SETS = 128
 
 
@@ -130,7 +132,8 @@ class FastLRUCache:
 
         A 2-way cache (the AMD L1) takes a round-free closed form
         (:meth:`_access_batch_2way`); every other geometry, direct-mapped
-        included, runs set-wavefront rounds and the dict tail.
+        included, runs set-wavefront rounds and the dict tail, or only
+        the dict tail when it has too few sets for a band.
 
         Returns ``(miss, victims)``: a boolean per-access miss vector
         and, when ``collect_victims``, the evicted line numbers in
@@ -144,6 +147,17 @@ class FastLRUCache:
         sets = lines & self._set_mask
         if self.ways == 2:
             return self._access_batch_2way(lines, sets, miss, collect_victims)
+        if self.config.num_sets < MIN_WAVEFRONT_SETS:
+            # Too few sets for any band (the Intel L1): all on dict sets.
+            hit, _, _, vic_line, _ = self._dict_tail(
+                np.arange(n),
+                lines,
+                np.full(n, OP_DEMAND, dtype=np.uint8),
+                np.zeros(n, dtype=np.int64),
+                self._clock + n,
+            )
+            self._clock += n
+            return ~hit, vic_line if collect_victims else np.empty(0, dtype=np.int64)
         # Set indices fit in 16 bits for every realistic geometry; the
         # narrower key radix-sorts in half the passes.
         key = sets.astype(np.uint16) if self._set_mask < (1 << 16) else sets
@@ -376,6 +390,11 @@ class FastLRUCache:
             # Demand and fill stream on a 2-way cache (the L1 geometry of
             # the paper's AMD machine): round-free run-level algorithm.
             return self._ops_demand_2way(lines, kinds, oflags, hit, prior)
+        if self.config.num_sets < MIN_WAVEFRONT_SETS:
+            # Too few sets for any band (the Intel L1): all on dict sets.
+            result = self._dict_tail(np.arange(n), lines, kinds, oflags, self._clock + n)
+            self._clock += n
+            return result
         sets = lines & self._set_mask
         key = sets.astype(np.uint16) if self._set_mask < (1 << 16) else sets
         order = np.argsort(key, kind="stable")

@@ -166,8 +166,8 @@ def l2_resident_requests(
     line in L2.  L1 victims' dirty touches are left out of the stream,
     because they change neither residency nor LRU order; a software
     prefetch, an NT store or a request that does not fill L2 ends the
-    chain.  ``_hw_requests`` answers a resident request with
-    ``l2.contains(...) -> continue``, so dropping it changes nothing.
+    chain.  ``_hw_requests`` skips a request whose line its L2 set
+    holds, so dropping it changes nothing.
 
     One sort of composite keys (L2 set, position in the batch's L2 op
     stream) puts each op right after its set's previous op.  Returns a
@@ -211,16 +211,21 @@ def clock_charges(
     float additions.
 
     Few patterns recur, so each distinct one is built once and shared.
-    Spans without a prefetch are keyed by length, spans of at most
-    :data:`_PATTERN_BITS` events with one by their prefetch bits under a
-    length bit, and the rare longer ones are built one at a time.
+    Spans without a prefetch take one tuple per length present, from a
+    table indexed by length; spans of at most :data:`_PATTERN_BITS`
+    events with one are keyed by their prefetch bits under a length bit,
+    and the rare longer ones are built one at a time.
     """
     lengths = ends - starts
     pf_before = np.concatenate(([0], np.cumsum(is_pf)))
     first_pf = pf_before[starts]
     n_pf = pf_before[ends] - first_pf
-    keys = -lengths
     mixed = n_pf > 0
+    # Each span's row of ``table``; a prefetch-free span's is its length.
+    row = np.where(mixed, 0, lengths)
+    table = np.empty(int(row.max(initial=0)) + 1, dtype=object)
+    for length in np.nonzero(np.bincount(row[~mixed]))[0].tolist():
+        table[length] = (demand_cost,) * length
     short = np.nonzero(mixed & (lengths <= _PATTERN_BITS))[0]
     if len(short):
         # The prefetches of a span are a contiguous run of all of them.
@@ -231,21 +236,17 @@ def clock_charges(
         )
         shift = np.nonzero(is_pf)[0][take] - np.repeat(starts[short], count)
         bits = np.bitwise_or.reduceat(np.left_shift(1, shift), offsets)
-        keys[short] = bits | np.left_shift(1, lengths[short])
-    long_mixed = np.nonzero(mixed & (lengths > _PATTERN_BITS))[0]
-    keys[long_mixed] = 0  # built one at a time below
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    table = np.empty(len(uniq), dtype=object)
-    for u, key in enumerate(uniq.tolist()):
-        if key <= 0:
-            table[u] = (demand_cost,) * -key
-        else:
-            table[u] = tuple(
+        keys, inverse = np.unique(bits | np.left_shift(1, lengths[short]), return_inverse=True)
+        row[short] = len(table) + inverse
+        by_key = np.empty(len(keys), dtype=object)
+        for u, key in enumerate(keys.tolist()):
+            by_key[u] = tuple(
                 [pf_cost if key >> k & 1 else demand_cost for k in range(key.bit_length() - 1)]
             )
-    charges = table[inverse].tolist()
+        table = np.concatenate((table, by_key))
+    charges = table[row].tolist()
     patterns: dict[tuple[float, ...], tuple[float, ...]] = {}
-    for j in long_mixed.tolist():
+    for j in np.nonzero(mixed & (lengths > _PATTERN_BITS))[0].tolist():
         costs = tuple(np.where(is_pf[starts[j] : ends[j]], pf_cost, demand_cost).tolist())
         charges[j] = patterns.setdefault(costs, costs)
     return charges
@@ -360,6 +361,13 @@ class CacheHierarchy:
         self.last_run_path: str | None = None
         self._inflight: dict[int, float] = {}
         self._line_shift = machine.line_bytes.bit_length() - 1
+        # What the event handlers charge, read once here rather than
+        # through ``machine`` on every event.
+        self._line_bytes = machine.line_bytes
+        self._l2_latency = machine.l2.hit_latency
+        self._llc_latency = machine.llc.hit_latency
+        self._dram_latency = machine.dram_latency
+        self._prefetch_cost = machine.prefetch_cost
         # write-combining buffer for non-temporal stores (4 entries,
         # like x86 WC buffers): consecutive NT writes to the same line
         # merge into one off-chip transfer.
@@ -675,7 +683,7 @@ class CacheHierarchy:
 
         # ---- pass 2: batched prefetcher observation ---------------------
         # The prefetcher trains on demand events only: the scalar loop
-        # calls _hw_observe from _demand_access alone.
+        # calls observe from _demand_access alone.
         if isinstance(self.prefetcher, NullPrefetcher):
             h_ev = np.empty(0, dtype=np.int64)
             h_line = np.empty(0, dtype=np.int64)
@@ -1264,6 +1272,15 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     # event handlers
     # ------------------------------------------------------------------
+    #
+    # Three drivers run these: the scalar loop, the multicore event loop
+    # and the multicore batch driver's live events.  L2 and the LLC are
+    # always dict-backed ``LRUCache`` levels here, so every probe is one
+    # operation on the line's set dict, and a hit pops the line and
+    # re-inserts it as most recently used.  Only ``_demand_access`` reads
+    # L1's sets: the other handlers also run under :meth:`replayed_l1`,
+    # and reach L1 through its ``install``, ``contains`` and
+    # ``invalidate``.
 
     def _demand_access(
         self,
@@ -1275,24 +1292,36 @@ class CacheHierarchy:
         mlp: float,
         stats: RunStats,
     ) -> None:
+        """A load or store on the event loops, whose L1 is a dict ``LRUCache``."""
         self.now += demand_cost
         write_flag = FLAG_DIRTY if is_write else 0
         stats.l1.accesses += 1
-
-        l1_flags = self.l1.peek_flags(line)
-        l1_hit = l1_flags is not None
-        if l1_hit:
-            self._inflight_hit(line, mlp, stats)
-            if l1_flags & FLAG_SW_PREFETCH and not l1_flags & FLAG_REFERENCED:
+        pc_l1 = stats.pc_l1
+        accesses = pc_l1.accesses
+        accesses[pc] = accesses.get(pc, 0) + 1
+        l1 = self.l1
+        s = l1._sets[line & l1._set_mask]
+        flags = s.pop(line, None)
+        if flags is not None:
+            # As _inflight_hit: a late prefetch stalls the core.
+            completion = self._inflight.pop(line, None)
+            if completion is not None and completion > self.now:
+                self.now += (completion - self.now) / mlp
+                stats.sw_late += 1
+            if flags & FLAG_SW_PREFETCH and not flags & FLAG_REFERENCED:
                 stats.sw_useful += 1
-            self.l1.lookup(line, FLAG_REFERENCED | write_flag)
-            stats.pc_l1.record(pc, False)
-            self._hw_observe(pc, addr, line, True, stats)
+            s[line] = flags | FLAG_REFERENCED | write_flag
+            requests = self.prefetcher.observe(pc, addr, line, True)
+            if requests:
+                self._hw_requests(requests, stats)
             return
 
         stats.l1.misses += 1
-        stats.pc_l1.record(pc, True)
-        self._hw_observe(pc, addr, line, False, stats)
+        misses = pc_l1.misses
+        misses[pc] = misses.get(pc, 0) + 1
+        requests = self.prefetcher.observe(pc, addr, line, False)
+        if requests:
+            self._hw_requests(requests, stats)
         self._demand_miss(line, write_flag, mlp, stats)
 
     def _inflight_hit(self, line: int, mlp: float, stats: RunStats) -> None:
@@ -1300,7 +1329,9 @@ class CacheHierarchy:
 
         The hit drops the line's in-flight entry; a prefetch that has not
         completed yet (late prefetch) stalls the core for the remaining
-        fetch time, overlapped with other outstanding misses.
+        fetch time, overlapped with other outstanding misses.  The batch
+        driver's live L1 hits call this; ``_demand_access`` makes the
+        same check inline.
         """
         completion = self._inflight.pop(line, None)
         if completion is not None and completion > self.now:
@@ -1320,47 +1351,52 @@ class CacheHierarchy:
         backends and the multicore simulator share it; the batch path
         reproduces it pass by pass.
         """
+        set_flags = FLAG_REFERENCED | write_flag
         stats.l2.accesses += 1
-        l2_flags = self.l2.peek_flags(line)
-        if l2_flags is not None:
-            if l2_flags & FLAG_HW_PREFETCH and not l2_flags & FLAG_REFERENCED:
+        l2 = self.l2
+        s2 = l2._sets[line & l2._set_mask]
+        flags = s2.pop(line, None)
+        if flags is not None:
+            if flags & FLAG_HW_PREFETCH and not flags & FLAG_REFERENCED:
                 stats.hw_useful += 1
-            self.l2.lookup(line, FLAG_REFERENCED | write_flag)
+            s2[line] = flags | set_flags
             completion = self._inflight.pop(line, None)
             if completion is not None and completion > self.now:
                 self.now += (completion - self.now) / mlp
             else:
-                self.now += self.machine.l2.hit_latency / mlp
-            self._install_l1(line, FLAG_REFERENCED | write_flag, stats)
+                self.now += self._l2_latency / mlp
+            self._install_l1(line, set_flags, stats)
             return
 
         stats.l2.misses += 1
         stats.llc.accesses += 1
-        llc_flags = self.llc.peek_flags(line)
-        if llc_flags is not None:
-            if llc_flags & FLAG_HW_PREFETCH and not llc_flags & FLAG_REFERENCED:
+        llc = self.llc
+        s3 = llc._sets[line & llc._set_mask]
+        flags = s3.pop(line, None)
+        if flags is not None:
+            if flags & FLAG_HW_PREFETCH and not flags & FLAG_REFERENCED:
                 stats.hw_useful += 1
-            self.llc.lookup(line, FLAG_REFERENCED | write_flag)
+            s3[line] = flags | set_flags
             completion = self._inflight.pop(line, None)
             if completion is not None and completion > self.now:
                 self.now += (completion - self.now) / mlp
             else:
-                self.now += self.machine.llc.hit_latency / mlp
-            self._install_l2(line, FLAG_REFERENCED | write_flag, stats)
-            self._install_l1(line, FLAG_REFERENCED | write_flag, stats)
+                self.now += self._llc_latency / mlp
+            self._install_l2(s2, line, set_flags, stats)
+            self._install_l1(line, set_flags, stats)
             return
 
         stats.llc.misses += 1
-        start, duration = self.bandwidth.transfer(self.now, self.machine.line_bytes)
+        start, duration = self.bandwidth.transfer(self.now, self._line_bytes)
         stats.dram_fills += 1
         # Queueing behind earlier transfers (start - now) is a
         # throughput limit that parallelism cannot hide and is paid in
         # full; the pipelined transfer + access latency overlaps across
         # the core's outstanding misses.
-        self.now = start + (duration + self.machine.dram_latency) / mlp
-        self._install_llc(line, FLAG_REFERENCED | write_flag, stats)
-        self._install_l2(line, FLAG_REFERENCED | write_flag, stats)
-        self._install_l1(line, FLAG_REFERENCED | write_flag, stats)
+        self.now = start + (duration + self._dram_latency) / mlp
+        self._install_llc(s3, line, set_flags, stats)
+        self._install_l2(s2, line, set_flags, stats)
+        self._install_l1(line, set_flags, stats)
 
     def _nt_store(self, pc: int, line: int, demand_cost: float, stats: RunStats) -> None:
         """Non-temporal store: write-combine straight to DRAM.
@@ -1373,46 +1409,50 @@ class CacheHierarchy:
         self.now += demand_cost
         stats.l1.accesses += 1
         stats.pc_l1.record(pc, False)
-        for cache in (self.l1, self.l2, self.llc):
-            cache.invalidate(line)
+        self.l1.invalidate(line)
+        for cache in (self.l2, self.llc):
+            cache._sets[line & cache._set_mask].pop(line, None)
         self._inflight.pop(line, None)
         if line in self._wc_buffer:
             return  # merged into an open write-combining entry
         self._wc_buffer.append(line)
         if len(self._wc_buffer) > 4:
             self._wc_buffer.pop(0)
-        self.bandwidth.transfer(self.now, self.machine.line_bytes)
+        self.bandwidth.transfer(self.now, self._line_bytes)
         stats.nt_store_writes += 1
 
     def _sw_prefetch(self, line: int, nta: bool, stats: RunStats) -> None:
-        self.now += self.machine.prefetch_cost
+        self.now += self._prefetch_cost
         stats.sw_prefetches += 1
         if self.l1.contains(line):
             return
         # Fetch from the nearest level that has the line.
-        if self.l2.lookup(line):
-            completion = self.now + self.machine.l2.hit_latency
-        elif self.llc.lookup(line):
-            completion = self.now + self.machine.llc.hit_latency
+        l2 = self.l2
+        s2 = l2._sets[line & l2._set_mask]
+        flags = s2.pop(line, None)
+        if flags is not None:
+            s2[line] = flags
+            completion = self.now + self._l2_latency
         else:
-            start, duration = self.bandwidth.transfer(self.now, self.machine.line_bytes)
-            stats.dram_fills += 1
-            if nta:
-                stats.nta_fills += 1
-            completion = start + duration + self.machine.dram_latency
-            if not nta:
-                # An ordinary prefetch from DRAM installs through the
-                # hierarchy; NTA bypasses L2/LLC entirely.
-                self._install_llc(line, FLAG_SW_PREFETCH, stats)
-                self._install_l2(line, FLAG_SW_PREFETCH, stats)
-        flags = FLAG_SW_PREFETCH | (FLAG_NTA if nta else 0)
-        self._install_l1(line, flags, stats)
+            llc = self.llc
+            s3 = llc._sets[line & llc._set_mask]
+            flags = s3.pop(line, None)
+            if flags is not None:
+                s3[line] = flags
+                completion = self.now + self._llc_latency
+            else:
+                start, duration = self.bandwidth.transfer(self.now, self._line_bytes)
+                stats.dram_fills += 1
+                completion = start + duration + self._dram_latency
+                if nta:
+                    stats.nta_fills += 1
+                else:
+                    # An ordinary prefetch from DRAM installs through the
+                    # hierarchy; NTA bypasses L2/LLC entirely.
+                    self._install_llc(s3, line, FLAG_SW_PREFETCH, stats)
+                    self._install_l2(s2, line, FLAG_SW_PREFETCH, stats)
+        self._install_l1(line, FLAG_SW_PREFETCH | (FLAG_NTA if nta else 0), stats)
         self._inflight[line] = completion
-
-    def _hw_observe(self, pc: int, addr: int, line: int, l1_hit: bool, stats: RunStats) -> None:
-        requests = self.prefetcher.observe(pc, addr, line, l1_hit)
-        if requests:
-            self._hw_requests(requests, stats)
 
     def _hw_requests(self, requests: Iterable[tuple[int, bool, bool]], stats: RunStats) -> None:
         """Issue one demand event's hardware-prefetch requests, in order.
@@ -1422,30 +1462,37 @@ class CacheHierarchy:
         the scalar loop, or one row of ``observe_batch``'s result (with
         ``llc_bypass`` False) in the multicore simulator's batch driver.
         """
+        l2 = self.l2
+        sets2, mask2 = l2._sets, l2._set_mask
+        llc = self.llc
+        sets3, mask3 = llc._sets, llc._set_mask
         for target, fill_l2, llc_bypass in requests:
-            if self.l2.contains(target):
+            s2 = sets2[target & mask2]
+            if target in s2:
                 continue
             stats.hw_prefetches += 1
-            if self.llc.contains(target):
+            s3 = sets3[target & mask3]
+            if target in s3:
                 # Promote into L2 only; no off-chip traffic.
                 if fill_l2:
-                    self._install_l2(target, FLAG_HW_PREFETCH, stats)
+                    self._install_l2(s2, target, FLAG_HW_PREFETCH, stats)
                 continue
-            start, duration = self.bandwidth.transfer(self.now, self.machine.line_bytes)
+            start, duration = self.bandwidth.transfer(self.now, self._line_bytes)
             stats.dram_fills += 1
-            self._inflight[target] = start + duration + self.machine.dram_latency
+            self._inflight[target] = start + duration + self._dram_latency
             if not llc_bypass:
                 # A coordinator-retargeted (NTA) fill skips the shared
                 # LLC, conserving neighbours' space like PREFETCHNTA.
-                self._install_llc(target, FLAG_HW_PREFETCH, stats)
+                self._install_llc(s3, target, FLAG_HW_PREFETCH, stats)
             if fill_l2:
-                self._install_l2(target, FLAG_HW_PREFETCH, stats)
+                self._install_l2(s2, target, FLAG_HW_PREFETCH, stats)
 
     # ------------------------------------------------------------------
     # fills and evictions
     # ------------------------------------------------------------------
 
     def _install_l1(self, line: int, flags: int, stats: RunStats) -> None:
+        # Through ``install``: the L1 may be the batch driver's _ReplayedL1.
         victim = self.l1.install(line, flags)
         if victim is None:
             return
@@ -1453,39 +1500,48 @@ class CacheHierarchy:
         self._inflight.pop(v_line, None)
         if v_flags & FLAG_SW_PREFETCH and not v_flags & FLAG_REFERENCED:
             stats.sw_useless += 1
-        if v_flags & FLAG_NTA:
-            # NTA lines bypass the outer levels: dirty ones go straight
-            # to DRAM, clean ones are simply dropped.
+        if not v_flags & FLAG_DIRTY:
+            return
+        # A dirty line goes into the nearest outer copy, or to DRAM;
+        # NTA lines bypass the outer levels and always go to DRAM.
+        if not v_flags & FLAG_NTA:
+            for cache in (self.l2, self.llc):
+                s = cache._sets[v_line & cache._set_mask]
+                if v_line in s:
+                    s[v_line] |= FLAG_DIRTY
+                    return
+        stats.dram_writebacks += 1
+        self.bandwidth.transfer(self.now, self._line_bytes)
+
+    def _install_l2(self, s: dict[int, int], line: int, flags: int, stats: RunStats) -> None:
+        """Install ``line``, which its L2 set ``s`` does not hold, as MRU.
+
+        A full set evicts its LRU line; a dirty victim goes into the
+        LLC's copy, or to DRAM.
+        """
+        if len(s) >= self.l2.ways:
+            v_line = next(iter(s))
+            if s.pop(v_line) & FLAG_DIRTY:
+                llc = self.llc
+                s3 = llc._sets[v_line & llc._set_mask]
+                if v_line in s3:
+                    s3[v_line] |= FLAG_DIRTY
+                else:
+                    stats.dram_writebacks += 1
+                    self.bandwidth.transfer(self.now, self._line_bytes)
+        s[line] = flags
+
+    def _install_llc(self, s: dict[int, int], line: int, flags: int, stats: RunStats) -> None:
+        """Install ``line``, which its LLC set ``s`` does not hold, as MRU."""
+        if len(s) >= self.llc.ways:
+            v_line = next(iter(s))
+            v_flags = s.pop(v_line)
+            if v_flags & FLAG_HW_PREFETCH and not v_flags & FLAG_REFERENCED:
+                stats.hw_useless += 1
             if v_flags & FLAG_DIRTY:
                 stats.dram_writebacks += 1
-                self.bandwidth.transfer(self.now, self.machine.line_bytes)
-            return
-        if v_flags & FLAG_DIRTY:
-            if not self.l2.touch_flags(v_line, FLAG_DIRTY):
-                if not self.llc.touch_flags(v_line, FLAG_DIRTY):
-                    stats.dram_writebacks += 1
-                    self.bandwidth.transfer(self.now, self.machine.line_bytes)
-
-    def _install_l2(self, line: int, flags: int, stats: RunStats) -> None:
-        victim = self.l2.install(line, flags)
-        if victim is None:
-            return
-        v_line, v_flags = victim
-        if v_flags & FLAG_DIRTY:
-            if not self.llc.touch_flags(v_line, FLAG_DIRTY):
-                stats.dram_writebacks += 1
-                self.bandwidth.transfer(self.now, self.machine.line_bytes)
-
-    def _install_llc(self, line: int, flags: int, stats: RunStats) -> None:
-        victim = self.llc.install(line, flags)
-        if victim is None:
-            return
-        v_line, v_flags = victim
-        if v_flags & FLAG_HW_PREFETCH and not v_flags & FLAG_REFERENCED:
-            stats.hw_useless += 1
-        if v_flags & FLAG_DIRTY:
-            stats.dram_writebacks += 1
-            self.bandwidth.transfer(self.now, self.machine.line_bytes)
+                self.bandwidth.transfer(self.now, self._line_bytes)
+        s[line] = flags
 
     # ------------------------------------------------------------------
     # maintenance

@@ -81,12 +81,14 @@ class StreamerPrefetcher(HardwarePrefetcher):
         self._streams: dict[int, _Stream] = {}
 
     def observe(self, pc: int, addr: int, line: int, l1_hit: bool) -> list[tuple[int, bool, bool]]:
-        page = line // self.lines_per_page
-        stream = self._streams.get(page)
+        streams = self._streams
+        lpp = self.lines_per_page
+        page = line // lpp
+        stream = streams.get(page)
         if stream is None:
-            if len(self._streams) >= self.max_streams:
-                self._streams.pop(next(iter(self._streams)))
-            self._streams[page] = _Stream(line)
+            if len(streams) >= self.max_streams:
+                streams.pop(next(iter(streams)))
+            streams[page] = _Stream(line)
             return []
 
         delta = line - stream.last_line
@@ -94,12 +96,14 @@ class StreamerPrefetcher(HardwarePrefetcher):
         if delta == 0:
             return []
         direction = 1 if delta > 0 else -1
-        if direction == stream.direction:
-            stream.confidence = min(stream.confidence + 1, 8)
-        else:
+        if direction != stream.direction:
             stream.direction = direction
             stream.confidence = 1
             return []
+        confidence = stream.confidence
+        if confidence < 8:
+            confidence += 1
+            stream.confidence = confidence
 
         factor = self._throttle_factor()
         if factor <= 0.0:
@@ -108,15 +112,17 @@ class StreamerPrefetcher(HardwarePrefetcher):
         # kept `max_degree` lines ahead of demand.  Resident lines are
         # filtered by the hierarchy, so in steady state only the window's
         # leading edge causes fills.
-        window = max(1, round(stream.confidence * self.max_degree / 4 * factor))
+        window = max(1, round(confidence * self.max_degree / 4 * factor))
+        cross_page = self.cross_page
+        request = self._request
         requests: list[tuple[int, bool, bool]] = []
         for k in range(1, window + 1):
             target = line + direction * k
             if target < 0:
                 break
-            if not self.cross_page and target // self.lines_per_page != page:
+            if not cross_page and target // lpp != page:
                 break
-            requests.append(self._request(target))
+            requests.append(request(target))
         return requests
 
     def observe_batch(
@@ -192,7 +198,14 @@ class StreamerPrefetcher(HardwarePrefetcher):
 
 
 class CompositePrefetcher(HardwarePrefetcher):
-    """Union of several prefetcher components (deduplicated per access)."""
+    """Union of several prefetcher components (deduplicated per access).
+
+    Per access, the first component to request a line wins.  A
+    component's own requests for one access must name distinct lines, as
+    the streamer, stride, GHB and adjacent-line models' do (the
+    cross-core model's may not), so when only one component requests
+    anything its list is the union as it stands.
+    """
 
     def __init__(self, components: list[HardwarePrefetcher], name: str = "hw-composite") -> None:
         super().__init__(None)
@@ -202,10 +215,17 @@ class CompositePrefetcher(HardwarePrefetcher):
         self.name = name
 
     def observe(self, pc: int, addr: int, line: int, l1_hit: bool) -> list[tuple[int, bool, bool]]:
+        parts = []
+        for comp in self.components:
+            requests = comp.observe(pc, addr, line, l1_hit)
+            if requests:
+                parts.append(requests)
+        if len(parts) < 2:
+            return parts[0] if parts else []
         seen: set[int] = set()
         out: list[tuple[int, bool, bool]] = []
-        for comp in self.components:
-            for req in comp.observe(pc, addr, line, l1_hit):
+        for requests in parts:
+            for req in requests:
                 if req[0] not in seen:
                     seen.add(req[0])
                     out.append(req)

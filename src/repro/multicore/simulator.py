@@ -303,6 +303,9 @@ class MulticoreSimulator:
                         live.n_requests,
                         live.requests,
                         live.gaps,
+                        len(live.codes),
+                        hier._demand_miss,
+                        hier._hw_requests,
                     )
                 )
                 if live.codes:
@@ -317,19 +320,33 @@ class MulticoreSimulator:
             item = heapq.heappop(heap) if heap else None
             while item is not None:
                 idx = item[1]
-                hier, core_stats, dc, mlp, codes, lines, args, n_req, reqs, gaps = cores[idx]
+                (
+                    hier,
+                    core_stats,
+                    dc,
+                    mlp,
+                    codes,
+                    lines,
+                    args,
+                    n_req,
+                    reqs,
+                    gaps,
+                    n_live_core,
+                    demand_miss,
+                    hw_requests,
+                ) = cores[idx]
                 i = cursor[idx]
                 code = codes[i]
                 if code == _MISS:
                     hier.now += dc
                     if n_req[i]:
-                        hier._hw_requests(islice(reqs, n_req[i]), core_stats)
-                    hier._demand_miss(lines[i], args[i], mlp, core_stats)
+                        hw_requests(islice(reqs, n_req[i]), core_stats)
+                    demand_miss(lines[i], args[i], mlp, core_stats)
                 elif code == _HIT:
                     hier.now += dc
                     hier._inflight_hit(lines[i], mlp, core_stats)
                     if n_req[i]:
-                        hier._hw_requests(islice(reqs, n_req[i]), core_stats)
+                        hw_requests(islice(reqs, n_req[i]), core_stats)
                 elif code == _PREFETCH:
                     hier._sw_prefetch(lines[i], args[i], core_stats)
                 else:
@@ -340,7 +357,7 @@ class MulticoreSimulator:
                 for cost in gaps[i]:
                     now += cost
                 hier.now = now
-                if i < len(codes):
+                if i < n_live_core:
                     item = heapq.heappushpop(heap, (now, idx))
                 else:
                     item = heapq.heappop(heap) if heap else None

@@ -146,6 +146,48 @@ class TestBandwidthModel:
         for name in ("_free_time", "_ewma_bpc", "_last_time", "total_bytes", "total_transfers"):
             assert getattr(batched, name) == getattr(looped, name), name
 
+    def test_transfer_matches_two_step_ewma(self, rng):
+        # transfer() against the EWMA update written in two steps: clamp
+        # ``now`` to the last transfer with max(), then decay by
+        # 1 - min(dt / window, 1) when time has passed.
+        def two_step(state, now, n_bytes, peak, window):
+            free, ewma, last, total_bytes, total_transfers = state
+            start = now if now > free else free
+            duration = n_bytes / peak
+            now = max(now, last)
+            dt = now - last
+            if dt > 0:
+                ewma *= 1.0 - min(dt / window, 1.0)
+                last = now
+            ewma += n_bytes / window
+            state = (start + duration, ewma, last, total_bytes + n_bytes, total_transfers + 1)
+            return state, (start, duration)
+
+        gaps = ("below", "equal", "short", "window", "long")
+        seen = set()
+        for _ in range(10):
+            peak = float(rng.uniform(0.5, 8.0))
+            window = float(rng.uniform(50.0, 30_000.0))
+            bw = BandwidthModel(peak, window)
+            state = (0.0, 0.0, 0.0, 0, 0)
+            for _ in range(400):
+                last = bw._last_time
+                gap = gaps[rng.integers(len(gaps))]
+                seen.add(gap)
+                now = {
+                    "below": last - float(rng.uniform(0.0, 2.0 * window)),
+                    "equal": last,
+                    "short": last + float(rng.uniform(0.0, window)),
+                    "window": last + window,
+                    "long": last + window * float(rng.uniform(1.0, 4.0)),
+                }[gap]
+                n_bytes = int(rng.choice([0, 64, 128, 4096]))
+                state, want = two_step(state, now, n_bytes, peak, window)
+                assert bw.transfer(now, n_bytes) == want
+                names = ("_free_time", "_ewma_bpc", "_last_time", "total_bytes", "total_transfers")
+                assert tuple(getattr(bw, name) for name in names) == state
+        assert seen == set(gaps)
+
     def test_charge_batch_rejects_negative_count(self):
         with pytest.raises(ConfigError):
             BandwidthModel(peak_bytes_per_cycle=2.0).charge_batch(0.0, 64, -1)

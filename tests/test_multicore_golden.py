@@ -9,6 +9,8 @@ each core's canonical ``stats_to_dict`` document plus the mix's
   figure drivers call it;
 * the same mix's ``baseline`` and ``hw`` with the drain-on ``run()`` the
   cell benchmark's ``multicore`` workload calls;
+* the Fig. 8 mix on amd under ``hwcoord`` and ``hwrl``: the tuned
+  per-PC stride prefetcher on the event loop;
 * {pagerank, mcf, hashjoin, lbm} on amd under ``hwx`` and ``swi``.
 
 Every case runs on both backends, and both must match the fixture, so
@@ -50,6 +52,7 @@ CASES = (
         for config in ("baseline", "hw", "swnt", "hwsw", "hwcoord", "hwrl")
     ),
     *(("fig8", fig8_mix(), INTEL, config, True) for config in ("baseline", "hw")),
+    *(("fig8", fig8_mix(), AMD, config, False) for config in ("hwcoord", "hwrl")),
     *(("irregular", IRREGULAR_MIX, AMD, config, False) for config in ("hwx", "swi")),
 )
 

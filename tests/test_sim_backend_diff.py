@@ -1153,6 +1153,51 @@ class TestOpsBatchKinds:
             batched.check_invariants()
 
 
+class TestNarrowLevel:
+    """A level with fewer sets than ``MIN_WAVEFRONT_SETS`` (the Intel
+    L1's 64x8) sends every batch straight to the dict tail."""
+
+    @pytest.mark.parametrize("kernel", ["ops_batch", "access_batch"])
+    def test_matches_dict_cache_and_wavefront_across_batches(self, rng, monkeypatch, kernel):
+        # ``wide`` runs the same batches as wavefront rounds: with the
+        # minimum at one set, its bands never break to the dict tail.
+        # ``access_batch``'s wavefront rounds leave the flags matrix as it
+        # was, so its states compare lines only.
+        from repro.cachesim import fastlru
+
+        config = CacheConfig("T", 64 * 8 * 64, ways=8, line_bytes=64)
+        assert config.num_sets < fastlru.MIN_WAVEFRONT_SETS
+        narrow, wide, ref = FastLRUCache(config), FastLRUCache(config), LRUCache(config)
+
+        def state(cache):
+            sets = lru_state(cache)
+            return sets if kernel == "ops_batch" else [[t for t, _ in s] for s in sets]
+
+        for batch in range(6):  # state carries across batches
+            n = int(rng.integers(1, 4000))
+            lines = rng.integers(0, 64 * 24, n)
+            if kernel == "ops_batch":
+                args = (lines, rng.integers(0, 7, n).astype(np.uint8), rng.integers(1, 32, n))
+                want = ref.ops_batch(*args)
+            else:
+                args = (lines, True)
+                hit, _, _, vic_line, _ = ref.ops_batch(
+                    lines, np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.int64)
+                )
+                want = (~hit, vic_line)
+            got = getattr(narrow, kernel)(*args)
+            monkeypatch.setattr(fastlru, "MIN_WAVEFRONT_SETS", 1)
+            other = getattr(wide, kernel)(*args)
+            monkeypatch.undo()
+            for g, o, w in zip(got, other, want):
+                assert np.array_equal(g, w)
+                assert np.array_equal(g, o)
+            assert state(narrow) == state(ref)
+            assert state(wide) == state(ref)
+            assert narrow._clock == wide._clock
+            narrow.check_invariants()
+
+
 class TestSimOptionsPrecedence:
     def test_explicit_beats_spec_and_default(self):
         previous = set_default_options(SimOptions(backend="reference"))
