@@ -190,6 +190,10 @@ class FastLRUCache:
         # round bodies index it directly instead of gathering rows.
         wtags = self.tags[uniq_d]
         wstamp = self.stamp[uniq_d]
+        # A miss installs with flags 0 and a hit keeps the line's own, so
+        # rounds over flag-free sets (every functional run) skip them.
+        wflags = self.flags[uniq_d]
+        flagged = bool(wflags.any())
 
         r_stop = 0
         band = 256
@@ -226,12 +230,16 @@ class FastLRUCache:
                 # the tag write is an unconditional no-op there.
                 wtags[ar[:k], fway] = line_r
                 wstamp[ar[:k], fway] = stampm[r, :k]
+                if flagged:
+                    wflags[ar[:k], fway] *= hit
                 hitm[r, :k] = hit
             miss[pos_band] = ~hitm[rows, cols]
             r_stop += depth
 
         self.tags[uniq_d] = wtags
         self.stamp[uniq_d] = wstamp
+        if flagged:
+            self.flags[uniq_d] = wflags
         if r_stop < max_rounds:
             pos = np.sort(order[ranks >= r_stop])
             demand = np.full(len(pos), OP_DEMAND, dtype=np.uint8)
@@ -345,6 +353,24 @@ class FastLRUCache:
         self.stamp[sets_l, 0] = clock + order[e]
         self.tags[sets_l, 1] = lru_f
         self.stamp[sets_l, 1] = lru_f_stamp
+        f_pre = self.flags[sets_f]
+        if f_pre.any():
+            # A miss installs with flags 0, so a final resident keeps its
+            # own flags only if it was a pre-batch resident none of whose
+            # accesses missed (one that was evicted must miss to return).
+            missed = ~hit
+            gid = (np.cumsum(first) - 1)[missed]
+            ml = ls[missed]
+            lost_mru = np.zeros(len(sets_f), dtype=bool)
+            lost_lru = np.zeros(len(sets_f), dtype=bool)
+            lost_mru[gid[ml == mru0[gid]]] = True
+            lost_lru[gid[ml == lru0[gid]]] = True
+            kept_mru = np.where(lost_mru, 0, np.where(one_is_mru, f_pre[:, 1], f_pre[:, 0]))
+            kept_lru = np.where(lost_lru, 0, np.where(one_is_mru, f_pre[:, 0], f_pre[:, 1]))
+            for way, line in enumerate((mru_f, lru_f)):
+                self.flags[sets_l, way] = np.where(
+                    line == mru0, kept_mru, np.where(line == lru0, kept_lru, 0)
+                )
         self._clock = clock + n
         return miss, victims
 

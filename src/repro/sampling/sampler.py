@@ -119,6 +119,7 @@ class RuntimeSampler:
                 samples=len(idx),
                 window_resolved=window_resolved,
                 sorts=next_line.sorts + next_pc.sorts,
+                sorted_keys=next_line.sorted_keys + next_pc.sorted_keys,
             )
             if obs.enabled():
                 reg = obs.metrics()

@@ -249,7 +249,8 @@ def _expand_runs(starts: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
     Run *k* contributes ``starts[k], starts[k]+1, ...`` for ``lengths[k]``
     elements; runs are concatenated (cycling if they cover fewer than
     ``n`` elements) and the first ``n`` positions returned — all without
-    per-element Python loops.
+    per-element Python loops.  Only the runs the first ``n`` positions
+    reach are expanded.
     """
     total = int(lengths.sum())
     if total <= 0:
@@ -259,6 +260,9 @@ def _expand_runs(starts: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
         starts = np.tile(starts, reps)
         lengths = np.tile(lengths, reps)
     ends = np.cumsum(lengths)
+    # The first run whose end reaches n holds position n - 1.
+    reached = int(np.searchsorted(ends, n)) + 1
+    starts, lengths, ends = starts[:reached], lengths[:reached], ends[:reached]
     run_id = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
     offsets = np.arange(len(run_id), dtype=np.int64) - (ends - lengths)[run_id]
     return (starts[run_id] + offsets)[:n]

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cachesim import BandwidthModel, FunctionalCacheSim, simulate_miss_ratios
+from repro.cachesim.fastlru import FastLRUCache
+from repro.cachesim.lru import LRUCache
 from repro.config import CacheConfig
 from repro.errors import ConfigError
 from repro.trace import MemOp, MemoryTrace
@@ -69,6 +71,39 @@ class TestFunctionalSim:
         stats = sim.run(t, honor_prefetches=True)
         assert stats.total_misses() == 3
         assert not sim.last_miss[-1]  # the re-load of A hit
+
+
+class TestAccessBatchFlags:
+    """``FastLRUCache.access_batch`` installs with flags 0 and keeps each
+    surviving line's own flags, as ``LRUCache`` does, on all three of its
+    paths: the dict tail (64 sets), wavefront rounds (256 sets) and the
+    2-way kernel."""
+
+    @pytest.mark.parametrize("sets,ways", [(64, 8), (256, 8), (512, 2)])
+    def test_flags_follow_lines_after_flagged_ops(self, rng, sets, ways):
+        config = CacheConfig("T", sets * ways * 64, ways=ways, line_bytes=64)
+        fast, ref = FastLRUCache(config), LRUCache(config)
+
+        def state(cache):
+            """Each set's ``(line, flags)`` pairs in LRU -> MRU order."""
+            return [list(s.items()) for s in cache._sets]
+
+        for _ in range(3):  # state carries across batches
+            n = 4000
+            lines = rng.integers(0, sets * ways * 2, n)
+            ops = (lines, rng.integers(0, 7, n).astype(np.uint8), rng.integers(1, 32, n))
+            fast.ops_batch(*ops)
+            ref.ops_batch(*ops)
+            lines = rng.integers(0, sets * ways * 3 // 2, n)
+            miss, victims = fast.access_batch(lines, collect_victims=True)
+            hit, _, _, vic_line, _ = ref.ops_batch(
+                lines, np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.int64)
+            )
+            assert np.array_equal(miss, ~hit)
+            assert np.array_equal(victims, vic_line)
+            assert any(f for s in state(ref) for _, f in s)  # flags survive to compare
+            assert state(fast.to_lru()) == state(ref)
+            fast.check_invariants()
 
 
 class TestBandwidthModel:

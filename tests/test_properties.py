@@ -156,6 +156,78 @@ class TestNextSameValueProperties:
             next_same_value_index(np.array([1, 2]), at=np.array([-1]))
 
 
+class TestCandidateFallback:
+    """The window's misses are answered from the candidate positions,
+    those whose value hashes into a bucket a missed query marked, so
+    the key sort sees only part of the trace."""
+
+    @staticmethod
+    def check(values, at):
+        answer = next_same_value_query(np.asarray(values), at=np.asarray(at, dtype=np.int64))
+        assert answer.index.tolist() == naive_next(list(values), list(at))
+        return answer
+
+    def test_values_colliding_in_low_bits(self):
+        # Distinct multiples of 2^20, each recurring 4·WINDOW later: a
+        # low-bits bucket would put every position in the one bucket.
+        n = 1 << 15
+        values = (np.arange(n, dtype=np.int64) % (n // 4)) << 20
+        at = np.arange(0, n, n // 64)
+        answer = self.check(values, at)
+        assert answer.window_resolved == 0
+        assert answer.sorted_keys < n // 8
+
+    def test_one_value_everywhere(self):
+        values = np.full(4 * WINDOW, 7)
+        at = [len(values) - 1, 0, len(values) - 2]  # only the last position misses
+        answer = self.check(values, at)
+        assert answer.window_resolved == 2
+        assert answer.sorted_keys == len(values)
+
+    def test_negative_values_and_wide_spans(self):
+        # -2^62 recurs one step past the window and 2^62 three windows
+        # later, so both miss it: the candidates' keys overflow int64
+        # unless their values are ranked first.
+        rng = np.random.default_rng(30)
+        pool = np.array([-(2**40), -5, -1, 0, 3, 2**61], dtype=np.int64)
+        values = pool[rng.integers(0, len(pool), 64 * WINDOW)]
+        values[:: WINDOW + 1] = -(2**62)
+        values[WINDOW // 2 :: 3 * WINDOW] = 2**62
+        at = [0, WINDOW // 2, 7 * (WINDOW + 1), len(values) - 1, 5, 9]
+        answer = self.check(values, at)
+        assert answer.window_resolved <= 2  # at most the two pool values
+
+    def test_repeated_unsorted_and_last_position_queries(self):
+        rng = np.random.default_rng(31)
+        n = 64 * WINDOW
+        values = rng.integers(0, 300, n)  # most recurrences exceed the window
+        at = [n - 1, 40, n - 1, 17, 40, n - 2, 0, n - WINDOW]
+        answer = self.check(values, at)
+        assert answer.sorts == 1
+
+    def test_all_queries_in_the_window(self):
+        values = np.arange(64 * WINDOW) % 8
+        answer = self.check(values, [0, 9, 100, 7])
+        assert (answer.window_resolved, answer.sorts, answer.sorted_keys) == (4, 0, 0)
+
+    def test_no_query_in_the_window(self):
+        values = np.arange(64 * WINDOW) % (4 * WINDOW)
+        at = [3, 700, 5, 64 * WINDOW - 1, 3]
+        answer = self.check(values, at)
+        assert (answer.window_resolved, answer.sorts) == (0, 1)
+
+    def test_sparse_query_sorts_far_fewer_than_n_keys(self):
+        # Mostly distinct values with a few long recurrences: the
+        # fallback sorts the candidates, not the trace.
+        n = 1 << 16
+        values = np.arange(n, dtype=np.int64)
+        at = np.arange(0, n, n // 64)
+        values[n // 2 : n // 2 + 16] = values[at[:16]]
+        answer = self.check(values, at)
+        assert answer.sorts == 1
+        assert 0 < answer.sorted_keys <= n // 16
+
+
 class TestStatStackProperties:
     @given(
         st.integers(min_value=2, max_value=64),

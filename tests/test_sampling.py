@@ -162,6 +162,9 @@ class TestRuntimeSampler:
             obs.reset_metrics()
         assert span["attrs"]["window_resolved"] == np.count_nonzero(idx < n - 4) == counted
         assert span["attrs"]["sorts"] == 2
+        # The missed PC's 1,024 positions and the 48 missed lines' are
+        # all sorted; full sorts of both would be 2·n keys.
+        assert 1024 + 48 <= span["attrs"]["sorted_keys"] < n // 2
 
     def test_window_counter_recorded_only_while_tracing(self):
         obs.reset_metrics()

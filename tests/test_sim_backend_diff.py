@@ -1161,17 +1161,11 @@ class TestNarrowLevel:
     def test_matches_dict_cache_and_wavefront_across_batches(self, rng, monkeypatch, kernel):
         # ``wide`` runs the same batches as wavefront rounds: with the
         # minimum at one set, its bands never break to the dict tail.
-        # ``access_batch``'s wavefront rounds leave the flags matrix as it
-        # was, so its states compare lines only.
         from repro.cachesim import fastlru
 
         config = CacheConfig("T", 64 * 8 * 64, ways=8, line_bytes=64)
         assert config.num_sets < fastlru.MIN_WAVEFRONT_SETS
         narrow, wide, ref = FastLRUCache(config), FastLRUCache(config), LRUCache(config)
-
-        def state(cache):
-            sets = lru_state(cache)
-            return sets if kernel == "ops_batch" else [[t for t, _ in s] for s in sets]
 
         for batch in range(6):  # state carries across batches
             n = int(rng.integers(1, 4000))
@@ -1192,8 +1186,8 @@ class TestNarrowLevel:
             for g, o, w in zip(got, other, want):
                 assert np.array_equal(g, w)
                 assert np.array_equal(g, o)
-            assert state(narrow) == state(ref)
-            assert state(wide) == state(ref)
+            assert lru_state(narrow) == lru_state(ref)
+            assert lru_state(wide) == lru_state(ref)
             assert narrow._clock == wide._clock
             narrow.check_invariants()
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import TraceError
 from repro.trace.synthesis import (
+    _expand_runs,
     burst_strided_pattern,
     chase_pattern,
     gather_pattern,
@@ -154,3 +155,47 @@ class TestSweep:
         a = sweep_pattern(0, 100, (256, 512), 64)
         b = sweep_pattern(0, 100, (256, 512), 64)
         assert np.array_equal(a, b)
+
+
+def expand_runs_loop(starts, lengths, n):
+    """Every run's positions, runs concatenated and cycled, the first ``n`` kept."""
+    out = []
+    while len(out) < n:
+        for start, length in zip(starts.tolist(), lengths.tolist()):
+            out.extend(range(start, start + length))
+    return out[:n]
+
+
+class TestExpandRuns:
+    """``_expand_runs`` expands only the runs its first ``n`` positions
+    reach; its answer is the whole expansion's first ``n``."""
+
+    @pytest.fixture
+    def runs(self):
+        rng = np.random.default_rng(2014)
+        starts = rng.integers(0, 1 << 20, 40, dtype=np.int64)
+        lengths = rng.geometric(0.25, 40).astype(np.int64)
+        lengths[0] = 5
+        lengths[4] = 0  # an empty run right after the boundary ends[3]
+        return starts, lengths
+
+    def test_matches_whole_expansion(self, runs):
+        starts, lengths = runs
+        ends = np.cumsum(lengths)
+        total = int(ends[-1])
+        cases = {
+            "zero": 0,
+            "inside the first run": 3,
+            "on a run boundary": int(ends[3]),
+            "one past a boundary": int(ends[3]) + 1,
+            "total": total,
+            "tiled": 2 * total + 3,
+        }
+        for case, n in cases.items():
+            got = _expand_runs(starts, lengths, n)
+            assert got.dtype == np.int64, case
+            assert got.tolist() == expand_runs_loop(starts, lengths, n), case
+
+    def test_no_elements_rejected(self):
+        with pytest.raises(TraceError):
+            _expand_runs(np.array([3]), np.array([0]), 4)
