@@ -65,12 +65,12 @@ def test_obs_overhead(bench_scale, results_dir):
 
         tracer = obs.enable()
         tracer.clear()
-        obs.reset_metrics()
+        obs.metrics().reset()
         t_on.append(_timed_run(grid))
         spans = len(tracer.finished)
         n_metrics = len(obs.metrics().as_dict())
     obs.disable()
-    obs.reset_metrics()
+    obs.metrics().reset()
 
     best_off, best_on = min(t_off), min(t_on)
     ratio = best_on / max(best_off, 1e-9)

@@ -595,25 +595,16 @@ def configure(
     progress=None,
     retry=None,
     strict: bool = True,
-    trace: bool = False,
-    deterministic_trace: bool = False,
     sim_options: SimOptions | None = None,
     cache_quota: int | None = None,
 ) -> "ExperimentEngine":
     """Install and return the process-wide default engine.
 
     Experiment drivers reach it through :func:`current_engine`.
-    Parameters mirror :class:`ExperimentEngine`, plus observability and
-    simulation knobs:
+    Parameters mirror :class:`ExperimentEngine`, plus a simulation knob
+    (tracing is switched on by :func:`repro.obs.enable`, which the
+    engine's worker processes follow):
 
-    trace:
-        Enable the tracing/metrics layer (:mod:`repro.obs`) for this
-        process *and* the engine's worker processes.  Spans and metric
-        snapshots recorded by workers are shipped back and merged into
-        the parent's tracer/registry.
-    deterministic_trace:
-        Use the virtual clock so exported traces are byte-stable across
-        runs (implies ``trace``).
     sim_options:
         :class:`SimOptions` installed as the process-wide default for
         every simulator in this process and the engine's workers (an
@@ -626,14 +617,11 @@ def configure(
         every store (``None`` = unbounded).
     """
     global _DEFAULT_ENGINE
-    from repro import obs
     from repro.cachesim.options import set_default_options
     from repro.experiments.engine import ExperimentEngine
 
     if sim_options is not None:
         set_default_options(sim_options)
-    if trace or deterministic_trace:
-        obs.enable(deterministic=deterministic_trace)
     _DEFAULT_ENGINE = ExperimentEngine(
         jobs=jobs,
         cache_dir=cache_dir,

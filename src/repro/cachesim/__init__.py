@@ -2,7 +2,7 @@
 
 from repro.cachesim.bandwidth import BandwidthModel
 from repro.cachesim.fastlru import FastLRUCache
-from repro.cachesim.functional import FunctionalCacheSim, simulate_miss_ratios
+from repro.cachesim.functional import FunctionalCacheSim
 from repro.cachesim.hierarchy import CacheHierarchy
 from repro.cachesim.lru import (
     FLAG_DIRTY,
@@ -27,7 +27,6 @@ __all__ = [
     "CacheHierarchy",
     "FastLRUCache",
     "FunctionalCacheSim",
-    "simulate_miss_ratios",
     "LRUCache",
     "LevelStats",
     "PCStats",
@@ -42,4 +41,3 @@ __all__ = [
     "FLAG_REFERENCED",
     "FLAG_SW_PREFETCH",
 ]
-

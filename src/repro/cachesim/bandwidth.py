@@ -121,18 +121,3 @@ class BandwidthModel:
     def utilisation(self) -> float:
         """Smoothed utilisation ``rho`` in [0, 1] for throttling decisions."""
         return min(self._ewma_bpc / self.peak, 1.0)
-
-    def achieved_gbs(self, cycles: float, freq_ghz: float) -> float:
-        """Average achieved bandwidth over ``cycles`` in GB/s."""
-        if cycles <= 0:
-            return 0.0
-        seconds = cycles / (freq_ghz * 1e9)
-        return self.total_bytes / seconds / 1e9
-
-    def reset(self) -> None:
-        """Clear all state (between independent runs)."""
-        self._free_time = 0.0
-        self._ewma_bpc = 0.0
-        self._last_time = 0.0
-        self.total_bytes = 0
-        self.total_transfers = 0

@@ -860,15 +860,6 @@ class FastLRUCache:
             install(line, f)
         return cache
 
-    def flush(self) -> int:
-        """Empty the cache; returns the number of lines dropped."""
-        dropped = len(self)
-        self.tags.fill(EMPTY)
-        self.stamp.fill(EMPTY)
-        self.flags.fill(0)
-        self._clock = 0
-        return dropped
-
     def check_invariants(self) -> None:
         """Verify structural invariants (test helper)."""
         for s in range(self.tags.shape[0]):

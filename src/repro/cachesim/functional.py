@@ -32,7 +32,6 @@ from repro.trace.events import MemoryTrace
 
 __all__ = [
     "FunctionalCacheSim",
-    "simulate_miss_ratios",
     "fully_associative_config",
 ]
 
@@ -160,17 +159,3 @@ def fully_associative_config(
         ways=size_bytes // line_bytes,
         line_bytes=line_bytes,
     )
-
-
-def simulate_miss_ratios(
-    trace: MemoryTrace,
-    config: CacheConfig,
-) -> tuple[float, dict[int, float], PCStats]:
-    """Convenience wrapper: run a functional simulation of one level.
-
-    Returns ``(overall_miss_ratio, per_pc_miss_ratio, raw_stats)``.
-    """
-    sim = FunctionalCacheSim(config)
-    stats = sim.run(trace)
-    per_pc = {int(pc): stats.miss_ratio(int(pc)) for pc in stats.accesses}
-    return stats.overall_miss_ratio(), per_pc, stats

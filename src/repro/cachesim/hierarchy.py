@@ -649,66 +649,35 @@ class CacheHierarchy:
         machine = self.machine
         n = len(trace)
         ops = trace.op
-        pcs = trace.pc
-        addrs = trace.addr
-        lines = addrs >> self._line_shift
-        store_op = int(MemOp.STORE)
-        is_dm = ops <= store_op
-        is_nt = ops == int(MemOp.STORE_NT)
+        is_dm = ops <= _STORE
+        is_nt = ops == _STORE_NT
         is_pf = ~(is_dm | is_nt)
         is_nta = ops == int(MemOp.PREFETCH_NTA)
-        n_dm = int(np.count_nonzero(is_dm))
         n_nt = int(np.count_nonzero(is_nt))
-        n_pf = n - n_dm - n_nt
         demand_cost = machine.cycles_per_memop + machine.cpi_base * work_per_memop
-        stats.sw_prefetches += n_pf
+        stats.sw_prefetches += int(np.count_nonzero(is_pf))
         if n == 0:
             return 0, 0, self.bandwidth._ewma_bpc, 0
 
-        # ---- pass 1: L1 op wavefront ------------------------------------
-        of1 = _L1_FLAGS[ops]
-        hit1, prior1, v1i, v1l, v1f = self.l1.ops_batch(lines, _L1_KIND[ops], of1)
-        miss1 = is_dm & ~hit1
-        stats.l1.accesses += n_dm + n_nt
-        stats.l1.misses += int(np.count_nonzero(miss1))
-        counted = ~is_pf  # NT stores count as L1 hits
-        stats.pc_l1.record_bulk(pcs[counted], miss1[counted])
-        stats.sw_useful += int(
-            np.count_nonzero(is_dm & hit1 & _unreferenced(prior1, FLAG_SW_PREFETCH))
+        # ---- passes 1-2: L1 op wavefront, prefetcher observation -------
+        lines, hit1, v1i, v1l, v1f, h_ev, h_line, h_fill, dropped = self.private_passes(
+            trace, stats, clock
         )
+        if n_nt:
+            # NT stores count as L1 hits.
+            stats.l1.accesses += n_nt
+            stats.pc_l1.record_bulk(trace.pc[is_nt], np.zeros(n_nt, dtype=bool))
         stats.sw_useless += int(
             np.count_nonzero(_unreferenced(v1f, FLAG_SW_PREFETCH))
         )
-        clock.lap("l1_s")
-
-        # ---- pass 2: batched prefetcher observation ---------------------
-        # The prefetcher trains on demand events only: the scalar loop
-        # calls observe from _demand_access alone.
-        if isinstance(self.prefetcher, NullPrefetcher):
-            h_ev = np.empty(0, dtype=np.int64)
-            h_line = np.empty(0, dtype=np.int64)
-            h_fill = np.empty(0, dtype=bool)
-        else:
-            dm_idx = np.nonzero(is_dm)[0]
-            h_ev, h_line, h_fill = self.prefetcher.observe_batch(
-                pcs[dm_idx], addrs[dm_idx], lines[dm_idx], hit1[dm_idx]
-            )
-            h_ev = dm_idx[h_ev]
-        clock.lap("observe_s")
 
         # ---- passes 3-4: ordered L2 and LLC op streams ------------------
         # Per event, in scalar order: hardware-prefetch requests (fill or
         # probe, by issue index), then the event's own op — a demand
         # access or software prefetch that missed L1, or an NT store —
-        # then the L1 victim's dirty touch.  Requests that provably hit
-        # L2 are dropped first.
+        # then the L1 victim's dirty touch.
         mp = np.nonzero(~hit1 | is_nt)[0]
-        keep = ~l2_resident_requests(
-            self.l2.config.num_sets - 1, h_ev, h_line, h_fill, mp, lines[mp], is_dm[mp]
-        )
-        h_ev, h_line, h_fill = h_ev[keep], h_line[keep], h_fill[keep]
         m_h = len(h_ev)
-        dropped = len(keep) - m_h
         # Per-event issue index j of each request: requests sort before
         # the event's own op (minor j < _MINOR_DA) and encode their
         # within-event timing slots as (j + 1) * 8.
@@ -754,7 +723,7 @@ class CacheHierarchy:
                 np.full(m_h, FLAG_HW_PREFETCH, dtype=np.int64),
                 np.where(
                     cat_p == _CAT_DEMAND,
-                    of1[mp],
+                    _L1_FLAGS[ops[mp]],
                     np.where(cat_p == _CAT_T0, FLAG_SW_PREFETCH, 0),
                 ),
                 np.full(m_t, FLAG_DIRTY, dtype=np.int64),
@@ -1216,43 +1185,81 @@ class CacheHierarchy:
         return count
 
     # ------------------------------------------------------------------
-    # L1 replay (the multicore simulator's batch driver)
+    # private passes (both batch drivers)
     # ------------------------------------------------------------------
 
-    def replay_l1(self, trace: MemoryTrace, stats: RunStats) -> tuple[np.ndarray, ...]:
-        """Run a trace's L1 operations up front, in program order.
+    def private_passes(
+        self,
+        trace: MemoryTrace,
+        stats: RunStats,
+        clock: _PassClock | _NoPassClock = _NO_PASS_CLOCK,
+    ) -> tuple:
+        """Run one batch's private passes: the L1 op stream and the prefetcher.
 
-        A private L1 sees only its own core's events, so the multicore
-        simulator's batch driver replays them before it interleaves the
-        cores, and runs the handlers only for the events that reach
-        beyond the L1 (under :meth:`replayed_l1`).  The op stream is the
-        batch path's pass 1, run by the L1's own ``ops_batch``.
+        Both batch drivers start here: the batch path
+        (:meth:`_run_events_batch`) and the multicore simulator's batch
+        driver, which replays each core's private L1 and prefetcher
+        before it interleaves the cores.  Pass 1 runs the events' L1 ops
+        through the L1's own ``ops_batch``; pass 2 makes one
+        ``observe_batch`` call over the demand events (the scalar loop
+        calls ``observe`` from ``_demand_access`` alone); requests that
+        provably hit L2 (:func:`l2_resident_requests`) are then dropped.
+        ``clock`` times the two passes; the filter falls in the next lap.
 
         Counts the demand accesses' L1 statistics (accesses, misses,
-        ``pc_l1``, ``sw_useful``) and the software prefetches that hit
-        L1; the handlers count those of NT stores and of prefetches that
-        missed.  Returns each event's L1 residency before its op, and the
-        evictions in program order: the installing event, the victim
-        line and its flags.
+        ``pc_l1``, ``sw_useful``); the callers count the rest.  Returns
+        the events' lines, each event's L1 residency before its op, the
+        evictions in program order (installing event, victim line, victim
+        flags), the kept requests in issue order (triggering event,
+        target line, L2 fill) and the number dropped.
         """
         ops = trace.op
-        hit, prior, vic_idx, vic_line, vic_flags = self.l1.ops_batch(
-            trace.addr >> self._line_shift, _L1_KIND[ops], _L1_FLAGS[ops]
-        )
+        pcs = trace.pc
+        lines = trace.addr >> self._line_shift
         is_dm = ops <= _STORE
-        dm_miss = is_dm & ~hit
+        hit, prior, v_idx, v_line, v_flags = self.l1.ops_batch(
+            lines, _L1_KIND[ops], _L1_FLAGS[ops]
+        )
+        miss = is_dm & ~hit
         stats.l1.accesses += int(np.count_nonzero(is_dm))
-        stats.l1.misses += int(np.count_nonzero(dm_miss))
-        stats.pc_l1.record_bulk(trace.pc[is_dm], dm_miss[is_dm])
+        stats.l1.misses += int(np.count_nonzero(miss))
+        stats.pc_l1.record_bulk(pcs[is_dm], miss[is_dm])
         stats.sw_useful += int(
             np.count_nonzero(is_dm & hit & _unreferenced(prior, FLAG_SW_PREFETCH))
         )
-        stats.sw_prefetches += int(np.count_nonzero(hit & ~is_dm & (ops != _STORE_NT)))
-        return hit, vic_idx, vic_line, vic_flags
+        clock.lap("l1_s")
+
+        if isinstance(self.prefetcher, NullPrefetcher):
+            h_ev = np.empty(0, dtype=np.int64)
+            h_line = np.empty(0, dtype=np.int64)
+            h_fill = np.empty(0, dtype=bool)
+        else:
+            dm_ev = np.nonzero(is_dm)[0]
+            h_ev, h_line, h_fill = self.prefetcher.observe_batch(
+                pcs[dm_ev], trace.addr[dm_ev], lines[dm_ev], hit[dm_ev]
+            )
+            h_ev = dm_ev[h_ev]
+        clock.lap("observe_s")
+
+        own = np.nonzero(~hit | (ops == _STORE_NT))[0]
+        keep = ~l2_resident_requests(
+            self.l2.config.num_sets - 1, h_ev, h_line, h_fill, own, lines[own], is_dm[own]
+        )
+        return (
+            lines,
+            hit,
+            v_idx,
+            v_line,
+            v_flags,
+            h_ev[keep],
+            h_line[keep],
+            h_fill[keep],
+            len(keep) - int(np.count_nonzero(keep)),
+        )
 
     @contextmanager
     def replayed_l1(self, victims: Iterator[tuple[int, int] | None]):
-        """Answer the handlers' L1 calls from a :meth:`replay_l1` pass.
+        """Answer the handlers' L1 calls from a :meth:`private_passes` run.
 
         Inside the block the handlers run only for events whose L1
         outcome the replay already applied: ``_install_l1`` receives
@@ -1542,18 +1549,3 @@ class CacheHierarchy:
                 stats.dram_writebacks += 1
                 self.bandwidth.transfer(self.now, self._line_bytes)
         s[line] = flags
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-
-    def reset(self) -> None:
-        """Flush all caches and clear prefetcher/bandwidth state."""
-        self.l1.flush()
-        self.l2.flush()
-        self.llc.flush()
-        self._inflight.clear()
-        self._wc_buffer.clear()
-        self.prefetcher.reset()
-        self.bandwidth.reset()
-        self.now = 0.0

@@ -63,9 +63,8 @@ FLAG_DIRTY = 16
 #:   on miss install with the op's flags.  Software prefetches that
 #:   fetch through L2/LLC.
 #: * ``OP_PROBE``  — pure residency probe, no state change.
-#: * ``OP_TOUCH``  — on hit OR the op's flags in without refreshing LRU
-#:   (``touch_flags``); on miss do nothing.  Dirty-victim write-back
-#:   absorption.
+#: * ``OP_TOUCH``  — on hit OR the op's flags in without refreshing LRU;
+#:   on miss do nothing.  Dirty-victim write-back absorption.
 #: * ``OP_LOOKUP`` — on hit promote without OR-ing flags; on miss do
 #:   nothing.  Software prefetches that must not install (NTA).
 #: * ``OP_INVAL``  — on hit empty the way (``invalidate``); on miss do
@@ -111,14 +110,6 @@ class LRUCache:
             return False
         s[line] = flags | set_flags
         return True
-
-    def touch_flags(self, line: int, set_flags: int) -> bool:
-        """OR flags into a resident line *without* refreshing LRU order."""
-        s = self._sets[line & self._set_mask]
-        if line in s:
-            s[line] |= set_flags
-            return True
-        return False
 
     def install(self, line: int, flags: int = 0) -> tuple[int, int] | None:
         """Insert ``line`` as most-recently-used.
@@ -237,17 +228,6 @@ class LRUCache:
             (line for s in self._sets for line, f in s.items() if f & FLAG_DIRTY),
             dtype=np.int64,
         )
-
-    def occupancy(self) -> float:
-        """Fraction of capacity currently filled."""
-        return len(self) / self.config.num_lines
-
-    def flush(self) -> int:
-        """Empty the cache; returns the number of lines dropped."""
-        dropped = len(self)
-        for s in self._sets:
-            s.clear()
-        return dropped
 
     def check_invariants(self) -> None:
         """Verify structural invariants (test helper).

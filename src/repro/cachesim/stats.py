@@ -56,13 +56,6 @@ class PCStats:
         acc = self.total_accesses()
         return self.total_misses() / acc if acc else 0.0
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (pcs, accesses, misses) as aligned sorted arrays."""
-        pcs = np.array(sorted(self.accesses), dtype=np.int64)
-        acc = np.array([self.accesses[p] for p in pcs], dtype=np.int64)
-        mis = np.array([self.misses.get(int(p), 0) for p in pcs], dtype=np.int64)
-        return pcs, acc, mis
-
 
 @dataclass
 class LevelStats:
@@ -148,16 +141,6 @@ class RunStats:
         return self.dram_bytes / seconds / 1e9
 
     @property
-    def ipc(self) -> float:
-        """Instructions per cycle."""
-        return self.instructions / self.cycles if self.cycles else 0.0
-
-    @property
     def llc_insertions(self) -> int:
         """DRAM fills that were installed in the LLC (pollution rate)."""
         return self.dram_fills - self.nta_fills
-
-    def prefetch_accuracy(self) -> float:
-        """Fraction of completed software prefetches that proved useful."""
-        done = self.sw_useful + self.sw_useless
-        return self.sw_useful / done if done else 0.0

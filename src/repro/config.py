@@ -17,8 +17,7 @@ simulators, models and analyses in this package take a
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
@@ -92,23 +91,6 @@ class CacheConfig:
         """Number of sets (``num_lines / ways``)."""
         return self.num_lines // self.ways
 
-    @property
-    def set_index_bits(self) -> int:
-        """Number of address bits used to select a set."""
-        return int(math.log2(self.num_sets))
-
-    def with_size(self, size_bytes: int) -> "CacheConfig":
-        """Return a copy of this level resized to ``size_bytes``.
-
-        Associativity is clamped so the new geometry stays valid; used by
-        miss-ratio-curve sweeps that model many hypothetical sizes.
-        """
-        lines = max(1, size_bytes // self.line_bytes)
-        ways = min(self.ways, lines)
-        while lines % ways:
-            ways -= 1
-        return replace(self, size_bytes=lines * self.line_bytes, ways=ways)
-
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -174,22 +156,6 @@ class MachineConfig:
     def levels(self) -> tuple[CacheConfig, CacheConfig, CacheConfig]:
         """The (L1, L2, LLC) tuple in access order."""
         return (self.l1, self.l2, self.llc)
-
-    def miss_latency(self, level: str) -> int:
-        """Latency (cycles) of a miss serviced by ``level``.
-
-        ``level`` is the level that *provides* the data: ``"L2"``,
-        ``"LLC"`` or ``"DRAM"``.
-        """
-        table = {
-            "L2": self.l2.hit_latency,
-            "LLC": self.llc.hit_latency,
-            "DRAM": self.dram_latency,
-        }
-        try:
-            return table[level]
-        except KeyError:
-            raise ConfigError(f"unknown service level {level!r}") from None
 
     @property
     def avg_memory_latency(self) -> float:

@@ -2,7 +2,7 @@
 
 from repro.core.bypass import data_reusing_loads, should_bypass
 from repro.core.distance import compute_prefetch_distance
-from repro.core.insertion import apply_nt_stores, apply_prefetch_plan, prefetch_overhead_ratio
+from repro.core.insertion import apply_nt_stores, apply_prefetch_plan
 from repro.core.ntstores import identify_nt_stores
 from repro.core.mddli import (
     cost_benefit_threshold,
@@ -11,14 +11,14 @@ from repro.core.mddli import (
 )
 from repro.core.online import OnlineOptimizer, OnlineResult
 from repro.core.pipeline import OptimizerSettings, PrefetchOptimizer
-from repro.core.serialization import load_plan, plan_from_dict, plan_to_dict, save_plan
+from repro.core.serialization import plan_from_dict, plan_to_dict
 from repro.core.report import (
     DelinquentLoad,
     OptimizationReport,
     PrefetchDecision,
     StrideInfo,
 )
-from repro.core.strideanalysis import analyze_all_strides, analyze_stride
+from repro.core.strideanalysis import analyze_stride
 
 __all__ = [
     "PrefetchOptimizer",
@@ -31,18 +31,14 @@ __all__ = [
     "cost_benefit_threshold",
     "estimate_miss_latency",
     "analyze_stride",
-    "analyze_all_strides",
     "compute_prefetch_distance",
     "should_bypass",
     "data_reusing_loads",
     "apply_prefetch_plan",
     "apply_nt_stores",
     "identify_nt_stores",
-    "prefetch_overhead_ratio",
     "OnlineOptimizer",
     "OnlineResult",
-    "save_plan",
-    "load_plan",
     "plan_to_dict",
     "plan_from_dict",
 ]

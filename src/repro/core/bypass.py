@@ -28,17 +28,17 @@ from repro.statstack.mrc import PerPCMissRatios
 
 __all__ = ["data_reusing_loads", "should_bypass"]
 
+#: Reuse share below which a consuming instruction is statistical noise,
+#: for the bypass analysis and the NT-store analysis alike.
+_MIN_REUSER_SHARE = 0.05
 
-def data_reusing_loads(
-    samples: ReuseSampleSet,
-    pc: int,
-    min_share: float = 0.05,
-) -> dict[int, float]:
+
+def data_reusing_loads(samples: ReuseSampleSet, pc: int) -> dict[int, float]:
     """Loads that consume ``pc``'s lines, with their reuse share.
 
     Returns a map of end-PC to the fraction of ``pc``'s finite reuse
-    samples it accounts for; consumers below ``min_share`` are dropped as
-    statistical noise.
+    samples it accounts for; consumers below :data:`_MIN_REUSER_SHARE`
+    are dropped as statistical noise.
     """
     mask = (samples.start_pc == pc) & samples.finite_mask
     ends = samples.end_pc[mask]
@@ -49,7 +49,7 @@ def data_reusing_loads(
     return {
         int(end): cnt / total
         for end, cnt in zip(uniq.tolist(), counts.tolist())
-        if cnt / total >= min_share
+        if cnt / total >= _MIN_REUSER_SHARE
     }
 
 

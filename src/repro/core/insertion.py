@@ -27,7 +27,7 @@ from repro.core.report import OptimizationReport, PrefetchDecision
 from repro.errors import AnalysisError
 from repro.trace.events import MemOp, MemoryTrace
 
-__all__ = ["apply_prefetch_plan", "apply_nt_stores", "prefetch_overhead_ratio"]
+__all__ = ["apply_prefetch_plan", "apply_nt_stores"]
 
 
 def apply_prefetch_plan(
@@ -155,11 +155,3 @@ def apply_nt_stores(trace: MemoryTrace, pcs: list[int]) -> MemoryTrace:
     new_op = trace.op.copy()
     new_op[targets] = int(MemOp.STORE_NT)
     return MemoryTrace(trace.pc, trace.addr, new_op)
-
-
-def prefetch_overhead_ratio(original: MemoryTrace, optimised: MemoryTrace) -> float:
-    """Prefetch instructions executed per original demand reference."""
-    n_demand = original.n_demand
-    if n_demand == 0:
-        return 0.0
-    return optimised.n_prefetch / n_demand

@@ -38,7 +38,6 @@ def identify_nt_stores(
     store_pcs: set[int],
     latency: float | None = None,
     min_samples: int = 4,
-    min_reuser_share: float = 0.05,
 ) -> list[int]:
     """Store instructions safe and worthwhile to convert to ``MOVNT``.
 
@@ -59,9 +58,10 @@ def identify_nt_stores(
         the machine estimate.
     min_samples:
         Sample support required per store.
-    min_reuser_share:
-        Reuse-share below which a consuming instruction is treated as
-        statistical noise (same default as the bypass analysis).
+
+    A store's consumers come from
+    :func:`~repro.core.bypass.data_reusing_loads`, so the bypass
+    analysis's noise floor applies to them too.
 
     Returns the selected PCs sorted by descending miss ratio.
     """
@@ -77,7 +77,7 @@ def identify_nt_stores(
         mr_l1 = ratios.model.pc_miss_ratio(pc, machine.l1.size_bytes)
         if mr_l1 <= threshold:
             continue  # the store rarely fills; nothing to save
-        reusers = data_reusing_loads(sampling.reuse, pc, min_reuser_share)
+        reusers = data_reusing_loads(sampling.reuse, pc)
         if any(reuser != pc for reuser in reusers):
             continue  # someone reads the written data while cached
         selected.append((mr_l1, pc))

@@ -126,23 +126,9 @@ class OptimizationReport:
     skipped: dict[int, str] = field(default_factory=dict)
     latency_used: float = 0.0
 
-    def decision_for(self, pc: int) -> PrefetchDecision | None:
-        """The decision covering ``pc``, if any."""
-        for d in self.decisions:
-            if d.pc == pc:
-                return d
-        return None
-
     @property
     def prefetched_pcs(self) -> set[int]:
         return {d.pc for d in self.decisions}
-
-    @property
-    def nta_fraction(self) -> float:
-        """Share of inserted prefetches that are non-temporal."""
-        if not self.decisions:
-            return 0.0
-        return sum(d.nta for d in self.decisions) / len(self.decisions)
 
     def summary(self) -> str:
         """Multi-line human-readable report."""

@@ -21,9 +21,6 @@ as a cache miss rather than mis-decode it.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from repro import faults
@@ -42,8 +39,6 @@ from repro.sampling.stridesampler import StrideSampleSet
 __all__ = [
     "plan_to_dict",
     "plan_from_dict",
-    "save_plan",
-    "load_plan",
     "stats_to_dict",
     "stats_from_dict",
     "sampling_to_dict",
@@ -153,11 +148,6 @@ def plan_from_dict(data: dict) -> OptimizationReport:
     report.nt_stores = [int(pc) for pc in data.get("nt_stores", [])]
     report.skipped = {int(pc): r for pc, r in data.get("skipped", {}).items()}
     return report
-
-
-def save_plan(report: OptimizationReport, path: str | Path) -> None:
-    """Write a plan as pretty-printed JSON."""
-    Path(path).write_text(json.dumps(plan_to_dict(report), indent=2) + "\n")
 
 
 def _level_to_dict(level: LevelStats) -> dict:
@@ -422,15 +412,3 @@ def coordinator_policy_from_dict(data: dict):
         gamma=float(data.get("gamma", 0.0)),
         q=q,
     )
-
-
-def load_plan(path: str | Path) -> OptimizationReport:
-    """Read a plan written by :func:`save_plan`."""
-    path = Path(path)
-    if not path.exists():
-        raise AnalysisError(f"no plan file at {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise AnalysisError(f"{path} is not valid JSON: {exc}") from None
-    return plan_from_dict(data)

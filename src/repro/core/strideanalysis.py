@@ -20,7 +20,7 @@ from repro.core.report import StrideInfo
 from repro.errors import AnalysisError
 from repro.sampling.stridesampler import StrideSampleSet
 
-__all__ = ["analyze_stride", "analyze_all_strides"]
+__all__ = ["analyze_stride"]
 
 
 def _bucket(strides: np.ndarray, line_bytes: int) -> np.ndarray:
@@ -71,23 +71,3 @@ def analyze_stride(
         median_recurrence=float(np.median(recurrences)),
         n_samples=n,
     )
-
-
-def analyze_all_strides(
-    samples: StrideSampleSet,
-    pcs: list[int] | None = None,
-    line_bytes: int = 64,
-    dominance_threshold: float = 0.7,
-    min_samples: int = 4,
-) -> dict[int, StrideInfo]:
-    """Run :func:`analyze_stride` over many loads; keep the regular ones."""
-    if pcs is None:
-        pcs = [int(p) for p in samples.sampled_pcs()]
-    out: dict[int, StrideInfo] = {}
-    for pc in pcs:
-        info = analyze_stride(
-            samples, pc, line_bytes, dominance_threshold, min_samples
-        )
-        if info is not None:
-            out[pc] = info
-    return out

@@ -4,17 +4,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["render_table", "render_series", "pct", "gbs"]
+__all__ = ["render_table", "render_series", "pct"]
 
 
 def pct(value: float, digits: int = 1) -> str:
     """Format a fraction as a signed percentage string."""
     return f"{value * 100:+.{digits}f}%"
-
-
-def gbs(value: float) -> str:
-    """Format a bandwidth value."""
-    return f"{value:.2f} GB/s"
 
 
 def render_table(
@@ -38,7 +33,6 @@ def render_table(
 
 def render_series(
     series: dict[str, Sequence[float]],
-    x_label: str = "runs",
     fmt: str = "{:+.1%}",
     points: int = 11,
     title: str | None = None,
@@ -52,7 +46,7 @@ def render_series(
     lines = []
     if title:
         lines.append(title)
-    header = f"{x_label:>6}  " + "  ".join(f"{n:>14}" for n in names)
+    header = "  runs  " + "  ".join(f"{n:>14}" for n in names)
     lines.append(header)
     lines.append("-" * len(header))
     for j in range(points):

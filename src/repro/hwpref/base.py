@@ -115,10 +115,6 @@ class HardwarePrefetcher(ABC):
     def observe(self, pc: int, addr: int, line: int, l1_hit: bool) -> list[tuple[int, bool, bool]]:
         """React to one demand access; return ``(line, fill_l2, llc_bypass)`` requests."""
 
-    @abstractmethod
-    def reset(self) -> None:
-        """Forget all training state (between runs)."""
-
     def observe_batch(
         self,
         pcs: np.ndarray,
@@ -228,6 +224,3 @@ class NullPrefetcher(HardwarePrefetcher):
         l1_hits: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _EMPTY_BATCH
-
-    def reset(self) -> None:
-        pass

@@ -220,6 +220,3 @@ class GHBPrefetcher(HardwarePrefetcher):
         tgt = np.concatenate(tgt_out)
         o = np.argsort(ev, kind="stable")
         return ev[o], tgt[o], np.ones(len(ev), dtype=bool)
-
-    def reset(self) -> None:
-        self._table.clear()

@@ -68,6 +68,3 @@ class AdjacentLinePrefetcher(HardwarePrefetcher):
         # At factor 1.0 an accumulator at 0.0 returns to exactly 0.0 on
         # every firing; any other value would drift in its low bits.
         return super().batch_safe and self._duty == 0.0
-
-    def reset(self) -> None:
-        self._duty = 0.0

@@ -40,6 +40,10 @@ class _Stream:
         self.confidence = 0
 
 
+#: The streamer's tracking granularity: streams do not cross pages.
+_PAGE_BYTES = 4096
+
+
 class StreamerPrefetcher(HardwarePrefetcher):
     """Page-local stream detector with confidence-scaled degree.
 
@@ -47,8 +51,6 @@ class StreamerPrefetcher(HardwarePrefetcher):
     ----------
     line_bytes:
         Cache line size in bytes.
-    page_bytes:
-        Tracking granularity (streams do not cross pages).
     max_degree:
         Lines fetched ahead at full confidence.
     max_streams:
@@ -64,7 +66,6 @@ class StreamerPrefetcher(HardwarePrefetcher):
     def __init__(
         self,
         line_bytes: int = 64,
-        page_bytes: int = 4096,
         max_degree: int = 4,
         max_streams: int = 32,
         cross_page: bool = True,
@@ -74,7 +75,7 @@ class StreamerPrefetcher(HardwarePrefetcher):
         if max_degree <= 0:
             raise ValueError("max_degree must be positive")
         self.line_bytes = line_bytes
-        self.lines_per_page = max(1, page_bytes // line_bytes)
+        self.lines_per_page = max(1, _PAGE_BYTES // line_bytes)
         self.max_degree = max_degree
         self.max_streams = max_streams
         self.cross_page = cross_page
@@ -193,9 +194,6 @@ class StreamerPrefetcher(HardwarePrefetcher):
         ev = ev[keep]
         return ev, target[keep], np.ones(len(ev), dtype=bool)
 
-    def reset(self) -> None:
-        self._streams.clear()
-
 
 class CompositePrefetcher(HardwarePrefetcher):
     """Union of several prefetcher components (deduplicated per access).
@@ -297,10 +295,6 @@ class CompositePrefetcher(HardwarePrefetcher):
         super().apply_tuning(tuning)
         for comp in self.components:
             comp.apply_tuning(tuning)
-
-    def reset(self) -> None:
-        for comp in self.components:
-            comp.reset()
 
 
 def amd_hw_prefetcher(

@@ -236,6 +236,3 @@ class PCStridePrefetcher(HardwarePrefetcher):
         ev = ev[final]
         tgt = tgt[final]
         return ev, tgt, np.ones(len(ev), dtype=bool)
-
-    def reset(self) -> None:
-        self._table.clear()

@@ -261,9 +261,6 @@ class CrossCoreLLCPrefetcher(HardwarePrefetcher):
         order = np.argsort(ev, kind="stable")
         return ev[order], tgt[order], np.zeros(len(ev), dtype=bool)
 
-    def reset(self) -> None:
-        self._next.clear()
-
 
 def cross_core_prefetcher_for(
     program: Program,

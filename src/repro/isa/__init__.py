@@ -22,7 +22,6 @@ from repro.isa.instructions import (
 )
 from repro.isa.interpreter import (
     ExecutionResult,
-    execute_kernel,
     execute_program,
     splice_execution,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "Program",
     "ExecutionResult",
     "execute_program",
-    "execute_kernel",
     "splice_execution",
     "insert_prefetches",
     "convert_nt_stores",

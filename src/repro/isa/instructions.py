@@ -17,7 +17,8 @@ way the paper's framework patches assembly:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any, Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -46,21 +47,72 @@ __all__ = [
 ]
 
 
+def _read_int(text: str) -> int:
+    return int(text, 0)
+
+
+def _hex(value: int) -> str:
+    return f"{value:#x}"
+
+
+def _slashed(values: tuple[int, ...]) -> str:
+    return "/".join(str(v) for v in values)
+
+
+def _read_slashed(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split("/"))
+
+
+class _TextField(NamedTuple):
+    """One ``key=value`` field of a pattern's assembly text.
+
+    ``write`` renders attribute ``attr`` and ``read`` parses it back; an
+    ``optional`` field is written only when it differs from its default.
+    """
+
+    key: str
+    attr: str
+    write: Callable[[Any], str] = str
+    read: Callable[[str], Any] = _read_int
+    optional: bool = False
+
+
+_BASE = _TextField("base", "base", _hex)
+
+
 class AccessPattern(ABC):
-    """Generator of one instruction's address sequence."""
+    """Generator of one instruction's address sequence.
+
+    A concrete pattern declares its assembly text once: ``kind`` names
+    it and ``text_fields`` lists its fields in text order.
+    :meth:`describe` writes them and :func:`repro.isa.assembly.parse`
+    reads them back, so the two cannot drift apart.
+    """
+
+    kind: ClassVar[str]
+    text_fields: ClassVar[tuple[_TextField, ...]]
 
     @abstractmethod
     def generate(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Addresses for ``n`` consecutive loop iterations."""
 
-    @abstractmethod
     def describe(self) -> str:
         """Compact textual form used by the assembly emitter."""
+        defaults = {f.name: f.default for f in fields(self)}
+        parts = [
+            f"{f.key}={f.write(getattr(self, f.attr))}"
+            for f in self.text_fields
+            if not (f.optional and getattr(self, f.attr) == defaults[f.attr])
+        ]
+        return f"{self.kind}({', '.join(parts)})"
 
 
 @dataclass(frozen=True)
 class StreamAccess(AccessPattern):
     """Sequential streaming from ``base`` with element size ``elem_bytes``."""
+
+    kind = "stream"
+    text_fields = (_BASE, _TextField("elem", "elem_bytes"))
 
     base: int
     elem_bytes: int = 8
@@ -68,13 +120,17 @@ class StreamAccess(AccessPattern):
     def generate(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return synthesis.stream_pattern(self.base, n, self.elem_bytes)
 
-    def describe(self) -> str:
-        return f"stream(base={self.base:#x}, elem={self.elem_bytes})"
-
 
 @dataclass(frozen=True)
 class StridedAccess(AccessPattern):
     """Constant stride, optionally wrapping inside a region (re-sweeps)."""
+
+    kind = "strided"
+    text_fields = (
+        _BASE,
+        _TextField("stride", "stride_bytes"),
+        _TextField("wrap", "wrap_bytes", optional=True),
+    )
 
     base: int
     stride_bytes: int
@@ -83,14 +139,13 @@ class StridedAccess(AccessPattern):
     def generate(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return synthesis.strided_pattern(self.base, n, self.stride_bytes, self.wrap_bytes)
 
-    def describe(self) -> str:
-        wrap = "" if self.wrap_bytes is None else f", wrap={self.wrap_bytes}"
-        return f"strided(base={self.base:#x}, stride={self.stride_bytes}{wrap})"
-
 
 @dataclass(frozen=True)
 class ChaseAccess(AccessPattern):
     """Pointer chase over a shuffled node pool."""
+
+    kind = "chase"
+    text_fields = (_BASE, _TextField("nodes", "n_nodes"), _TextField("node", "node_bytes"))
 
     base: int
     n_nodes: int
@@ -99,13 +154,17 @@ class ChaseAccess(AccessPattern):
     def generate(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return synthesis.chase_pattern(rng, self.base, self.n_nodes, n, self.node_bytes)
 
-    def describe(self) -> str:
-        return f"chase(base={self.base:#x}, nodes={self.n_nodes}, node={self.node_bytes})"
-
 
 @dataclass(frozen=True)
 class RandomAccess(AccessPattern):
     """Uniform random access inside a region."""
+
+    kind = "random"
+    text_fields = (
+        _BASE,
+        _TextField("region", "region_bytes"),
+        _TextField("align", "align", optional=True),
+    )
 
     base: int
     region_bytes: int
@@ -114,13 +173,18 @@ class RandomAccess(AccessPattern):
     def generate(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return synthesis.random_pattern(rng, self.base, self.region_bytes, n, self.align)
 
-    def describe(self) -> str:
-        return f"random(base={self.base:#x}, region={self.region_bytes})"
-
 
 @dataclass(frozen=True)
 class GatherAccess(AccessPattern):
     """Indirect gather with tunable locality."""
+
+    kind = "gather"
+    text_fields = (
+        _BASE,
+        _TextField("region", "region_bytes"),
+        _TextField("locality", "locality", read=float),
+        _TextField("elem", "elem_bytes", optional=True),
+    )
 
     base: int
     region_bytes: int
@@ -132,16 +196,18 @@ class GatherAccess(AccessPattern):
             rng, self.base, self.region_bytes, n, self.locality, self.elem_bytes
         )
 
-    def describe(self) -> str:
-        return (
-            f"gather(base={self.base:#x}, region={self.region_bytes}, "
-            f"locality={self.locality})"
-        )
-
 
 @dataclass(frozen=True)
 class BurstAccess(AccessPattern):
     """Short strided bursts at random bases (the cigar-defeating shape)."""
+
+    kind = "burst"
+    text_fields = (
+        _BASE,
+        _TextField("region", "region_bytes"),
+        _TextField("len", "burst_len"),
+        _TextField("stride", "stride_bytes"),
+    )
 
     base: int
     region_bytes: int
@@ -153,16 +219,17 @@ class BurstAccess(AccessPattern):
             rng, self.base, self.region_bytes, n, self.burst_len, self.stride_bytes
         )
 
-    def describe(self) -> str:
-        return (
-            f"burst(base={self.base:#x}, region={self.region_bytes}, "
-            f"len={self.burst_len}, stride={self.stride_bytes})"
-        )
-
 
 @dataclass(frozen=True)
 class SweepAccess(AccessPattern):
     """Nested re-sweeps with cycling pass lengths (LLC-straddling reuse)."""
+
+    kind = "sweep"
+    text_fields = (
+        _BASE,
+        _TextField("passes", "pass_bytes", _slashed, _read_slashed),
+        _TextField("stride", "stride_bytes"),
+    )
 
     base: int
     pass_bytes: tuple[int, ...]
@@ -171,14 +238,18 @@ class SweepAccess(AccessPattern):
     def generate(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return synthesis.sweep_pattern(self.base, n, self.pass_bytes, self.stride_bytes)
 
-    def describe(self) -> str:
-        passes = "/".join(str(p) for p in self.pass_bytes)
-        return f"sweep(base={self.base:#x}, passes={passes}, stride={self.stride_bytes})"
-
 
 @dataclass(frozen=True)
 class CSRAccess(AccessPattern):
     """CSR edge-array traversal in shuffled node order (sparse matvec)."""
+
+    kind = "csr"
+    text_fields = (
+        _BASE,
+        _TextField("nodes", "n_nodes"),
+        _TextField("degree", "avg_degree"),
+        _TextField("elem", "elem_bytes", optional=True),
+    )
 
     base: int
     n_nodes: int
@@ -190,16 +261,18 @@ class CSRAccess(AccessPattern):
             rng, self.base, self.n_nodes, self.avg_degree, n, self.elem_bytes
         )
 
-    def describe(self) -> str:
-        return (
-            f"csr(base={self.base:#x}, nodes={self.n_nodes}, "
-            f"degree={self.avg_degree})"
-        )
-
 
 @dataclass(frozen=True)
 class BFSAccess(AccessPattern):
     """Breadth-first frontier expansion over a seeded random graph."""
+
+    kind = "bfs"
+    text_fields = (
+        _BASE,
+        _TextField("nodes", "n_nodes"),
+        _TextField("degree", "avg_degree"),
+        _TextField("node", "node_bytes", optional=True),
+    )
 
     base: int
     n_nodes: int
@@ -211,16 +284,18 @@ class BFSAccess(AccessPattern):
             rng, self.base, self.n_nodes, self.avg_degree, n, self.node_bytes
         )
 
-    def describe(self) -> str:
-        return (
-            f"bfs(base={self.base:#x}, nodes={self.n_nodes}, "
-            f"degree={self.avg_degree})"
-        )
-
 
 @dataclass(frozen=True)
 class HashProbeAccess(AccessPattern):
     """Uniform-hashed bucket starts with short linear-probe runs."""
+
+    kind = "hash"
+    text_fields = (
+        _BASE,
+        _TextField("buckets", "n_buckets"),
+        _TextField("probe", "avg_probe"),
+        _TextField("bucket", "bucket_bytes", optional=True),
+    )
 
     base: int
     n_buckets: int
@@ -230,12 +305,6 @@ class HashProbeAccess(AccessPattern):
     def generate(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return synthesis.hash_probe_pattern(
             rng, self.base, self.n_buckets, n, self.avg_probe, self.bucket_bytes
-        )
-
-    def describe(self) -> str:
-        return (
-            f"hash(base={self.base:#x}, buckets={self.n_buckets}, "
-            f"probe={self.avg_probe})"
         )
 
 
@@ -256,6 +325,17 @@ class IndexedAccess(AccessPattern):
     :class:`StridedAccess` at that base, and the pairing is recovered
     structurally (see ``Program.indirect_pairs``).
     """
+
+    kind = "indexed"
+    text_fields = (
+        _BASE,
+        _TextField("region", "region_bytes"),
+        _TextField("idx", "index_base", _hex),
+        _TextField("indices", "n_indices"),
+        _TextField("seed", "index_seed"),
+        _TextField("idx_elem", "index_elem_bytes", optional=True),
+        _TextField("elem", "elem_bytes", optional=True),
+    )
 
     base: int
     region_bytes: int
@@ -288,30 +368,18 @@ class IndexedAccess(AccessPattern):
             self.base, n, self.index_values(), self.elem_bytes
         )
 
-    def describe(self) -> str:
-        return (
-            f"indexed(base={self.base:#x}, region={self.region_bytes}, "
-            f"idx={self.index_base:#x}[{self.n_indices}], "
-            f"seed={self.index_seed})"
-        )
-
 
 @dataclass(frozen=True)
 class FixedAccess(AccessPattern):
     """Same address every iteration (a scalar in memory)."""
 
+    kind = "fixed"
+    text_fields = (_TextField("addr", "addr", _hex),)
+
     addr: int
 
     def generate(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.addr, dtype=np.int64)
-
-    def describe(self) -> str:
-        return f"fixed(addr={self.addr:#x})"
-
-
-# ----------------------------------------------------------------------
-# instructions
-# ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

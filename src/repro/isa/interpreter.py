@@ -36,7 +36,7 @@ from repro.isa.instructions import IndirectPrefetch, Load, Store
 from repro.isa.program import Kernel, Program
 from repro.trace.events import MemOp, MemoryTrace
 
-__all__ = ["ExecutionResult", "execute_program", "execute_kernel", "splice_execution"]
+__all__ = ["ExecutionResult", "execute_program", "splice_execution"]
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,6 @@ class ExecutionResult:
     work_per_memop: float
     mlp: float
     kernel_slices: dict[str, slice]
-
-    def kernel_trace(self, name: str) -> MemoryTrace:
-        """Sub-trace of one kernel."""
-        try:
-            sl = self.kernel_slices[name]
-        except KeyError:
-            raise ProgramError(f"unknown kernel {name!r}") from None
-        return self.trace[sl]
 
 
 #: Demand address columns of one kernel, keyed by label, from the
@@ -172,18 +164,6 @@ def _execute(program: Program, demand_columns: DemandColumns) -> ExecutionResult
     else:
         work, mlp = 0.0, 1.0
     return ExecutionResult(trace=trace, work_per_memop=work, mlp=mlp, kernel_slices=slices)
-
-
-def execute_kernel(
-    kernel: Kernel,
-    pc_map: dict[tuple[str, str], int],
-    seed: int,
-    kernel_idx: int = 0,
-) -> MemoryTrace:
-    """Expand one kernel into its event block."""
-    columns = _generated(seed)
-    trace, _ = _assemble((kernel,), pc_map, lambda _, k: columns(kernel_idx, k))
-    return trace
 
 
 def execute_program(program: Program, seed: int = 0) -> ExecutionResult:

@@ -132,13 +132,6 @@ class Program:
                 f"no instruction {label!r} in kernel {kernel_name!r}"
             ) from None
 
-    def label_of(self, pc: int) -> tuple[str, str]:
-        """Inverse of :meth:`pc_of`."""
-        for key, value in self.pc_map().items():
-            if value == pc:
-                return key
-        raise ProgramError(f"no instruction with pc {pc}")
-
     @property
     def n_static_mem_instructions(self) -> int:
         return sum(len(k.mem_instructions) for k in self.kernels)

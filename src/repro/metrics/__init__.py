@@ -1,10 +1,6 @@
 """Evaluation metrics: throughput, fairness, QoS, traffic, distributions."""
 
-from repro.metrics.distribution import (
-    fraction_at_least,
-    sorted_distribution,
-    value_at_percentile,
-)
+from repro.metrics.distribution import sorted_distribution
 from repro.metrics.throughput import (
     fair_speedup,
     per_app_speedups,
@@ -22,6 +18,4 @@ __all__ = [
     "traffic_reduction_vs",
     "bandwidth_gbs",
     "sorted_distribution",
-    "value_at_percentile",
-    "fraction_at_least",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import ExperimentError
 
-__all__ = ["sorted_distribution", "value_at_percentile", "fraction_at_least"]
+__all__ = ["sorted_distribution"]
 
 
 def sorted_distribution(values: Sequence[float], descending: bool = True) -> np.ndarray:
@@ -29,24 +29,3 @@ def sorted_distribution(values: Sequence[float], descending: bool = True) -> np.
         raise ExperimentError("empty distribution")
     arr = np.sort(arr)
     return arr[::-1] if descending else arr
-
-
-def value_at_percentile(values: Sequence[float], pct: float, descending: bool = True) -> float:
-    """The distribution's value at percentile ``pct`` ∈ [0, 100].
-
-    With ``descending=True`` this answers "what does the best ``pct`` %
-    of runs achieve at least?".
-    """
-    if not 0.0 <= pct <= 100.0:
-        raise ExperimentError("pct must be in [0, 100]")
-    dist = sorted_distribution(values, descending)
-    idx = min(len(dist) - 1, int(round(pct / 100.0 * (len(dist) - 1))))
-    return float(dist[idx])
-
-
-def fraction_at_least(values: Sequence[float], threshold: float) -> float:
-    """Fraction of runs achieving at least ``threshold``."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ExperimentError("empty distribution")
-    return float(np.mean(arr >= threshold))

@@ -43,6 +43,10 @@ from repro.statstack.mrc import MissRatioCurve
 
 __all__ = ["AppProfile", "ContendedApp", "solve_mix"]
 
+#: Ceiling of the controller utilisation the queueing model uses: the
+#: M/M/1-style wait grows without bound as ``rho`` reaches 1.
+_MAX_RHO = 0.98
+
 
 @dataclass(frozen=True)
 class AppProfile:
@@ -127,7 +131,6 @@ def solve_mix(
     machine: MachineConfig,
     apps: list[AppProfile],
     iterations: int = 30,
-    max_rho: float = 0.98,
     coordinator: Coordinator | None = None,
 ) -> list[ContendedApp]:
     """Fixed-point solve of LLC sharing + bandwidth queueing for one mix.
@@ -182,7 +185,7 @@ def solve_mix(
         # speculative transfers, paying back part of the solo benefit.
         # A coordinator overrides the static curve per core.
         lam = sum(t / c for t, c in zip(new_transfers, cycles))
-        rho = min(lam / mu, max_rho)
+        rho = min(lam / mu, _MAX_RHO)
         if coordinator is None:
             throttle = throttle_factor(rho)
             kept = [throttle] * n
@@ -218,7 +221,7 @@ def solve_mix(
         # outstanding misses (sum of per-app MLP), which is what keeps
         # saturation finite in the direct simulator too.
         lam = sum(t / c for t, c in zip(new_transfers, cycles))
-        rho = min(lam / mu, max_rho)
+        rho = min(lam / mu, _MAX_RHO)
         population = sum(a.mlp for a in apps)
         mix_wait = min(rho / (1.0 - rho), population)
 
@@ -273,19 +276,12 @@ def _epoch_feedback(
     for app, rate, share in zip(apps, rates, shares):
         bw_share = rate / total_rate if total_rate > 0 else 1.0 / len(apps)
         spec = app.throttleable_lines / app.dram_lines if app.dram_lines else 0.0
-        # Doubling-gain: relative miss-ratio drop if the share doubled.
-        # Clamped above the MRC grid floor so a starved app still reads
-        # as cache-hungry rather than (spuriously) flat.
-        lo = max(int(share), 65536)
-        gradient = max(
-            0.0, 1.0 - float(app.mrc.at(2 * lo)) / max(float(app.mrc.at(lo)), 1e-12)
-        )
         feedback.append(
             CoreFeedback(
                 name=app.name,
                 bw_share=bw_share,
                 spec_share=min(1.0, spec),
-                mrc_gradient=gradient,
+                mrc_gradient=app.mrc.doubling_gain(share),
                 llc_share=share / llc_bytes if llc_bytes else 0.0,
             )
         )

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro import obs
 from repro.cachesim.bandwidth import BandwidthModel
-from repro.cachesim.hierarchy import CacheHierarchy, clock_charges, l2_resident_requests
+from repro.cachesim.hierarchy import CacheHierarchy, clock_charges
 from repro.cachesim.lru import FLAG_DIRTY, LRUCache
 from repro.cachesim.stats import RunStats
 from repro.config import MachineConfig
@@ -46,10 +46,8 @@ from repro.trace.events import MemOp, MemoryTrace
 
 __all__ = ["CoreSpec", "MulticoreResult", "MulticoreSimulator"]
 
-#: Demand events per ``observe_batch`` call of the batch driver, and
-#: items per chunk of the Python lists it builds.  The prefetcher's
-#: training state carries over between calls; fixed chunks bound the
-#: memory one call or list takes.
+#: Items per chunk of the Python lists the batch driver builds: fixed
+#: chunks bound the memory one list takes.
 _CHUNK = 1 << 12
 
 #: Live-event kinds of the batch driver: a demand access that missed L1,
@@ -392,14 +390,8 @@ class MulticoreSimulator:
             bw_share = d_tr / total_traffic if total_traffic > 0 else 1.0 / n
             spec_share = min(1.0, d_pf / d_tr) if d_tr > 0 else 0.0
             llc_share = d_ins / total_inserts if total_inserts > 0 else 1.0 / n
-            if spec.mrc is not None:
-                lo = max(int(llc_share * llc_bytes), 65536)
-                gradient = max(
-                    0.0,
-                    1.0 - float(spec.mrc.at(2 * lo)) / max(float(spec.mrc.at(lo)), 1e-12),
-                )
-            else:
-                gradient = 0.0
+            mrc = spec.mrc
+            gradient = 0.0 if mrc is None else mrc.doubling_gain(llc_share * llc_bytes)
             feedback.append(
                 CoreFeedback(
                     name=spec.name,
@@ -454,28 +446,25 @@ class _LiveEvents:
 def _private_pass(
     hier: CacheHierarchy, trace: MemoryTrace, stats: RunStats, demand_cost: float
 ) -> _LiveEvents:
-    """Replay one core's L1 and prefetcher, and keep its live events.
+    """Run one core's private passes, and keep its live events.
 
-    A live event is an L1 miss (demand access or software prefetch), an
-    NT store, a demand access with hardware-prefetch requests that may
-    miss L2 (:func:`~repro.cachesim.hierarchy.l2_resident_requests`
-    drops the others), or a demand L1 hit whose in-flight pop can find
-    an entry (:func:`_live_pops`).  Whole-trace columns stay in NumPy;
-    Python lists hold live events only.
+    :meth:`CacheHierarchy.private_passes` replays the L1 and the
+    prefetcher; this adds the software prefetches that hit L1.  A live
+    event is an L1 miss (demand access or software prefetch), an NT
+    store, a demand access with hardware-prefetch requests that may miss
+    L2 (:func:`~repro.cachesim.hierarchy.l2_resident_requests` drops the
+    others), or a demand L1 hit whose in-flight pop can find an entry
+    (:func:`_live_pops`).  Whole-trace columns stay in NumPy; Python
+    lists hold live events only.
     """
     n = len(trace)
-    hit, vic_idx, vic_line, vic_flags = hier.replay_l1(trace, stats)
+    lines, hit, vic_idx, vic_line, vic_flags, h_ev, h_line, h_fill, dropped = (
+        hier.private_passes(trace, stats)
+    )
     ops = trace.op
-    lines = trace.addr >> (hier.machine.line_bytes.bit_length() - 1)
     is_dm = ops <= _STORE
     is_nt = ops == _STORE_NT
-    h_ev, h_line, h_fill = _observe(hier.prefetcher, trace, lines, is_dm, hit)
-    own = np.nonzero(~hit | is_nt)[0]
-    keep = ~l2_resident_requests(
-        hier.l2.config.num_sets - 1, h_ev, h_line, h_fill, own, lines[own], is_dm[own]
-    )
-    h_ev, h_line, h_fill = h_ev[keep], h_line[keep], h_fill[keep]
-    dropped = len(keep) - len(h_ev)
+    stats.sw_prefetches += int(np.count_nonzero(hit & ~is_dm & ~is_nt))
 
     live = ~hit | is_nt
     live[h_ev] = True
@@ -549,34 +538,6 @@ def _requests(lines: np.ndarray, fills: np.ndarray) -> Iterator[tuple[int, bool,
     for start in range(0, len(lines), _CHUNK):
         end = start + _CHUNK
         yield from zip(lines[start:end].tolist(), fills[start:end].tolist(), repeat(False))
-
-
-def _observe(
-    prefetcher: HardwarePrefetcher,
-    trace: MemoryTrace,
-    lines: np.ndarray,
-    is_dm: np.ndarray,
-    hit: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The prefetcher's requests over a core's demand events.
-
-    ``observe_batch`` runs in chunks of ``_CHUNK`` demand events.
-    Returns each request's triggering event (trace index), target line
-    and L2-fill flag, in issue order.
-    """
-    dm_ev = np.nonzero(is_dm)[0]
-    evs = [np.empty(0, dtype=np.int64)]
-    targets = [np.empty(0, dtype=np.int64)]
-    fills = [np.empty(0, dtype=bool)]
-    for start in range(0, len(dm_ev), _CHUNK):
-        sel = dm_ev[start : start + _CHUNK]
-        ev, target, fill = prefetcher.observe_batch(
-            trace.pc[sel], trace.addr[sel], lines[sel], hit[sel]
-        )
-        evs.append(sel[ev])
-        targets.append(target)
-        fills.append(fill)
-    return np.concatenate(evs), np.concatenate(targets), np.concatenate(fills)
 
 
 def _live_pops(

@@ -12,8 +12,9 @@ pieces:
   ``chrome://tracing`` or https://ui.perfetto.dev) and a flat JSON
   metrics dump.
 
-Enable through :func:`repro.api.configure(trace=True) <repro.api.configure>`
-or any CLI subcommand's ``--trace-out``/``--metrics-out``; see
+Enable through :func:`obs.enable(...) <repro.obs.tracer.enable>` (the
+engine's worker processes follow it) or any CLI subcommand's
+``--trace-out``/``--metrics-out``; see
 ``docs/observability.md`` for span naming conventions and formats.
 """
 
@@ -30,7 +31,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     metrics,
-    reset_metrics,
 )
 from repro.obs.tracer import (
     NOOP_SPAN,
@@ -66,7 +66,6 @@ __all__ = [
     "metrics",
     "metrics_dump",
     "remove_span_listener",
-    "reset_metrics",
     "span",
     "write_chrome_trace",
     "write_metrics",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "metrics", "reset_metrics"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "metrics"]
 
 
 class Counter:
@@ -183,8 +183,3 @@ _REGISTRY = MetricsRegistry()
 def metrics() -> MetricsRegistry:
     """The process-wide metrics registry (always available)."""
     return _REGISTRY
-
-
-def reset_metrics() -> None:
-    """Clear the process-wide registry (tests and benchmark hygiene)."""
-    _REGISTRY.reset()

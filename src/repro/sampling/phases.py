@@ -24,21 +24,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SamplingError
-from repro.sampling.reuse import ReuseSampleSet, collect_reuse_samples
+from repro.sampling.reuse import ReuseSampleSet
 from repro.sampling.sampler import RuntimeSampler, SamplingResult
-from repro.sampling.stridesampler import StrideSampleSet, collect_stride_samples
+from repro.sampling.stridesampler import StrideSampleSet
 from repro.trace.events import MemoryTrace
 
 __all__ = ["window_signatures", "PhaseDetector", "phase_aware_sample", "PhaseProfile"]
+
+#: Buckets of a window's footprint signature.
+_SIGNATURE_BITS = 128
 
 
 def window_signatures(
     trace: MemoryTrace,
     window_refs: int,
-    signature_bits: int = 128,
     line_bytes: int = 64,
 ) -> np.ndarray:
-    """Per-window footprint signatures, shape ``(n_windows, signature_bits)``.
+    """Per-window footprint signatures, shape ``(n_windows, _SIGNATURE_BITS)``.
 
     Each window's touched cache lines are hashed into a fixed-width
     histogram; two windows touching similar data have similar vectors.
@@ -46,13 +48,11 @@ def window_signatures(
     """
     if window_refs <= 0:
         raise SamplingError("window_refs must be positive")
-    if signature_bits <= 0:
-        raise SamplingError("signature_bits must be positive")
     demand = trace.demand_only()
     lines = demand.line_addr(line_bytes)
     n = len(lines)
     if n == 0:
-        return np.zeros((0, signature_bits))
+        return np.zeros((0, _SIGNATURE_BITS))
     # Working-set signature at 32 kB granularity: the granule id is
     # scrambled with a golden-ratio multiplier so distinct regions land
     # in uncorrelated buckets, while re-visits of the same data always
@@ -61,12 +61,12 @@ def window_signatures(
     granules = lines >> 9
     multiplier = np.uint64(0x9E3779B97F4A7C15).astype(np.int64)
     with np.errstate(over="ignore"):
-        hashed = np.abs((granules * multiplier) >> 17) % signature_bits
+        hashed = np.abs((granules * multiplier) >> 17) % _SIGNATURE_BITS
     n_windows = -(-n // window_refs)
-    out = np.zeros((n_windows, signature_bits))
+    out = np.zeros((n_windows, _SIGNATURE_BITS))
     for w in range(n_windows):
         chunk = hashed[w * window_refs : (w + 1) * window_refs]
-        out[w] = np.bincount(chunk, minlength=signature_bits)
+        out[w] = np.bincount(chunk, minlength=_SIGNATURE_BITS)
     norms = np.linalg.norm(out, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return out / norms

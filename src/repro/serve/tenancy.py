@@ -77,9 +77,3 @@ class TenantCaches:
         """Tenants seen by this process (sorted)."""
         with self._lock:
             return sorted(self._views)
-
-    def usage(self) -> dict[str, dict]:
-        """Per-tenant size accounting (``entry_stats`` of each view)."""
-        with self._lock:
-            views = dict(self._views)
-        return {tenant: view.entry_stats() for tenant, view in sorted(views.items())}

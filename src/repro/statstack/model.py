@@ -81,7 +81,11 @@ class _TailIntegral:
         self.slope = slope
 
     def stack_distance(self, d: np.ndarray) -> np.ndarray:
-        """Expected stack distance for reuse distance(s) ``d``."""
+        """Expected stack distance for reuse distance(s) ``d``.
+
+        The forward function :meth:`inverse` inverts; tests check the
+        inverse against it.
+        """
         d = np.asarray(d, dtype=np.float64)
         seg = np.searchsorted(self.starts, d, side="right") - 1
         seg = np.clip(seg, 0, len(self.starts) - 1)
@@ -166,10 +170,6 @@ class StatStackModel:
     # core queries
     # ------------------------------------------------------------------
 
-    def expected_stack_distance(self, reuse_distance: np.ndarray) -> np.ndarray:
-        """Vectorised ``sd(d)`` (see module docstring)."""
-        return self._tail.stack_distance(reuse_distance)
-
     def _critical_reuse_distance(self, cache_bytes: int) -> float:
         """Reuse distance at which the expected stack distance fills the cache."""
         if cache_bytes <= 0:
@@ -228,7 +228,3 @@ class StatStackModel:
     @property
     def n_samples(self) -> int:
         return self._total
-
-    @property
-    def dangling_fraction(self) -> float:
-        return self._n_dangling / self._total

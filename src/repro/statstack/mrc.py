@@ -70,6 +70,17 @@ class MissRatioCurve:
             )
         )
 
+    def doubling_gain(self, share_bytes: float) -> float:
+        """Relative miss-ratio drop if a cache share of ``share_bytes`` doubled.
+
+        A coordinator reads it as a core's LLC marginal utility.  The
+        share is floored at 64 KiB, above the curve's grid floor, so a
+        starved application still reads as cache-hungry rather than
+        (spuriously) flat.
+        """
+        lo = max(int(share_bytes), 65536)
+        return max(0.0, 1.0 - self.at(2 * lo) / max(self.at(lo), 1e-12))
+
     def drop_between(self, small_bytes: int, large_bytes: int) -> float:
         """Absolute miss-ratio drop from ``small`` to ``large`` size.
 

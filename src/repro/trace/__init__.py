@@ -2,7 +2,6 @@
 
 from repro.trace.characterize import PCCharacter, TraceCharacter, characterize_trace
 from repro.trace.events import MemOp, MemoryTrace, TraceBuilder
-from repro.trace.io import load_trace, save_trace
 from repro.trace.synthesis import (
     burst_strided_pattern,
     chase_pattern,
@@ -24,8 +23,6 @@ __all__ = [
     "gather_pattern",
     "burst_strided_pattern",
     "sweep_pattern",
-    "save_trace",
-    "load_trace",
     "characterize_trace",
     "TraceCharacter",
     "PCCharacter",

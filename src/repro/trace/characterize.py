@@ -19,6 +19,9 @@ from repro.trace.events import MemOp, MemoryTrace
 
 __all__ = ["PCCharacter", "TraceCharacter", "characterize_trace"]
 
+#: Reuse-distance percentiles a characterisation reports.
+_PERCENTILES = (50, 90, 99)
+
 
 @dataclass(frozen=True)
 class PCCharacter:
@@ -83,18 +86,14 @@ class TraceCharacter:
         return "\n".join(lines)
 
 
-def characterize_trace(
-    trace: MemoryTrace,
-    line_bytes: int = 64,
-    percentiles: tuple[int, ...] = (50, 90, 99),
-) -> TraceCharacter:
+def characterize_trace(trace: MemoryTrace, line_bytes: int = 64) -> TraceCharacter:
     """Compute the full characterisation of one trace."""
     if line_bytes <= 0 or line_bytes & (line_bytes - 1):
         raise TraceError("line_bytes must be a positive power of two")
     demand = trace.demand_only()
     n = len(demand)
     if n == 0:
-        return TraceCharacter(0, trace.n_prefetch, 0.0, 0, {p: float("nan") for p in percentiles}, [])
+        return TraceCharacter(0, trace.n_prefetch, 0.0, 0, {p: float("nan") for p in _PERCENTILES}, [])
 
     lines = demand.line_addr(line_bytes)
     store_mask = (demand.op == MemOp.STORE) | (demand.op == MemOp.STORE_NT)
@@ -104,7 +103,7 @@ def characterize_trace(
     finite = nxt >= 0
     reuse = (nxt[finite] - np.flatnonzero(finite) - 1).astype(np.float64)
     reuse_percentiles = {}
-    for p in percentiles:
+    for p in _PERCENTILES:
         if len(reuse) and np.count_nonzero(finite) / n > p / 100.0:
             reuse_percentiles[p] = float(np.percentile(reuse, p))
         else:

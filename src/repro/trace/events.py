@@ -53,11 +53,6 @@ class MemOp(IntEnum):
         return self in (MemOp.LOAD, MemOp.STORE, MemOp.STORE_NT)
 
     @property
-    def is_prefetch(self) -> bool:
-        """True for either flavour of software prefetch."""
-        return self in (MemOp.PREFETCH, MemOp.PREFETCH_NTA)
-
-    @property
     def is_store(self) -> bool:
         """True for either flavour of store."""
         return self in (MemOp.STORE, MemOp.STORE_NT)
@@ -256,10 +251,6 @@ class TraceBuilder:
             addr,
             np.full(n, int(op), dtype=np.uint8),
         )
-
-    def append_trace(self, trace: MemoryTrace) -> None:
-        """Append an existing trace."""
-        self.append_block(trace.pc, trace.addr, trace.op)
 
     def __len__(self) -> int:
         return sum(len(block) for block in self._pc)

@@ -1,37 +1,28 @@
-"""Trace persistence.
+"""The plain-JSON trace codec of the committed fuzz fixtures.
 
-Traces are the expensive artefact of a profiling session; saving them
-lets the analysis be re-run (different machines, thresholds, ablations)
-without re-executing the workload.  The format is a plain NumPy ``.npz``
-with the three event arrays plus a format tag — loadable anywhere
-without this package.
-
-For *small* traces that must be human-auditable — the shrunk fuzz
-repros the conformance harness commits as regression fixtures —
-:func:`trace_to_dict` / :func:`trace_from_dict` provide a plain-JSON
-codec of the same three arrays.
+The shrunk fuzz repros the conformance harness commits as regression
+fixtures must be human-auditable: :func:`trace_to_dict` /
+:func:`trace_from_dict` write and read a trace's three event arrays as
+JSON numbers under a format tag.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
 from repro.errors import TraceError
 from repro.trace.events import MemoryTrace
 
-__all__ = ["save_trace", "load_trace", "trace_to_dict", "trace_from_dict"]
+__all__ = ["trace_to_dict", "trace_from_dict"]
 
-_FORMAT = "repro-trace-v1"
 _JSON_FORMAT = "repro-trace-json-v1"
 
 
 def trace_to_dict(trace: MemoryTrace) -> dict:
     """Convert a trace to JSON-serialisable primitives.
 
-    Intended for small fixture traces (every event becomes three JSON
-    numbers); use :func:`save_trace` for anything profiling-sized.
+    Intended for small fixture traces: every event becomes three JSON
+    numbers.
     """
     return {
         "format": _JSON_FORMAT,
@@ -50,32 +41,3 @@ def trace_from_dict(data: dict) -> MemoryTrace:
         np.asarray(data["addr"], dtype=np.int64),
         np.asarray(data["op"], dtype=np.uint8),
     )
-
-
-def save_trace(trace: MemoryTrace, path: str | Path) -> None:
-    """Write a trace to ``path`` (compressed ``.npz``)."""
-    np.savez_compressed(
-        Path(path),
-        format=np.array(_FORMAT),
-        pc=trace.pc,
-        addr=trace.addr,
-        op=trace.op,
-    )
-
-
-def load_trace(path: str | Path) -> MemoryTrace:
-    """Read a trace previously written by :func:`save_trace`."""
-    path = Path(path)
-    if not path.exists():
-        raise TraceError(f"no trace file at {path}")
-    with np.load(path) as data:
-        try:
-            fmt = str(data["format"])
-            pc = data["pc"]
-            addr = data["addr"]
-            op = data["op"]
-        except KeyError as exc:
-            raise TraceError(f"{path} is not a repro trace file ({exc})") from None
-    if fmt != _FORMAT:
-        raise TraceError(f"unsupported trace format {fmt!r} in {path}")
-    return MemoryTrace(pc, addr, op)

@@ -23,7 +23,6 @@ from repro.workloads.parallel import (
     PARALLEL_BENCHMARKS,
     ParallelWorkloadSpec,
     get_parallel_workload,
-    list_parallel_workloads,
 )
 from repro.workloads.graph import GRAPH_BENCHMARKS
 from repro.workloads.spec2006 import ALL_SINGLE_CORE, OTHER_BENCHMARKS, SPEC_BENCHMARKS
@@ -47,7 +46,6 @@ __all__ = [
     "ParallelWorkloadSpec",
     "PARALLEL_BENCHMARKS",
     "get_parallel_workload",
-    "list_parallel_workloads",
     "WorkloadRecipe",
     "generate_workload",
 ]

@@ -22,7 +22,7 @@ from repro.errors import WorkloadError
 from repro.isa.instructions import GatherAccess, Load, Store, StridedAccess
 from repro.isa.program import Kernel, Program
 
-__all__ = ["ParallelWorkloadSpec", "get_parallel_workload", "list_parallel_workloads", "PARALLEL_BENCHMARKS"]
+__all__ = ["ParallelWorkloadSpec", "get_parallel_workload", "PARALLEL_BENCHMARKS"]
 
 MB = 1024 * 1024
 KB = 1024
@@ -156,8 +156,3 @@ def get_parallel_workload(name: str) -> ParallelWorkloadSpec:
     except KeyError:
         known = ", ".join(sorted(_PARALLEL_REGISTRY))
         raise WorkloadError(f"unknown parallel workload {name!r}; known: {known}") from None
-
-
-def list_parallel_workloads() -> list[str]:
-    """Names of the parallel benchmark models."""
-    return sorted(_PARALLEL_REGISTRY)

@@ -1,12 +1,13 @@
 """Tests for the set-associative LRU cache."""
 
-import pytest
+import numpy as np
 
 from repro.cachesim.lru import (
     FLAG_DIRTY,
     FLAG_NTA,
     FLAG_REFERENCED,
     FLAG_SW_PREFETCH,
+    OP_TOUCH,
     LRUCache,
 )
 from repro.config import CacheConfig
@@ -14,6 +15,16 @@ from repro.config import CacheConfig
 
 def make_cache(lines=8, ways=2):
     return LRUCache(CacheConfig("T", lines * 64, ways=ways, line_bytes=64))
+
+
+def _ops(lines, kind, flags):
+    """An ``ops_batch`` stream of one op kind and flag set."""
+    n = len(lines)
+    return (
+        np.array(lines, dtype=np.int64),
+        np.full(n, kind, dtype=np.uint8),
+        np.full(n, flags, dtype=np.int64),
+    )
 
 
 class TestBasics:
@@ -28,7 +39,6 @@ class TestBasics:
         for line in range(8):
             c.install(line)
         assert len(c) == 8
-        assert c.occupancy() == 1.0
 
     def test_eviction_is_lru(self):
         c = make_cache(lines=4, ways=4)  # one set, 4 ways? 4 lines/4 ways=1 set
@@ -71,13 +81,17 @@ class TestFlags:
         c = make_cache(lines=4, ways=4)
         for line in range(4):
             c.install(line)
-        assert c.touch_flags(0, FLAG_DIRTY)
+        hit, _, _, _, _ = c.ops_batch(*_ops([0], OP_TOUCH, FLAG_DIRTY))
+        assert hit.tolist() == [True]
         victim = c.install(50)
         assert victim[0] == 0  # still LRU despite touch
         assert victim[1] & FLAG_DIRTY
 
     def test_touch_flags_missing_line(self):
-        assert make_cache().touch_flags(9, FLAG_DIRTY) is False
+        c = make_cache()
+        hit, _, vic_idx, _, _ = c.ops_batch(*_ops([9], OP_TOUCH, FLAG_DIRTY))
+        assert hit.tolist() == [False]
+        assert len(vic_idx) == 0 and len(c) == 0
 
     def test_nta_flag_roundtrip(self):
         c = make_cache()
@@ -93,13 +107,6 @@ class TestFlags:
 
 
 class TestMaintenance:
-    def test_flush(self):
-        c = make_cache()
-        for line in range(6):
-            c.install(line)
-        assert c.flush() == 6
-        assert len(c) == 0
-
     def test_resident_lines(self):
         c = make_cache()
         for line in (1, 2, 3):

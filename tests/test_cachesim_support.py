@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cachesim import BandwidthModel, FunctionalCacheSim, simulate_miss_ratios
+from repro.cachesim import BandwidthModel, FunctionalCacheSim
 from repro.cachesim.fastlru import FastLRUCache
 from repro.cachesim.lru import LRUCache
 from repro.config import CacheConfig
@@ -17,14 +17,14 @@ class TestFunctionalSim:
         t = MemoryTrace.loads(
             np.zeros(4096, np.int64), strided_pattern(0, 4096, 64, wrap_bytes=16 * 64)
         )
-        mr, per_pc, stats = simulate_miss_ratios(t, CacheConfig("T", 64 * 64, ways=4))
-        assert mr < 0.01
-        assert per_pc[0] == mr
+        stats = FunctionalCacheSim(CacheConfig("T", 64 * 64, ways=4)).run(t)
+        assert stats.overall_miss_ratio() < 0.01
+        assert stats.miss_ratio(0) == stats.overall_miss_ratio()
 
     def test_cold_stream_always_misses(self):
         t = MemoryTrace.loads(np.zeros(1000, np.int64), strided_pattern(0, 1000, 64))
-        mr, _, _ = simulate_miss_ratios(t, CacheConfig("T", 64 * 64, ways=4))
-        assert mr == 1.0
+        stats = FunctionalCacheSim(CacheConfig("T", 64 * 64, ways=4)).run(t)
+        assert stats.overall_miss_ratio() == 1.0
 
     def test_prefetches_ignored_by_default(self):
         t = MemoryTrace(
@@ -144,14 +144,6 @@ class TestBandwidthModel:
         assert bw.total_bytes == 128
         assert bw.total_transfers == 2
 
-    def test_reset(self):
-        bw = BandwidthModel(peak_bytes_per_cycle=2.0)
-        bw.transfer(0.0, 64)
-        bw.reset()
-        assert bw.total_bytes == 0
-        start, _ = bw.transfer(0.0, 64)
-        assert start == 0.0
-
     def test_rejects_bad_peak(self):
         with pytest.raises(ConfigError):
             BandwidthModel(peak_bytes_per_cycle=0.0)
@@ -226,8 +218,3 @@ class TestBandwidthModel:
     def test_charge_batch_rejects_negative_count(self):
         with pytest.raises(ConfigError):
             BandwidthModel(peak_bytes_per_cycle=2.0).charge_batch(0.0, 64, -1)
-
-    def test_achieved_gbs(self):
-        bw = BandwidthModel(peak_bytes_per_cycle=2.0)
-        bw.transfer(0.0, 2_000_000)
-        assert bw.achieved_gbs(1e6, freq_ghz=1.0) == pytest.approx(2.0)

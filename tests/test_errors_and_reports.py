@@ -81,17 +81,8 @@ class TestOptimizationReport:
         r.skipped = {2: "irregular-stride"}
         return r
 
-    def test_decision_lookup(self):
-        r = self._report()
-        assert r.decision_for(0).nta
-        assert r.decision_for(9) is None
-
     def test_prefetched_pcs(self):
         assert self._report().prefetched_pcs == {0, 1}
-
-    def test_nta_fraction(self):
-        assert self._report().nta_fraction == pytest.approx(0.5)
-        assert OptimizationReport(machine_name="m").nta_fraction == 0.0
 
     def test_summary_mentions_everything(self):
         text = self._report().summary()

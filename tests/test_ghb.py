@@ -67,12 +67,6 @@ class TestDeltaCorrelation:
             pf.observe(pc, 0, 0, False)
         assert len(pf._table) <= 8
 
-    def test_reset(self):
-        pf = GHBPrefetcher()
-        drive(pf, [64], 20)
-        pf.reset()
-        assert drive(pf, [64], 3) == []
-
     def test_param_validation(self):
         with pytest.raises(ValueError):
             GHBPrefetcher(history=2)

@@ -89,12 +89,6 @@ class TestPCStride:
             pf.observe(pc, 0, 0, False)
         assert len(pf._table) <= 4
 
-    def test_reset(self):
-        pf = PCStridePrefetcher(train_threshold=2)
-        feed_stream(pf, n=10)
-        pf.reset()
-        assert feed_stream(pf, n=2) == []
-
     def test_bad_params(self):
         with pytest.raises(ValueError):
             PCStridePrefetcher(degree=0)
@@ -158,7 +152,7 @@ class TestThrottling:
         rho = {"value": 0.0}
         pf = StreamerPrefetcher(utilisation=lambda: rho["value"])
         calm = len(feed_stream(pf, n=20))
-        pf.reset()
+        pf = StreamerPrefetcher(utilisation=lambda: rho["value"])
         rho["value"] = 1.0
         stressed = len(feed_stream(pf, n=20))
         assert stressed < calm
@@ -265,8 +259,7 @@ class TestAdjacentLineDutyCycle:
     def test_partial_duty_cycle_is_not_batch_safe(self):
         # At factor 1.0 an accumulator at 0.0 returns to exactly 0.0, so
         # a batch may skip it; a partial cycle left by a lower factor
-        # drifts in its low bits under observe(), so batching must wait
-        # for a reset.
+        # drifts in its low bits under observe(), so it stays unbatched.
         from repro.hwpref.base import PrefetchTuning
 
         pf = AdjacentLinePrefetcher(utilisation=lambda: 0.0)
@@ -276,18 +269,6 @@ class TestAdjacentLineDutyCycle:
         pf.apply_tuning(PrefetchTuning())
         assert pf._duty != 0.0
         assert not pf.batch_safe
-        pf.reset()
-        assert pf.batch_safe
-
-    def test_reset_clears_duty_accumulator(self):
-        from repro.hwpref.base import PrefetchTuning
-
-        pf = AdjacentLinePrefetcher()
-        pf.apply_tuning(PrefetchTuning(degree_scale=0.6))
-        first = [len(pf.observe(0, i * 128, i * 2, False)) for i in range(5)]
-        pf.reset()
-        second = [len(pf.observe(0, i * 128, i * 2, False)) for i in range(5)]
-        assert first == second
 
 
 def _xcore_on_pagerank():

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from repro.baselines import stride_centric_plan
-from repro.config import intel_i7_2600k
 from repro.core import (
     OptimizerSettings,
     PrefetchDecision,
     PrefetchOptimizer,
     apply_prefetch_plan,
-    prefetch_overhead_ratio,
 )
 from repro.errors import AnalysisError
 from repro.isa import execute_program, insert_prefetches
@@ -77,13 +75,6 @@ class TestApplyPrefetchPlan:
         twice = apply_prefetch_plan(once, plan)
         assert twice.n_prefetch == 2 * once.n_demand
 
-    def test_overhead_ratio(self):
-        t = MemoryTrace.loads([0, 1], [0, 64])
-        out = apply_prefetch_plan(
-            t, [PrefetchDecision(pc=0, stride=8, distance_bytes=64, nta=False)]
-        )
-        assert prefetch_overhead_ratio(t, out) == pytest.approx(0.5)
-
 
 class TestPipeline:
     def test_stream_gets_prefetch_chase_does_not(self, amd):
@@ -114,8 +105,9 @@ class TestPipeline:
         plan_intel = PrefetchOptimizer(intel).analyze(sampling)
         assert plan_amd.prefetched_pcs == plan_intel.prefetched_pcs
         # distances may differ (different latencies/Δ) but stay sane
+        intel_by_pc = {d.pc: d for d in plan_intel.decisions}
         for pa in plan_amd.decisions:
-            pi = plan_intel.decision_for(pa.pc)
+            pi = intel_by_pc.get(pa.pc)
             assert pi is not None
             assert np.sign(pi.distance_bytes) == np.sign(pa.distance_bytes)
 
@@ -167,7 +159,7 @@ class TestStrideCentricBaseline:
         t = stream_chase_trace()
         sampling = RuntimeSampler(rate=2e-3, seed=1).sample(t)
         plan = stride_centric_plan(sampling, amd, lookahead_iterations=10)
-        d = plan.decision_for(0)
+        d = next((d for d in plan.decisions if d.pc == 0), None)
         assert d is not None
         assert d.distance_bytes == 10 * d.stride
 

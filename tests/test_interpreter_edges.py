@@ -16,7 +16,6 @@ from repro.isa import (
     Program,
     StreamAccess,
     StridedAccess,
-    execute_kernel,
     execute_program,
     insert_prefetches,
 )
@@ -40,13 +39,13 @@ class _BrokenPattern(AccessPattern):
 class TestInterpreterEdges:
     def test_zero_trip_kernel(self):
         k = Kernel("k", (Load("a", FixedAccess(0)),), trips=0)
-        trace = execute_kernel(k, {("k", "a"): 0}, seed=0)
+        trace = execute_program(Program("p", (k,)), seed=0).trace
         assert len(trace) == 0
 
     def test_broken_pattern_detected(self):
         k = Kernel("k", (Load("a", _BrokenPattern()),), trips=4)
         with pytest.raises(ProgramError, match="yielded"):
-            execute_kernel(k, {("k", "a"): 0}, seed=0)
+            execute_program(Program("p", (k,)), seed=0)
 
     def test_prefetch_address_below_zero_dropped(self):
         p = Program(

@@ -259,18 +259,6 @@ class TestCrossCorePrefetcher:
         scaled = issues(PrefetchTuning(degree_scale=0.25))
         assert 0 < scaled < full
 
-    def test_reset_forgets_pointer_state(self):
-        program = indirect_program()
-        trace = execute_program(program, seed=5).trace
-        lines = trace.addr // 64
-        hits = np.zeros(len(lines), dtype=bool)
-        pf = cross_core_prefetcher_for(program)
-        first = pf.observe_batch(trace.pc, trace.addr, lines, hits)
-        pf.reset()
-        second = pf.observe_batch(trace.pc, trace.addr, lines, hits)
-        assert np.array_equal(first[0], second[0])
-        assert np.array_equal(first[1], second[1])
-
 
 class TestGeneratorGraphFamily:
     def test_graph_recipe_emits_graph_patterns(self):

@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core.report import PrefetchDecision
 from repro.errors import ProgramError
 from repro.isa import (
     ChaseAccess,
     FixedAccess,
+    IndexedAccess,
+    IndirectPrefetch,
     Kernel,
     Load,
     Prefetch,
     Program,
+    RandomAccess,
     Store,
     StreamAccess,
     StridedAccess,
@@ -22,6 +26,8 @@ from repro.isa import (
     parse,
 )
 from repro.trace import MemOp
+from repro.workloads import build_program
+from repro.workloads.base import list_workloads
 
 
 def two_kernel_program():
@@ -55,7 +61,6 @@ class TestProgram:
         assert p.pc_of("a", "x") == 0
         assert p.pc_of("a", "y") == 1
         assert p.pc_of("b", "z") == 2
-        assert p.label_of(1) == ("a", "y")
 
     def test_unknown_label(self):
         with pytest.raises(ProgramError):
@@ -119,10 +124,7 @@ class TestInterpreter:
     def test_kernel_slices(self):
         p = two_kernel_program()
         res = execute_program(p, 0)
-        assert len(res.kernel_trace("a")) == 20
-        assert len(res.kernel_trace("b")) == 5
-        with pytest.raises(ProgramError):
-            res.kernel_trace("zzz")
+        assert res.kernel_slices == {"a": slice(0, 20), "b": slice(20, 25)}
 
     def test_prefetch_address_follows_target(self):
         p = Program(
@@ -222,6 +224,48 @@ class TestAssembly:
     def test_parse_requires_end(self):
         with pytest.raises(ProgramError):
             parse(".program p\n.kernel k trips=1 work=1 mlp=1\n")
+
+    @pytest.mark.parametrize("workload", list_workloads())
+    def test_every_workload_and_its_swi_rewrites_roundtrip(self, workload):
+        # The graph workloads carry csr/bfs/hash/indexed patterns, and
+        # their swi rewrites A[B[i+d]] indirect prefetches.
+        program = build_program(workload, "ref", 0.05)
+        programs = [program] + [
+            insert_prefetches(program, api.plan(api.ExperimentSpec(workload, m, "swi", scale=0.05)))
+            for m in ("amd-phenom-ii", "intel-i7-2600k")
+        ]
+        for p in programs:
+            assert parse(emit(p)) == p
+
+    def test_optional_fields_written_only_off_default(self):
+        p = Program(
+            "opt",
+            (
+                Kernel(
+                    "k",
+                    (
+                        Load("a", RandomAccess(0x40, 4096, align=16)),
+                        Load("b", RandomAccess(0x80, 4096)),
+                        Load("c", IndexedAccess(0x1000, 4096, 0x9000, 64, 7, elem_bytes=16)),
+                        IndirectPrefetch("c", 4, nta=True),
+                    ),
+                    trips=8,
+                ),
+            ),
+        )
+        text = emit(p)
+        assert "random(base=0x40, region=4096, align=16)" in text
+        assert "random(base=0x80, region=4096)" in text
+        assert "indices=64, seed=7, elem=16)" in text
+        assert "prefetchnta c[i+4]" in text
+        assert parse(text) == p
+
+    def test_parse_rejects_malformed_value(self):
+        with pytest.raises(ProgramError, match="locality"):
+            parse(
+                ".program p\n.kernel k trips=1 work=1 mlp=1\n"
+                "  a: load gather(base=0x0, region=64, locality=high)\n.end\n"
+            )
 
     def test_comments_and_blank_lines_ignored(self):
         text = (

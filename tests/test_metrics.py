@@ -1,18 +1,15 @@
 """Tests for the evaluation metrics (paper §VII-C/D formulas)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
 from repro.metrics import (
     fair_speedup,
-    fraction_at_least,
     per_app_speedups,
     qos_degradation,
     sorted_distribution,
     traffic_increase,
     traffic_reduction_vs,
-    value_at_percentile,
     weighted_speedup,
 )
 from repro.cachesim.stats import RunStats
@@ -90,18 +87,6 @@ class TestDistributions:
         d = sorted_distribution([1.0, 3.0, 2.0], descending=False)
         assert d.tolist() == [1.0, 2.0, 3.0]
 
-    def test_value_at_percentile(self):
-        values = list(range(101))
-        # "in 60% of runs, at least X": descending
-        assert value_at_percentile(values, 0.0) == 100
-        assert value_at_percentile(values, 100.0) == 0
-        assert value_at_percentile(values, 60.0) == 40
-
-    def test_fraction_at_least(self):
-        assert fraction_at_least([1, 2, 3, 4], 3) == pytest.approx(0.5)
-
     def test_empty_rejected(self):
         with pytest.raises(ExperimentError):
             sorted_distribution([])
-        with pytest.raises(ExperimentError):
-            value_at_percentile([1.0], 120.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cachesim.stats import LevelStats, PCStats, RunStats
-from repro.experiments.tables import gbs, pct, render_series, render_table
+from repro.experiments.tables import pct, render_series, render_table
 from repro.hwpref.base import NullPrefetcher
 from repro.trace.util import next_same_value_index
 
@@ -13,9 +13,6 @@ class TestFormatting:
     def test_pct(self):
         assert pct(0.163) == "+16.3%"
         assert pct(-0.04, digits=0) == "-4%"
-
-    def test_gbs(self):
-        assert gbs(3.456) == "3.46 GB/s"
 
     def test_render_table_title_optional(self):
         text = render_table(("h",), [("v",)])
@@ -46,27 +43,12 @@ class TestStatsContainers:
         assert s.miss_ratio == pytest.approx(0.3)
         assert LevelStats().miss_ratio == 0.0
 
-    def test_run_stats_ipc(self):
-        s = RunStats(cycles=100.0, instructions=250)
-        assert s.ipc == pytest.approx(2.5)
-        assert RunStats().ipc == 0.0
-
     def test_run_stats_bandwidth_zero_cycles(self):
         assert RunStats().bandwidth_gbs(3.0) == 0.0
 
     def test_llc_insertions_excludes_nta(self):
         s = RunStats(dram_fills=100, nta_fills=30)
         assert s.llc_insertions == 70
-
-    def test_pc_stats_as_arrays_aligned(self):
-        s = PCStats()
-        s.record(5, True)
-        s.record(2, False)
-        s.record(5, False)
-        pcs, acc, mis = s.as_arrays()
-        assert pcs.tolist() == [2, 5]
-        assert acc.tolist() == [1, 2]
-        assert mis.tolist() == [0, 1]
 
     def test_pc_stats_miss_ratio_unknown(self):
         assert PCStats().miss_ratio(7) == 0.0

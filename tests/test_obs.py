@@ -42,11 +42,11 @@ ONE_SHOT = RetryPolicy(max_attempts=1, base_delay=0.0)
 def _obs_clean():
     """Every test starts and ends with tracing off and metrics empty."""
     obs.disable()
-    obs.reset_metrics()
+    obs.metrics().reset()
     faults.disarm()
     yield
     obs.disable()
-    obs.reset_metrics()
+    obs.metrics().reset()
     faults.disarm()
     reset_default_engine()
 
@@ -303,20 +303,6 @@ class TestExporters:
 
 
 class TestConfigureAndCli:
-    def test_api_configure_trace_enables_obs(self):
-        from repro.api import configure
-
-        assert not obs.enabled()
-        configure(jobs=1, use_cache=False, trace=True)
-        assert obs.enabled()
-
-    def test_api_configure_deterministic_trace(self):
-        from repro.api import configure
-
-        configure(jobs=1, use_cache=False, deterministic_trace=True)
-        assert obs.enabled()
-        assert obs.get_tracer().deterministic
-
     def test_cli_trace_and_metrics_out(self, tmp_path, capsys):
         from repro.cli import main
 

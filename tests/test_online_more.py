@@ -1,20 +1,20 @@
 """Additional tests: online optimiser internals and trace/plan workflows."""
 
-import numpy as np
-import pytest
+import json
 
-from repro.config import amd_phenom_ii
+import numpy as np
+
 from repro.core import (
     OnlineOptimizer,
     OptimizationReport,
     PrefetchOptimizer,
     apply_prefetch_plan,
-    load_plan,
-    save_plan,
+    plan_from_dict,
+    plan_to_dict,
 )
 from repro.isa import execute_program
 from repro.sampling import RuntimeSampler
-from repro.trace import MemoryTrace, load_trace, save_trace
+from repro.trace import MemoryTrace
 from repro.trace.synthesis import strided_pattern
 from repro.workloads import WorkloadRecipe, build_program, generate_workload, workload_seed
 
@@ -57,23 +57,26 @@ class TestOnlineInternals:
         assert result.n_windows == 2
 
 
+def _ship(plan: OptimizationReport, path) -> OptimizationReport:
+    """Write a plan as a JSON file and read it back."""
+    path.write_text(json.dumps(plan_to_dict(plan)))
+    return plan_from_dict(json.loads(path.read_text()))
+
+
 class TestShipAPlanWorkflow:
     """The deployment story: profile on host A, optimise on host B."""
 
     def test_roundtrip_through_files(self, tmp_path, amd):
-        # host A: execute + save trace
+        # host A: execute and profile
         program = build_program("soplex", "ref", 0.05)
-        execution = execute_program(program, seed=workload_seed("soplex", "ref"))
-        save_trace(execution.trace, tmp_path / "trace.npz")
+        trace = execute_program(program, seed=workload_seed("soplex", "ref")).trace
 
-        # host B: load trace, analyse, ship the plan
-        trace = load_trace(tmp_path / "trace.npz")
+        # host B: analyse, ship the plan
         sampling = RuntimeSampler(rate=5e-3, seed=1).sample(trace)
         plan = PrefetchOptimizer(amd).analyze(sampling)
-        save_plan(plan, tmp_path / "plan.json")
 
         # host A again: load plan, rewrite, run
-        shipped: OptimizationReport = load_plan(tmp_path / "plan.json")
+        shipped = _ship(plan, tmp_path / "plan.json")
         optimised = apply_prefetch_plan(trace, shipped)
         assert optimised.n_prefetch > 0
         assert optimised.demand_only() == trace.demand_only()
@@ -88,5 +91,4 @@ class TestShipAPlanWorkflow:
         plan = PrefetchOptimizer(amd).analyze(
             sampling, refs_per_pc=program.refs_per_pc()
         )
-        save_plan(plan, tmp_path / "gen.json")
-        assert load_plan(tmp_path / "gen.json").prefetched_pcs == plan.prefetched_pcs
+        assert _ship(plan, tmp_path / "gen.json").prefetched_pcs == plan.prefetched_pcs

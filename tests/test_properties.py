@@ -252,7 +252,7 @@ class TestStatStackProperties:
         t = MemoryTrace.loads(np.zeros(n, np.int64), addr)
         samples = collect_reuse_samples(t, np.arange(n), 64)
         model = StatStackModel(samples)
-        sd = model.expected_stack_distance(np.array([d]))[0]
+        sd = model._tail.stack_distance(np.array([d]))[0]
         assert 0.0 <= sd <= d + 1e-9
 
 

@@ -159,7 +159,7 @@ class TestRuntimeSampler:
             counted = obs.metrics().counter("sampling.window_resolved").value
         finally:
             obs.disable()
-            obs.reset_metrics()
+            obs.metrics().reset()
         assert span["attrs"]["window_resolved"] == np.count_nonzero(idx < n - 4) == counted
         assert span["attrs"]["sorts"] == 2
         # The missed PC's 1,024 positions and the 48 missed lines' are
@@ -167,7 +167,7 @@ class TestRuntimeSampler:
         assert 1024 + 48 <= span["attrs"]["sorted_keys"] < n // 2
 
     def test_window_counter_recorded_only_while_tracing(self):
-        obs.reset_metrics()
+        obs.metrics().reset()
         t = MemoryTrace.loads(np.zeros(1000, np.int64), np.arange(1000) * 8)
         RuntimeSampler(rate=1e-9, seed=0, min_samples=16).sample(t)
         assert "sampling.window_resolved" not in obs.metrics()

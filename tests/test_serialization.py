@@ -1,47 +1,33 @@
 """Tests for trace and plan persistence."""
 
-import numpy as np
+import json
+
 import pytest
 
 from repro.core import (
     OptimizationReport,
     PrefetchDecision,
-    load_plan,
     plan_from_dict,
     plan_to_dict,
-    save_plan,
 )
 from repro.core.report import DelinquentLoad, StrideInfo
 from repro.errors import AnalysisError, TraceError
-from repro.trace import MemOp, MemoryTrace, load_trace, save_trace
+from repro.trace import MemOp, MemoryTrace
+from repro.trace.io import trace_from_dict, trace_to_dict
 
 
 class TestTraceIO:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self):
         t = MemoryTrace(
             [0, 1, 0], [10, 20, 30], [MemOp.LOAD, MemOp.PREFETCH_NTA, MemOp.STORE]
         )
-        path = tmp_path / "t.npz"
-        save_trace(t, path)
-        assert load_trace(path) == t
+        assert trace_from_dict(json.loads(json.dumps(trace_to_dict(t)))) == t
 
-    def test_large_trace_roundtrip(self, tmp_path):
-        t = MemoryTrace.loads(
-            np.arange(50_000) % 7, np.arange(50_000, dtype=np.int64) * 64
-        )
-        path = tmp_path / "big.npz"
-        save_trace(t, path)
-        assert load_trace(path) == t
-
-    def test_missing_file(self, tmp_path):
+    def test_wrong_format(self):
+        data = trace_to_dict(MemoryTrace.loads([0], [64]))
+        data["format"] = "repro-trace-v1"
         with pytest.raises(TraceError):
-            load_trace(tmp_path / "nope.npz")
-
-    def test_wrong_format(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, foo=np.arange(3))
-        with pytest.raises(TraceError):
-            load_trace(path)
+            trace_from_dict(data)
 
 
 class TestPlanIO:
@@ -63,40 +49,20 @@ class TestPlanIO:
         assert rebuilt.skipped == original.skipped
         assert rebuilt.delinquent == original.delinquent
 
-    def test_file_roundtrip(self, tmp_path):
-        path = tmp_path / "plan.json"
-        save_plan(self._plan(), path)
-        rebuilt = load_plan(path)
-        assert rebuilt.decisions == self._plan().decisions
-
-    def test_json_is_human_auditable(self, tmp_path):
-        path = tmp_path / "plan.json"
-        save_plan(self._plan(), path)
-        text = path.read_text()
+    def test_json_is_human_auditable(self):
+        text = json.dumps(plan_to_dict(self._plan()), indent=2)
         assert '"nta": true' in text
         assert '"distance_bytes": 320' in text
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(AnalysisError):
-            load_plan(tmp_path / "nope.json")
-
-    def test_bad_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(AnalysisError):
-            load_plan(path)
 
     def test_bad_format_tag(self):
         with pytest.raises(AnalysisError):
             plan_from_dict({"format": "other"})
 
-    def test_rewriter_accepts_loaded_plan(self, tmp_path):
+    def test_rewriter_accepts_loaded_plan(self):
         # end-to-end: analyse on "machine A", ship the JSON, rewrite later
         from repro.core import apply_prefetch_plan
 
-        path = tmp_path / "plan.json"
-        save_plan(self._plan(), path)
-        plan = load_plan(path)
+        plan = plan_from_dict(json.loads(json.dumps(plan_to_dict(self._plan()))))
         t = MemoryTrace.loads([0, 0], [100, 200])
         out = apply_prefetch_plan(t, plan)
         assert out.n_prefetch == 2

@@ -336,14 +336,14 @@ class TestHierarchyBatchParity:
         for h in hiers.values():
             h.prefetcher.apply_tuning(PrefetchTuning(degree_scale=0.5))
         obs.disable()
-        obs.reset_metrics()
+        obs.metrics().reset()
         obs.enable()
         try:
             stats = {b: h.run(trace, work_per_memop=2.0, mlp=2.0) for b, h in hiers.items()}
             spans = [s["attrs"] for s in obs.drain_spans() if s["name"] == "cachesim.run"]
         finally:
             obs.disable()
-            obs.reset_metrics()
+            obs.metrics().reset()
         assert [(a["backend"], a["path"], a.get("reason")) for a in spans] == [
             ("reference", "scalar", "reference-backend"),
             ("fast", "scalar", "prefetcher-not-batch-safe"),
@@ -458,14 +458,14 @@ def traced_run_attrs(hier, trace, **run_kw):
     from repro import obs
 
     obs.disable()
-    obs.reset_metrics()
+    obs.metrics().reset()
     obs.enable()
     try:
         hier.run(trace, **run_kw)
         return [s["attrs"] for s in obs.drain_spans() if s["name"] == "cachesim.run"][-1]
     finally:
         obs.disable()
-        obs.reset_metrics()
+        obs.metrics().reset()
 
 
 class TestRewrittenTraceBatch:
@@ -842,7 +842,9 @@ class TestL2ResidentRule:
                     elif not l2.lookup(line) and kind == _T0 and rng.random() < 0.5:
                         l2.install(line, FLAG_SW_PREFETCH)  # the LLC missed too
                 if touch is not None:
-                    l2.touch_flags(touch, FLAG_DIRTY)
+                    s = l2._sets[touch & set_mask]
+                    if touch in s:
+                        s[touch] |= FLAG_DIRTY
             dropped_total += int(resident.sum())
             kept_total += int((~resident).sum())
         assert dropped_total > 1000 and kept_total > 1000
@@ -1102,7 +1104,9 @@ class TestOpsBatchKinds:
             else:
                 victim = None
                 if kind == f.OP_TOUCH:
-                    cache.touch_flags(line, of)
+                    s = cache._sets[line & cache._set_mask]
+                    if line in s:
+                        s[line] |= of
                 elif kind == f.OP_LOOKUP:
                     cache.lookup(line)
                 elif kind == f.OP_INVAL:
@@ -1228,14 +1232,14 @@ class TestSimOptionsPrecedence:
             h = CacheHierarchy(amd)
             set_default_options(SimOptions(backend="fast"))
             obs.disable()
-            obs.reset_metrics()
+            obs.metrics().reset()
             obs.enable()
             try:
                 h.run(trace, work_per_memop=2.0, mlp=2.0)
                 (span,) = [s["attrs"] for s in obs.drain_spans() if s["name"] == "cachesim.run"]
             finally:
                 obs.disable()
-                obs.reset_metrics()
+                obs.metrics().reset()
         finally:
             set_default_options(previous)
         assert h.last_run_path == "scalar"
@@ -1257,7 +1261,7 @@ class TestPathObservability:
         from repro import obs
 
         obs.disable()
-        obs.reset_metrics()
+        obs.metrics().reset()
         obs.enable()
         try:
             trace = pc_correlated_trace(rng, 3000)
@@ -1278,7 +1282,7 @@ class TestPathObservability:
             assert "batch" in paths and "scalar" in paths
         finally:
             obs.disable()
-            obs.reset_metrics()
+            obs.metrics().reset()
 
     def test_fallback_reasons_and_speculation_fields(self, amd, rng):
         from repro import obs
@@ -1298,7 +1302,7 @@ class TestPathObservability:
         }
         trace = prefetch_after_load_trace(rng, 2000, "mixed")
         obs.disable()
-        obs.reset_metrics()
+        obs.metrics().reset()
         obs.enable()
         try:
             for h in hierarchies.values():
@@ -1309,7 +1313,7 @@ class TestPathObservability:
             snap = obs.metrics().snapshot()
         finally:
             obs.disable()
-            obs.reset_metrics()
+            obs.metrics().reset()
         assert [a.get("reason") for a in spans] == list(hierarchies) + [None]
         for reason in hierarchies:
             assert snap[f"sim.hierarchy.reason.{reason}"]["value"] == 1
@@ -1325,7 +1329,7 @@ class TestPathObservability:
 
         trace = pc_correlated_trace(rng, 4000)
         obs.disable()
-        obs.reset_metrics()
+        obs.metrics().reset()
         obs.enable()
         try:
             for backend in BACKENDS:
@@ -1334,7 +1338,7 @@ class TestPathObservability:
             snap = obs.metrics().snapshot()
         finally:
             obs.disable()
-            obs.reset_metrics()
+            obs.metrics().reset()
         scalar, batch = sorted(spans, key=lambda a: a["path"] == "batch")
         assert batch["hw_dropped"] > 0 and "hw_dropped" not in scalar
         assert snap["sim.hwpref.l2_resident_dropped"]["value"] == batch["hw_dropped"]
@@ -1343,7 +1347,7 @@ class TestPathObservability:
         from repro import obs
 
         obs.disable()
-        obs.reset_metrics()
+        obs.metrics().reset()
         trace = prefetch_after_load_trace(rng, 1000, "t0")
         CacheHierarchy(amd, options="fast").run(trace)
         CacheHierarchy(amd, amd_hw_prefetcher(), options="fast").run(trace)
@@ -1365,7 +1369,7 @@ class TestPathObservability:
             (span,) = [s for s in obs.drain_spans() if s["name"] == "cachesim.run"]
         finally:
             obs.disable()
-            obs.reset_metrics()
+            obs.metrics().reset()
         attrs = span["attrs"]
         assert attrs["path"] == "batch"
         assert all(attrs[p] >= 0.0 for p in self.PASSES)
@@ -1614,7 +1618,7 @@ def traced_mix_run(sim, drain=False):
         spans = [s["attrs"] for s in obs.drain_spans() if s["name"] == "multicore.run"]
     finally:
         obs.disable()
-        obs.reset_metrics()
+        obs.metrics().reset()
     (attrs,) = spans
     return result, attrs
 
@@ -1810,7 +1814,7 @@ class TestMulticoreFastPath:
             "shared-prefetcher": "shared-prefetcher",
         }
         obs.disable()
-        obs.reset_metrics()
+        obs.metrics().reset()
         obs.enable()
         try:
             sims = [mix_sims(tiny_machine, traces, **kw)["fast"] for kw in cases.values()]
@@ -1822,7 +1826,7 @@ class TestMulticoreFastPath:
             snap = obs.metrics().snapshot()
         finally:
             obs.disable()
-            obs.reset_metrics()
+            obs.metrics().reset()
         reasons = [*expected.values(), "reference-backend", None]
         assert [(a["path"], a.get("reason")) for a in spans] == [
             ("scalar", r) for r in reasons[:-1]
@@ -1842,7 +1846,7 @@ class TestMulticoreFastPath:
         from repro import obs
 
         obs.disable()
-        obs.reset_metrics()
+        obs.metrics().reset()
         traces = self.random_mix(rng, (500, 500))
         for sim in mix_sims(tiny_machine, traces, lambda core: StreamerPrefetcher()).values():
             sim.run()

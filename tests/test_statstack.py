@@ -24,7 +24,6 @@ class TestStackDistanceMath:
         t = MemoryTrace.loads(np.zeros(1000, np.int64), np.arange(1000) * 64)
         m = StatStackModel(full_samples(t))
         assert m.miss_ratio(64 * 1024) == pytest.approx(1.0)
-        assert m.dangling_fraction == pytest.approx(1.0)
 
     def test_tight_reuse_always_hits(self):
         # same line over and over -> rd 0 -> hits in any cache >= 1 line
@@ -38,7 +37,7 @@ class TestStackDistanceMath:
         )
         m = StatStackModel(full_samples(t))
         d = np.array([1, 10, 100, 1000])
-        sd = m.expected_stack_distance(d)
+        sd = m._tail.stack_distance(d)
         assert np.all(np.diff(sd) >= 0)
         assert sd[0] <= 1.0 + 1e-9
 

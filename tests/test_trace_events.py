@@ -19,8 +19,6 @@ class TestMemOp:
     def test_demand_classification(self):
         assert MemOp.LOAD.is_demand and MemOp.STORE.is_demand
         assert not MemOp.PREFETCH.is_demand
-        assert MemOp.PREFETCH_NTA.is_prefetch and MemOp.PREFETCH.is_prefetch
-        assert not MemOp.LOAD.is_prefetch
 
 
 class TestMemoryTrace:
@@ -126,12 +124,6 @@ class TestTraceBuilder:
         t = b.build()
         assert t.pc.tolist() == [3, 3, 3]
         assert t.n_demand == 3
-
-    def test_append_trace_and_len(self):
-        b = TraceBuilder()
-        b.append_trace(_mixed_trace())
-        assert len(b) == 4
-        assert b.build() == _mixed_trace()
 
     def test_mismatched_block_rejected(self):
         b = TraceBuilder()
