@@ -18,7 +18,7 @@ Typical use::
     from repro.api import ExperimentSpec, run, run_many
 
     spec = ExperimentSpec("libquantum", "amd-phenom-ii", "swnt", scale=0.3)
-    stats = run(spec)                      # cached single cell
+    stats = run(spec)                      # memoised single cell
     grid = ExperimentSpec.grid(
         workloads=("mcf", "lbm"),
         machines=("amd-phenom-ii",),
@@ -63,7 +63,6 @@ __all__ = [
     "run_journaled",
     "resume_run",
     "advise",
-    "validate",
     "configure",
     "current_engine",
     "reset_default_engine",
@@ -434,18 +433,20 @@ def plan(spec: ExperimentSpec) -> "OptimizationReport":
 
 
 def run(spec: ExperimentSpec) -> "RunStats":
-    """Simulate one cell through the shared memo + disk cache."""
+    """Simulate one cell through the shared in-process memo (cached).
+
+    The memo is the only cache it uses: it neither reads nor writes the
+    persistent result cache.  Disk-cached, parallel runs go through
+    :func:`run_many` and the engine :func:`configure` installs.
+    """
     from repro.experiments import runner
 
     return runner.run_spec(spec)
 
 
-def run_many(
-    specs: Iterable[ExperimentSpec],
-    engine: "ExperimentEngine | None" = None,
-) -> dict[ExperimentSpec, "RunStats"]:
-    """Run many cells through the (possibly parallel) experiment engine."""
-    return (engine or current_engine()).run(specs)
+def run_many(specs: Iterable[ExperimentSpec]) -> dict[ExperimentSpec, "RunStats"]:
+    """Run many cells through the (possibly parallel, disk-cached) default engine."""
+    return current_engine().run(specs)
 
 
 def run_journaled(
@@ -547,36 +548,12 @@ def advise(request: AdvisorRequest) -> AdvisorResponse:
     This is the reference semantics of the serving layer: ``repro
     serve`` answers every request through the same compute kernel, so a
     served response's ``plan``/``stats`` documents are byte-identical to
-    this function's.  Results flow through the shared runner memo and
-    the active persistent cache like any other cell.
+    this function's.  Results flow through the shared runner memo like
+    :func:`run`'s; nothing is written to disk.
     """
     from repro.serve.advisor import compute_advice
 
     return compute_advice(request)
-
-
-def validate(
-    corpus_seed: int = 0,
-    quick: bool = True,
-    fuzz_cases: int = 25,
-    run_self_test: bool = True,
-):
-    """Run the model-vs-simulation conformance harness.
-
-    Returns a :class:`repro.validate.ValidationReport`; ``report.passed``
-    is the overall verdict and ``report.to_dict()`` the JSON document the
-    ``repro validate`` CLI writes.  See ``docs/testing.md``.
-    """
-    from repro.validate import ValidationConfig, run_validation
-
-    return run_validation(
-        ValidationConfig(
-            corpus_seed=corpus_seed,
-            quick=quick,
-            fuzz_cases=fuzz_cases,
-            run_self_test=run_self_test,
-        )
-    )
 
 
 # -- engine surface ------------------------------------------------------
@@ -613,8 +590,9 @@ def configure(
         untouched.
     cache_quota:
         Size budget in bytes for the on-disk result cache; the engine
-        evicts least-recently-used entries past it at startup and after
-        every store (``None`` = unbounded).
+        evicts least-recently-used entries past it when it starts
+        (``None`` = unbounded).  ``repro cache gc`` and the serve
+        dispatcher, after each batch, evict the rest.
     """
     global _DEFAULT_ENGINE
     from repro.cachesim.options import set_default_options

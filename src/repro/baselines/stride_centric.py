@@ -19,6 +19,7 @@ Consequences reproduced here:
 from __future__ import annotations
 
 from repro.config import MachineConfig
+from repro.core.pipeline import OptimizerSettings
 from repro.core.report import OptimizationReport, PrefetchDecision
 from repro.core.strideanalysis import analyze_stride
 from repro.sampling.sampler import SamplingResult
@@ -29,13 +30,15 @@ __all__ = ["stride_centric_plan"]
 #: (the classic "prefetch a handful of iterations ahead" rule).
 DEFAULT_LOOKAHEAD_ITERATIONS = 16
 
+#: The regular-stride test is the optimizer's own (paper: a 70 % stride
+#: group over at least four samples); only the insertion policy differs.
+_SETTINGS = OptimizerSettings()
+
 
 def stride_centric_plan(
     sampling: SamplingResult,
     machine: MachineConfig,
     lookahead_iterations: int = DEFAULT_LOOKAHEAD_ITERATIONS,
-    dominance_threshold: float = 0.70,
-    min_samples: int = 4,
 ) -> OptimizationReport:
     """Build a prefetch plan covering every regularly-strided load."""
     report = OptimizationReport(machine_name=f"{machine.name} (stride-centric)")
@@ -45,8 +48,8 @@ def stride_centric_plan(
             sampling.strides,
             int(pc),
             line_bytes=line,
-            dominance_threshold=dominance_threshold,
-            min_samples=min_samples,
+            dominance_threshold=_SETTINGS.dominance_threshold,
+            min_samples=_SETTINGS.min_samples,
         )
         if info is None:
             report.skipped[int(pc)] = "irregular-stride"

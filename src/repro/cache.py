@@ -14,12 +14,13 @@ format version and a cache epoch.  Changing any of those (resizing a
 cache level, bumping the sampling rate, revising the simulator's cache
 format) silently invalidates stale entries instead of replaying them.
 
-Two artefact kinds are stored, both as JSON via
-:mod:`repro.core.serialization`:
-
-* ``stats`` — :class:`~repro.cachesim.stats.RunStats`, one per grid cell;
-* ``sampling`` — :class:`~repro.sampling.sampler.SamplingResult`, one per
-  (workload, input_set, scale) profiling pass.
+One artefact kind is stored: ``stats``, the
+:class:`~repro.cachesim.stats.RunStats` of one grid cell, as JSON via
+:mod:`repro.core.serialization`.  Profiles are not stored: sampling is
+the step the paper makes cheap, and a profile is sampled in-process
+every time.  :class:`~repro.experiments.engine.ExperimentEngine` is the
+only reader and writer of a cache; the runner layer below it keeps an
+in-process memo only.
 
 Durability and self-healing
 ---------------------------
@@ -69,7 +70,7 @@ __all__ = [
 ]
 
 #: Sampling rate of every profiling pass (``repro.experiments.runner``
-#: samples at it; both key documents record it).  The paper samples
+#: samples at it; the stats key document records it).  The paper samples
 #: 1/100k over full SPEC runs (~1e11 references → ~1e6 samples); our
 #: traces are ~5e5 references, so an equivalent *sample count density
 #: per static instruction* needs a proportionally higher rate.
@@ -102,14 +103,11 @@ def default_cache_dir() -> Path:
 
 @dataclasses.dataclass
 class CacheCounters:
-    """Hit/miss/store counters for one artefact kind."""
+    """Hit/miss/store counters of the ``stats`` entries."""
 
     hits: int = 0
     misses: int = 0
     stores: int = 0
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.hits, self.misses, self.stores)
 
 
 @dataclasses.dataclass
@@ -163,7 +161,7 @@ def machine_fingerprint(machine_name: str) -> dict:
 
 
 class ResultCache:
-    """Directory-backed cache of simulation results and profiles.
+    """Directory-backed cache of simulation results.
 
     Parameters
     ----------
@@ -176,13 +174,12 @@ class ResultCache:
         used entries are evicted first; ``None`` disables eviction).
     """
 
-    KINDS = ("stats", "sampling")
+    KINDS = ("stats",)
 
     def __init__(self, root: str | Path, quota_bytes: int | None = None) -> None:
         self.root = Path(root)
         self.quota_bytes = quota_bytes
         self.stats = CacheCounters()
-        self.sampling = CacheCounters()
         self.integrity = IntegrityCounters()
         #: Per-class sweep counters (see :meth:`sweep_stale_tmp`).
         self.swept: dict[str, int] = {"tmp": 0, "quarantine": 0, "journal": 0}
@@ -203,21 +200,6 @@ class ResultCache:
             "spec": spec.as_dict(),
             "machine": machine_fingerprint(spec.machine),
             "profile_rate": PROFILE_RATE,
-        }
-        return _digest(document)
-
-    def sampling_key(self, workload: str, input_set: str, scale: float) -> str:
-        """Content address of one profiling pass's :class:`SamplingResult`."""
-        from repro.core import serialization
-
-        document = {
-            "kind": "sampling",
-            "epoch": CACHE_EPOCH,
-            "format": serialization.SAMPLING_FORMAT,
-            "workload": workload,
-            "input_set": input_set,
-            "scale": float(scale),
-            "rate": PROFILE_RATE,
         }
         return _digest(document)
 
@@ -259,33 +241,6 @@ class ResultCache:
 
         if self._write("stats", self.stats_key(spec), serialization.stats_to_dict(stats)):
             self.stats.stores += 1
-
-    # -- sampling ------------------------------------------------------
-
-    def get_sampling(self, workload: str, input_set: str, scale: float):
-        """Cached :class:`SamplingResult`, or ``None`` on a miss."""
-        from repro.core import serialization
-
-        key = self.sampling_key(workload, input_set, scale)
-        data = self._read("sampling", key)
-        if data is None:
-            self.sampling.misses += 1
-            return None
-        try:
-            sampling = serialization.sampling_from_dict(data)
-        except (AnalysisError, KeyError, TypeError, ValueError):
-            self.sampling.misses += 1
-            return None
-        self.sampling.hits += 1
-        return sampling
-
-    def put_sampling(self, workload: str, input_set: str, scale: float, sampling) -> None:
-        """Store one profiling pass's sampling result."""
-        from repro.core import serialization
-
-        key = self.sampling_key(workload, input_set, scale)
-        if self._write("sampling", key, serialization.sampling_to_dict(sampling)):
-            self.sampling.stores += 1
 
     # -- file plumbing -------------------------------------------------
 
@@ -578,21 +533,10 @@ class ResultCache:
 
     # -- reporting -----------------------------------------------------
 
-    def counters(self) -> dict[str, tuple[int, int, int]]:
-        """{kind: (hits, misses, stores)} across this cache's lifetime."""
-        return {
-            "stats": self.stats.as_tuple(),
-            "sampling": self.sampling.as_tuple(),
-        }
-
     def describe(self) -> str:
         """One-line summary for engine/CLI diagnostics."""
-        s, p = self.stats, self.sampling
-        line = (
-            f"cache {self.root}: stats {s.hits} hit/{s.misses} miss/"
-            f"{s.stores} stored, sampling {p.hits} hit/{p.misses} miss/"
-            f"{p.stores} stored"
-        )
+        s = self.stats
+        line = f"cache {self.root}: stats {s.hits} hit/{s.misses} miss/{s.stores} stored"
         i = self.integrity
         if i.corrupt or i.quarantined or i.evicted or i.write_errors:
             line += (

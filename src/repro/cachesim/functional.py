@@ -138,11 +138,7 @@ class FunctionalCacheSim:
         return self.stats.overall_miss_ratio()
 
 
-def fully_associative_config(
-    size_bytes: int,
-    line_bytes: int = 64,
-    name: str = "FA",
-) -> CacheConfig:
+def fully_associative_config(size_bytes: int, line_bytes: int = 64) -> CacheConfig:
     """A fully associative cache of ``size_bytes`` (``ways == num_lines``).
 
     This is the geometry StatStack models — one LRU stack, no set
@@ -154,7 +150,7 @@ def fully_associative_config(
             f"size_bytes must be a positive multiple of line_bytes, got {size_bytes}"
         )
     return CacheConfig(
-        name=name,
+        name="FA",
         size_bytes=size_bytes,
         ways=size_bytes // line_bytes,
         line_bytes=line_bytes,

@@ -153,11 +153,6 @@ class MachineConfig:
         return self.l1.line_bytes
 
     @property
-    def levels(self) -> tuple[CacheConfig, CacheConfig, CacheConfig]:
-        """The (L1, L2, LLC) tuple in access order."""
-        return (self.l1, self.l2, self.llc)
-
-    @property
     def avg_memory_latency(self) -> float:
         """Unloaded average latency of an L1 miss, the paper's *l*.
 
@@ -170,12 +165,6 @@ class MachineConfig:
     def bytes_per_cycle(self) -> float:
         """Peak off-chip bytes transferred per core cycle."""
         return self.peak_bandwidth_gbs * 1e9 / (self.freq_ghz * 1e9)
-
-    def llc_share(self, active_cores: int) -> int:
-        """Naive equal-partition share of the LLC for one of ``active_cores``."""
-        if active_cores <= 0:
-            raise ConfigError("active_cores must be positive")
-        return self.llc.size_bytes // active_cores
 
 
 def amd_phenom_ii() -> MachineConfig:

@@ -35,7 +35,6 @@ def compute_prefetch_distance(
     machine: MachineConfig,
     latency: float | None = None,
     refs_in_loop: int | None = None,
-    delta: float | None = None,
 ) -> int:
     """Distance in bytes to prefetch ahead of a delinquent load.
 
@@ -52,8 +51,6 @@ def compute_prefetch_distance(
     refs_in_loop:
         Estimated dynamic reference count ``R`` of the loop; enables the
         ``P ≤ R/2`` clamp when known.
-    delta:
-        Override for ``Δ``; defaults to the machine's calibrated value.
 
     Returns
     -------
@@ -65,7 +62,7 @@ def compute_prefetch_distance(
     lat = machine.avg_memory_latency if latency is None else latency
     if lat <= 0:
         raise AnalysisError("latency must be positive")
-    dlt = machine.cycles_per_memop if delta is None else delta
+    dlt = machine.cycles_per_memop
     if dlt <= 0:
         raise AnalysisError("delta must be positive")
 

@@ -25,13 +25,17 @@ from repro.cachesim.hierarchy import CacheHierarchy
 from repro.cachesim.stats import RunStats
 from repro.config import MachineConfig
 from repro.core.insertion import apply_prefetch_plan
-from repro.core.pipeline import OptimizerSettings, PrefetchOptimizer
+from repro.core.pipeline import PrefetchOptimizer
 from repro.core.report import OptimizationReport
 from repro.errors import AnalysisError
 from repro.sampling.sampler import RuntimeSampler, SamplingResult
 from repro.trace.events import MemoryTrace
 
 __all__ = ["OnlineOptimizer", "OnlineResult"]
+
+#: Sampling rate within each window: denser than offline profiling
+#: (``repro.cache.PROFILE_RATE``) because each window is short.
+_WINDOW_RATE = 5e-3
 
 
 @dataclass
@@ -66,24 +70,20 @@ class OnlineOptimizer:
         Target machine model.
     window_refs:
         Demand references per adaptation window.
-    rate:
-        Sampling rate within each window (denser than offline profiling
-        because each window is short).
     history_windows:
         Sliding profile length: samples from this many recent windows
         feed the analysis.  Short histories adapt fast; long ones are
         stable.
-    settings:
-        Analysis thresholds (defaults to the paper's).
+
+    Each window is sampled at ``_WINDOW_RATE`` and analysed with the
+    paper's default thresholds.
     """
 
     def __init__(
         self,
         machine: MachineConfig,
         window_refs: int = 50_000,
-        rate: float = 5e-3,
         history_windows: int = 2,
-        settings: OptimizerSettings | None = None,
     ) -> None:
         if window_refs <= 0:
             raise AnalysisError("window_refs must be positive")
@@ -91,9 +91,8 @@ class OnlineOptimizer:
             raise AnalysisError("history_windows must be positive")
         self.machine = machine
         self.window_refs = window_refs
-        self.rate = rate
         self.history_windows = history_windows
-        self.optimizer = PrefetchOptimizer(machine, settings)
+        self.optimizer = PrefetchOptimizer(machine)
 
     def run(
         self,
@@ -118,7 +117,7 @@ class OnlineOptimizer:
             hierarchy.run(executed, work_per_memop, mlp, stats=stats)
 
             sampler = RuntimeSampler(
-                rate=self.rate, seed=seed + window_id, min_samples=32
+                rate=_WINDOW_RATE, seed=seed + window_id, min_samples=32
             )
             history.append(sampler.sample(window))
             if len(history) > self.history_windows:
@@ -132,7 +131,7 @@ class OnlineOptimizer:
             merged = SamplingResult(
                 reuse=merged_reuse,
                 strides=merged_strides,
-                sample_rate=self.rate,
+                sample_rate=_WINDOW_RATE,
                 n_refs=merged_reuse.n_refs,
                 overhead_estimate=history[-1].overhead_estimate,
             )

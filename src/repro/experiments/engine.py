@@ -13,6 +13,9 @@ The engine exploits that twice over:
   against the in-process memo and, when enabled, the persistent
   :class:`~repro.cache.ResultCache`, so repeated figure regeneration is
   near-instant and different experiments share each other's cells.
+  The engine is the cache's only reader and writer: it resolves a cell
+  memo → disk → compute and stores each cell it computes, serially or
+  in a worker.
 
 Results are **identical** to a serial run: the compute kernel is
 deterministic and workers return plain :class:`RunStats` that the parent
@@ -151,17 +154,12 @@ class EngineStats:
         self.batches += 1
         self.wall_seconds += wall
 
-    def format(
-        self,
-        jobs: int = 1,
-        cache: ResultCache | None = None,
-        tracer: obs.Tracer | None = None,
-    ) -> str:
+    def format(self, jobs: int = 1, cache: ResultCache | None = None) -> str:
         """Human-readable summary line (the CLI prints this to stderr).
 
-        With a tracer (defaulting to the process-wide one when tracing
-        is enabled) a per-phase wall-time breakdown is appended, built
-        from the inclusive span totals of each pipeline stage.
+        When tracing is enabled, a per-phase wall-time breakdown is
+        appended, built from the process-wide tracer's inclusive span
+        totals of each pipeline stage.
         """
         parts = [
             f"{self.cells} cells",
@@ -178,8 +176,7 @@ class EngineStats:
         if self.interrupted:
             parts.insert(-2, f"{self.interrupted} interrupted")
         line = "engine: " + " | ".join(parts)
-        if tracer is None:
-            tracer = obs.get_tracer()
+        tracer = obs.get_tracer()
         if tracer is not None:
             totals = tracer.phase_totals()
             if totals:
@@ -408,7 +405,6 @@ class ExperimentEngine:
         self.last_failures = report
         cold: list[ExperimentSpec] = []
 
-        previous_cache = runner.set_cache(self.cache)
         previous_handlers = self._install_signal_handlers()
         if self.journal is not None:
             self.journal.start(ordered)
@@ -419,8 +415,9 @@ class ExperimentEngine:
                 if runner.memo_contains(spec):
                     stats = runner.run_spec(spec)
                     results[spec] = stats
-                    # A cell computed before the cache was active may be
-                    # memo-only; make sure it reaches disk too.
+                    # A cell computed outside the engine (api.run, advise)
+                    # or under another cache is memo-only; make sure it
+                    # reaches this cache too.
                     if self.cache is not None and not self._cache_has(spec):
                         self._cache_put(spec, stats)
                     batch.memo_hits += 1
@@ -446,7 +443,6 @@ class ExperimentEngine:
         finally:
             # Account the batch even when resolution raises mid-way, so
             # partial batches still appear in summary().
-            runner.set_cache(previous_cache)
             self._restore_signal_handlers(previous_handlers)
             wall = time.perf_counter() - batch.started
             self.stats.merge_batch(
@@ -601,6 +597,8 @@ class ExperimentEngine:
             return True  # don't try to re-persist through a failing cache
 
     def _cache_put(self, spec: ExperimentSpec, stats: RunStats) -> None:
+        if self.cache is None:
+            return
         with obs.span("engine.cache.put", cell=spec.label()):
             try:
                 self.cache.put_stats(spec, stats)
@@ -668,6 +666,7 @@ class ExperimentEngine:
                     self._journal_failure(failure)
                     self._report(batch, spec, "failed")
                     break
+                self._cache_put(spec, stats)
                 results[spec] = stats
                 batch.computed += 1
                 self._report(batch, spec, "computed", stats)
@@ -804,7 +803,8 @@ class ExperimentEngine:
             if worker_metrics:
                 obs.metrics().merge(worker_metrics)
         for spec, stats in payload:
-            runner.seed_memo(spec, stats, persist=True)
+            runner.seed_memo(spec, stats)
+            self._cache_put(spec, stats)
             results[spec] = stats
             batch.computed += 1
             self._report(batch, spec, "computed", stats)

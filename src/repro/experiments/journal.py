@@ -325,7 +325,7 @@ class RunJournal:
 
     # -- records --------------------------------------------------------
 
-    def start(self, specs: list[ExperimentSpec], resumed_from: int = 0) -> None:
+    def start(self, specs: list[ExperimentSpec]) -> None:
         """Journal the ``run.start`` record (skipped when resuming)."""
         if self.done or self.path.exists():
             return
@@ -339,7 +339,6 @@ class RunJournal:
                 "profile_rate": cache.PROFILE_RATE,
                 "machines": _machines(specs),
                 "specs": [s.as_dict() for s in specs],
-                "resumed_from": resumed_from,
             },
             durable=True,
         )

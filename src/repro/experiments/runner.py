@@ -14,12 +14,14 @@ Encodes the paper's evaluation protocol (§VII):
 
 Every cell is addressed by an :class:`~repro.api.ExperimentSpec`.  The
 spec-based entry points (:func:`profile_for_spec`, :func:`plan_for_spec`,
-:func:`run_spec`) share **one** memo table and, when a persistent
-:class:`~repro.cache.ResultCache` is activated (see :func:`set_cache`),
-one on-disk store — so the CLI, the parallel engine and the experiment
-drivers all reuse each other's work.  The historical stringly-typed
-functions were removed after their deprecation cycle; the old names now
-raise :class:`~repro.errors.ExperimentError` pointing at the spec API.
+:func:`run_spec`) share **one** in-process memo, so the CLI, the
+parallel engine and the experiment drivers all reuse each other's work.
+This module never touches the disk: the persistent
+:class:`~repro.cache.ResultCache` belongs to
+:class:`~repro.experiments.engine.ExperimentEngine`, which resolves a
+cell memo → disk → :func:`compute_run` and stores what it computed.
+The historical stringly-typed functions were removed after their
+deprecation cycle (see the note at the end of this module).
 
 Every expensive stage is wrapped in a :func:`repro.obs.span` so traced
 runs show where profiling, planning and simulation time goes (see
@@ -34,7 +36,7 @@ from functools import lru_cache
 from repro import faults, obs
 from repro.api import CONFIGS, PLAN_KINDS, PREFETCH_CONFIGS, ExperimentSpec
 from repro.baselines.stride_centric import stride_centric_plan
-from repro.cache import PROFILE_RATE, ResultCache
+from repro.cache import PROFILE_RATE
 from repro.cachesim.bandwidth import BandwidthModel
 from repro.cachesim.hierarchy import CacheHierarchy
 from repro.cachesim.stats import RunStats
@@ -65,7 +67,6 @@ __all__ = [
     "prefetcher_for",
     "compute_run",
     "run_spec",
-    "set_cache",
     "seed_memo",
     "memo_contains",
     "clear_memo",
@@ -76,43 +77,6 @@ __all__ = [
 #: plain dict (not ``lru_cache``) so the parallel engine can seed it
 #: with worker-computed and disk-loaded results.
 _MEMO: dict[ExperimentSpec, RunStats] = {}
-
-#: The active persistent cache, or ``None`` (process-local memo only).
-_CACHE: ResultCache | None = None
-
-
-def set_cache(cache: ResultCache | None) -> ResultCache | None:
-    """Activate (or with ``None``, deactivate) the persistent result cache.
-
-    Returns the previously active cache so callers can restore it.
-    """
-    global _CACHE
-    previous = _CACHE
-    _CACHE = cache
-    return previous
-
-
-# The persistent cache is an optimisation: IO trouble (corrupt entry,
-# full disk, injected fault) must degrade to a miss or a skipped store,
-# never fail a cell whose computation is fine.
-
-
-def _cache_get_stats(spec: ExperimentSpec):
-    if _CACHE is None:
-        return None
-    try:
-        return _CACHE.get_stats(spec)
-    except Exception:
-        return None
-
-
-def _cache_put_stats(spec: ExperimentSpec, stats: RunStats) -> None:
-    if _CACHE is None:
-        return
-    try:
-        _CACHE.put_stats(spec, stats)
-    except Exception:
-        pass
 
 
 @dataclass(frozen=True)
@@ -125,12 +89,7 @@ class WorkloadProfile:
 
 
 def profile_for(name: str, input_set: str = "ref", scale: float = 1.0) -> WorkloadProfile:
-    """Build, execute and sample one workload at :data:`PROFILE_RATE` (cached).
-
-    The sampling pass — the only part of profiling that is both
-    expensive and machine-independent — is additionally served from the
-    persistent cache when one is active.
-    """
+    """Build, execute and sample one workload at :data:`PROFILE_RATE` (cached)."""
     # Normalise before the memo so defaulted and explicit arguments hit
     # one cache entry.
     return _profile(name, input_set, float(scale))
@@ -147,23 +106,8 @@ def _profile(name: str, input_set: str, scale: float) -> WorkloadProfile:
         with obs.span("profile.execute", workload=name) as exec_span:
             execution = execute_program(program, seed=seed)
             exec_span.set(refs=len(execution.trace))
-        sampling = None
-        if _CACHE is not None:
-            try:
-                sampling = _CACHE.get_sampling(name, input_set, scale)
-            except Exception:
-                sampling = None
-        if sampling is None:
-            sampler = RuntimeSampler(rate=PROFILE_RATE, seed=seed & 0xFFFF_FFFF)
-            sampling = sampler.sample(execution.trace)
-            if _CACHE is not None:
-                try:
-                    _CACHE.put_sampling(name, input_set, scale, sampling)
-                except Exception:
-                    pass
-        elif obs.enabled():
-            obs.metrics().counter("profile.sampling_cache_hits").inc()
-        return WorkloadProfile(program, execution, sampling)
+        sampler = RuntimeSampler(rate=PROFILE_RATE, seed=seed & 0xFFFF_FFFF)
+        return WorkloadProfile(program, execution, sampler.sample(execution.trace))
 
 
 def profile_for_spec(spec: ExperimentSpec) -> WorkloadProfile:
@@ -323,31 +267,22 @@ def compute_run(spec: ExperimentSpec) -> RunStats:
 
 
 def run_spec(spec: ExperimentSpec) -> RunStats:
-    """Simulate one cell through the shared memo and persistent cache.
+    """Simulate one cell through the shared in-process memo.
 
     Every caller — bare single-cell runs, grid sweeps, the engine's
-    serial path — funnels through this one cached entry point, so any
-    result computed anywhere in the process (or stored on disk by a
-    previous process) is reused everywhere.
+    serial path — funnels through this one entry point, so a result
+    computed (or seeded from disk by the engine) anywhere in the process
+    is reused everywhere.
     """
-    cached = _MEMO.get(spec)
-    if cached is not None:
-        return cached
-    stats = _cache_get_stats(spec)
-    if stats is not None:
-        _MEMO[spec] = stats
-        return stats
-    stats = compute_run(spec)
-    _MEMO[spec] = stats
-    _cache_put_stats(spec, stats)
+    stats = _MEMO.get(spec)
+    if stats is None:
+        stats = _MEMO[spec] = compute_run(spec)
     return stats
 
 
-def seed_memo(spec: ExperimentSpec, stats: RunStats, persist: bool = False) -> None:
+def seed_memo(spec: ExperimentSpec, stats: RunStats) -> None:
     """Install an externally computed result (engine workers, disk loads)."""
     _MEMO[spec] = stats
-    if persist:
-        _cache_put_stats(spec, stats)
 
 
 def memo_contains(spec: ExperimentSpec) -> bool:
@@ -358,8 +293,8 @@ def memo_contains(spec: ExperimentSpec) -> bool:
 def clear_memo() -> None:
     """Drop every in-process cache (memo, profiles, plans).
 
-    Benchmarks use this to measure genuinely cold runs; the persistent
-    disk cache, if active, is untouched.
+    Benchmarks use this to measure genuinely cold runs; the engine's
+    persistent disk cache is untouched.
     """
     _MEMO.clear()
     _profile.cache_clear()

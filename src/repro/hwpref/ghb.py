@@ -24,7 +24,6 @@ experiment via ``CacheHierarchy(prefetcher=GHBPrefetcher(...))``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
 
 import numpy as np
 
@@ -32,14 +31,16 @@ from repro.hwpref.base import _EMPTY_BATCH, HardwarePrefetcher
 
 __all__ = ["GHBPrefetcher"]
 
+#: Line size predicted addresses are converted with (both machine
+#: models use 64-byte lines).
+_LINE_BYTES = 64
+
 
 class GHBPrefetcher(HardwarePrefetcher):
     """GHB PC/DC (delta-correlation) prefetcher.
 
     Parameters
     ----------
-    line_bytes:
-        Cache line size for converting predicted addresses to lines.
     history:
         Addresses of each PC's history window (GHB slice length).
     degree:
@@ -53,18 +54,15 @@ class GHBPrefetcher(HardwarePrefetcher):
 
     def __init__(
         self,
-        line_bytes: int = 64,
         history: int = 16,
         degree: int = 4,
         table_size: int = 256,
-        utilisation: Callable[[], float] | None = None,
     ) -> None:
-        super().__init__(utilisation)
+        super().__init__()
         if history < 4:
             raise ValueError("history must be at least 4")
         if degree <= 0:
             raise ValueError("degree must be positive")
-        self.line_bytes = line_bytes
         self.history = history
         self.degree = degree
         self.table_size = table_size
@@ -110,7 +108,7 @@ class GHBPrefetcher(HardwarePrefetcher):
         predicted = addr
         for delta in replay:
             predicted += delta
-            target = predicted // self.line_bytes
+            target = predicted // _LINE_BYTES
             if target >= 0 and target not in seen:
                 seen.add(target)
                 requests.append(self._request(target))
@@ -155,7 +153,6 @@ class GHBPrefetcher(HardwarePrefetcher):
 
         window = history - 1  # deltas visible from one access
         degree = self.degree
-        line_bytes = self.line_bytes
         ks = np.arange(degree)
         ev_out: list[np.ndarray] = []
         tgt_out: list[np.ndarray] = []
@@ -201,7 +198,7 @@ class GHBPrefetcher(HardwarePrefetcher):
             rvalid = found[:, None] & (ridx <= (t - 1)[:, None])
             rd = np.where(rvalid, d[np.clip(ridx, 0, len(d) - 1)], 0)
             predicted = addrs[g_idx][:, None] + np.cumsum(rd, axis=1)
-            targets = predicted // line_bytes
+            targets = predicted // _LINE_BYTES
             base_line = lines[g_idx]
             cand = rvalid & (targets >= 0) & (targets != base_line[:, None])
             keep = cand.copy()

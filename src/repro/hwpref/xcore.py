@@ -266,8 +266,6 @@ def cross_core_prefetcher_for(
     program: Program,
     machine: MachineConfig | None = None,
     utilisation: Callable[[], float] | None = None,
-    degree: int = 4,
-    ahead: int = 16,
 ) -> CrossCoreLLCPrefetcher:
     """Build the helper prefetcher for a program's resolvable pairs.
 
@@ -280,7 +278,5 @@ def cross_core_prefetcher_for(
     return CrossCoreLLCPrefetcher(
         index_directory_for(program),
         line_bytes=line_bytes,
-        degree=degree,
-        ahead=ahead,
         utilisation=utilisation,
     )

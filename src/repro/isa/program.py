@@ -8,7 +8,7 @@ instructions per memory operation, which the timing model charges at the
 machine's base CPI.
 
 Static memory instructions receive globally unique integer PCs in
-program order (:meth:`Program.pc_of`), the identifiers all samplers and
+program order (:meth:`Program.pc_map`), the identifiers all samplers and
 analyses key on — the moral equivalent of instruction addresses in the
 paper's binaries.
 """
@@ -122,15 +122,6 @@ class Program:
                 mapping[(kernel.name, instr.label)] = pc
                 pc += 1
         return mapping
-
-    def pc_of(self, kernel_name: str, label: str) -> int:
-        """Global PC of one labelled instruction."""
-        try:
-            return self.pc_map()[(kernel_name, label)]
-        except KeyError:
-            raise ProgramError(
-                f"no instruction {label!r} in kernel {kernel_name!r}"
-            ) from None
 
     @property
     def n_static_mem_instructions(self) -> int:

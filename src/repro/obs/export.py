@@ -15,8 +15,8 @@ import os
 from pathlib import Path
 from typing import Iterable
 
-from repro.obs.metrics import MetricsRegistry, metrics
-from repro.obs.tracer import Tracer, get_tracer
+from repro.obs.metrics import metrics
+from repro.obs.tracer import get_tracer
 
 __all__ = [
     "chrome_trace",
@@ -62,13 +62,13 @@ def chrome_trace(events: Iterable[dict], epoch: float | None = None) -> dict:
     return out
 
 
-def write_chrome_trace(path: str | Path, tracer: Tracer | None = None) -> Path:
-    """Write the tracer's spans as a Chrome-trace JSON file.
+def write_chrome_trace(path: str | Path) -> Path:
+    """Write the process-wide tracer's spans as a Chrome-trace JSON file.
 
-    Defaults to the process-wide tracer; an empty (or absent) tracer
-    still produces a valid, loadable trace with zero events.
+    An empty (or absent) tracer still produces a valid, loadable trace
+    with zero events.
     """
-    tracer = tracer if tracer is not None else get_tracer()
+    tracer = get_tracer()
     events = list(tracer.finished) if tracer is not None else []
     epoch = tracer.epoch if tracer is not None else None
     path = Path(path)
@@ -76,14 +76,13 @@ def write_chrome_trace(path: str | Path, tracer: Tracer | None = None) -> Path:
     return path
 
 
-def metrics_dump(registry: MetricsRegistry | None = None) -> dict:
-    """The flat JSON object for a registry (default: the process-wide one)."""
-    registry = registry if registry is not None else metrics()
-    return {"format": "repro-metrics-v1", "metrics": registry.as_dict()}
+def metrics_dump() -> dict:
+    """The flat JSON object for the process-wide metrics registry."""
+    return {"format": "repro-metrics-v1", "metrics": metrics().as_dict()}
 
 
-def write_metrics(path: str | Path, registry: MetricsRegistry | None = None) -> Path:
-    """Write a registry's metrics as a JSON file."""
+def write_metrics(path: str | Path) -> Path:
+    """Write the process-wide registry's metrics as a JSON file."""
     path = Path(path)
-    path.write_text(json.dumps(metrics_dump(registry), indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(metrics_dump(), indent=1, sort_keys=True) + "\n")
     return path

@@ -131,20 +131,19 @@ def phase_aware_sample(
     trace: MemoryTrace,
     window_refs: int = 50_000,
     rate: float = 5e-3,
-    similarity_threshold: float = 0.85,
-    line_bytes: int = 64,
-    seed: int = 0,
 ) -> PhaseProfile:
     """Sample only the first window of each detected phase.
 
     Returns the merged samples of the representative windows.  For a
     program with few, long phases this cuts sampling work by the phase
     repetition factor at nearly no accuracy cost — the CGO'12 result the
-    paper's "<30 % overhead" figure rests on.
+    paper's "<30 % overhead" figure rests on.  Phases are detected with
+    :class:`PhaseDetector`'s default threshold on 64-byte-line
+    signatures, and window ``w`` is sampled with seed ``w``.
     """
     demand = trace.demand_only()
-    signatures = window_signatures(demand, window_refs, line_bytes=line_bytes)
-    detector = PhaseDetector(similarity_threshold)
+    signatures = window_signatures(demand, window_refs)
+    detector = PhaseDetector()
     phase_of_window = detector.classify_all(signatures)
 
     sampled_windows: dict[int, int] = {}
@@ -155,7 +154,7 @@ def phase_aware_sample(
             continue
         sampled_windows[phase] = w
         window = demand[w * window_refs : (w + 1) * window_refs]
-        sampler = RuntimeSampler(rate=rate, seed=seed + w, min_samples=32)
+        sampler = RuntimeSampler(rate=rate, seed=w, min_samples=32)
         result = sampler.sample(window)
         if merged_reuse is None:
             merged_reuse, merged_strides = result.reuse, result.strides

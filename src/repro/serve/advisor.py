@@ -3,10 +3,11 @@
 This is the *semantic core* of the serving layer, deliberately free of
 sockets, queues and threads so :func:`repro.api.advise` (the one-shot
 path) and the daemon's engine pool answer requests through exactly the
-same code.  Everything flows through the shared runner memo and the
-active persistent cache, so a daemon batch that pre-resolved a
-request's grid cell makes :func:`compute_advice` a pure lookup — and
-the response documents come out byte-identical either way.
+same code.  Everything flows through the shared runner memo, so a
+daemon batch whose engine pre-resolved a request's grid cell (from its
+persistent cache or by computing it) makes :func:`compute_advice` a
+pure lookup — and the response documents come out byte-identical
+either way.  This module itself never reads or writes the disk.
 
 Two request shapes:
 

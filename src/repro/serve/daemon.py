@@ -16,7 +16,8 @@ without bound.  A single dispatcher task collects up to ``batch_max``
 queued requests (lingering ``batch_linger`` seconds to let a burst
 accumulate) and hands the batch to a one-thread executor running
 :meth:`~repro.serve.pool.EnginePool.resolve` — one batch in flight at a
-time, because the runner layer's memo/cache state is process-global.
+time, because the runner's memo is process-global and the engine's
+cache view is swapped per tenant.
 Parallelism across a batch comes from the engine's worker processes.
 
 Shutdown: SIGTERM/SIGINT (or :meth:`AdvisorServer.shutdown`) stops the
@@ -94,19 +95,19 @@ class AdvisorServer:
         await server.shutdown()
     """
 
-    def __init__(self, options: ServeOptions, tenants: TenantCaches | None = None) -> None:
+    def __init__(self, options: ServeOptions) -> None:
         self.options = options
-        if tenants is None and options.use_cache:
+        self.tenants: TenantCaches | None = None
+        if options.use_cache:
             from repro.cache import default_cache_dir
 
-            tenants = TenantCaches(
+            self.tenants = TenantCaches(
                 options.cache_dir or default_cache_dir(),
                 quota_bytes=options.cache_quota,
             )
-        self.tenants = tenants
         self.pool = EnginePool(
             jobs=options.jobs,
-            tenants=tenants,
+            tenants=self.tenants,
             retry=options.retry,
         )
         self.draining = False

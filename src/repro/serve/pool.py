@@ -1,10 +1,10 @@
 """The engine pool: request batches → responses.
 
-The runner layer keeps process-global state (the in-process memo and
-the active persistent cache installed by ``runner.set_cache``), so the
-daemon resolves every batch from **one dispatcher thread** on one
-reusable engine — concurrency lives above it (the asyncio intake
-queue) and below it (the engine's worker process pool).
+The runner layer keeps process-global state (the in-process memo), and
+the engine's cache view is swapped per tenant, so the daemon resolves
+every batch from **one dispatcher thread** on one reusable engine —
+concurrency lives above it (the asyncio intake queue) and below it (the
+engine's worker process pool).
 
 Resolution of one batch:
 
@@ -13,11 +13,13 @@ Resolution of one batch:
    the engine and resolve all stats-bearing workload specs
    through :meth:`ExperimentEngine.run_with_report` (parallel across
    profile groups, best-effort — one poisoned request must not sink its
-   neighbours);
+   neighbours); the engine is the only writer of the view, so a group
+   persists its ``stats`` entries and nothing else;
 3. answer every request through :func:`repro.serve.advisor.compute_advice`
    — workload cells are now warm in the runner memo, so this is a pure
    lookup and the response document is byte-identical to the one-shot
-   :func:`repro.api.advise` path;
+   :func:`repro.api.advise` path; plan-only and trace requests profile
+   and plan in-process and write nothing;
 4. enforce per-tenant cache quotas.
 """
 
@@ -26,7 +28,6 @@ from __future__ import annotations
 from repro import obs
 from repro.api import AdvisorRequest, AdvisorResponse
 from repro.errors import ReproError
-from repro.experiments import runner
 from repro.experiments.engine import ExperimentEngine
 from repro.retry import RetryPolicy
 from repro.serve.advisor import compute_advice
@@ -82,17 +83,9 @@ class EnginePool:
                     self.tenants.get(tenant) if self.tenants is not None else None
                 )
                 group = [requests[i] for i in indices]
-                # Keep the tenant's cache view installed across the whole
-                # group so plan-only and trace requests persist their
-                # sampling passes into the right namespace too (the
-                # engine's own run installs/restores the same view).
-                previous_cache = runner.set_cache(engine.cache)
-                try:
-                    self._prefill(engine, group)
-                    for i, request in zip(indices, group):
-                        responses[i] = compute_advice(request)
-                finally:
-                    runner.set_cache(previous_cache)
+                self._prefill(engine, group)
+                for i, request in zip(indices, group):
+                    responses[i] = compute_advice(request)
             if self.tenants is not None:
                 self.tenants.enforce_quotas()
         if obs.enabled():

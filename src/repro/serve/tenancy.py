@@ -72,8 +72,3 @@ class TenantCaches:
         if evicted and obs.enabled():
             obs.metrics().counter("serve.tenants.evictions").inc(evicted)
         return evicted
-
-    def known(self) -> list[str]:
-        """Tenants seen by this process (sorted)."""
-        with self._lock:
-            return sorted(self._views)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import TraceError
 from repro.trace.util import next_same_value_index
 from repro.trace.events import MemOp, MemoryTrace
 
@@ -21,6 +20,10 @@ __all__ = ["PCCharacter", "TraceCharacter", "characterize_trace"]
 
 #: Reuse-distance percentiles a characterisation reports.
 _PERCENTILES = (50, 90, 99)
+
+#: Line size footprints and stride groups are measured in (both machine
+#: models use 64-byte lines).
+_LINE_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -86,16 +89,14 @@ class TraceCharacter:
         return "\n".join(lines)
 
 
-def characterize_trace(trace: MemoryTrace, line_bytes: int = 64) -> TraceCharacter:
+def characterize_trace(trace: MemoryTrace) -> TraceCharacter:
     """Compute the full characterisation of one trace."""
-    if line_bytes <= 0 or line_bytes & (line_bytes - 1):
-        raise TraceError("line_bytes must be a positive power of two")
     demand = trace.demand_only()
     n = len(demand)
     if n == 0:
         return TraceCharacter(0, trace.n_prefetch, 0.0, 0, {p: float("nan") for p in _PERCENTILES}, [])
 
-    lines = demand.line_addr(line_bytes)
+    lines = demand.line_addr(_LINE_BYTES)
     store_mask = (demand.op == MemOp.STORE) | (demand.op == MemOp.STORE_NT)
 
     # --- reuse distance distribution (exact, vectorised) ---------------
@@ -117,10 +118,10 @@ def characterize_trace(trace: MemoryTrace, line_bytes: int = 64) -> TraceCharact
     for idx_chunk in np.split(order, bounds):
         pc = int(demand.pc[idx_chunk[0]])
         addrs = demand.addr[np.sort(idx_chunk)]
-        pc_lines = addrs >> int(np.log2(line_bytes))
+        pc_lines = addrs >> int(np.log2(_LINE_BYTES))
         strides = np.diff(addrs)
         if len(strides):
-            groups = np.floor_divide(strides, line_bytes)
+            groups = np.floor_divide(strides, _LINE_BYTES)
             uniq, counts = np.unique(groups, return_counts=True)
             best = int(np.argmax(counts))
             dominance = counts[best] / len(strides)
@@ -144,7 +145,7 @@ def characterize_trace(trace: MemoryTrace, line_bytes: int = 64) -> TraceCharact
         n_refs=n,
         n_prefetches=trace.n_prefetch,
         store_fraction=float(np.mean(store_mask)),
-        footprint_bytes=len(np.unique(lines)) * line_bytes,
+        footprint_bytes=len(np.unique(lines)) * _LINE_BYTES,
         reuse_percentiles=reuse_percentiles,
         per_pc=per_pc,
     )

@@ -15,8 +15,8 @@ every trace in the repository is reproducible bit-for-bit.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from dataclasses import dataclass
+from typing import Protocol
 
 from repro.errors import WorkloadError
 from repro.isa.program import Program

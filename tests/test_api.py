@@ -91,6 +91,22 @@ class TestFacade:
         with pytest.raises(ExperimentError):
             plan(ExperimentSpec("mcf", "amd-phenom-ii", "baseline", scale=SCALE))
 
+    def test_facade_never_touches_the_disk_cache(self, tmp_path):
+        """run, profile and plan use the in-process memo only, even when
+        the default engine has a persistent cache configured."""
+        from repro.api import configure, reset_default_engine
+
+        runner.clear_memo()
+        spec = ExperimentSpec("libquantum", "amd-phenom-ii", "swnt", scale=SCALE)
+        try:
+            configure(jobs=1, use_cache=True, cache_dir=tmp_path)
+            run(spec)
+            profile(spec)
+            plan(spec)
+        finally:
+            reset_default_engine()
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
     def test_plan_for_hwsw_is_swnt_plan(self):
         hwsw = plan(ExperimentSpec("libquantum", "amd-phenom-ii", "hwsw", scale=SCALE))
         swnt = plan(ExperimentSpec("libquantum", "amd-phenom-ii", "swnt", scale=SCALE))

@@ -109,15 +109,6 @@ class TestResultCache:
         assert cache.stats.misses == 1
         assert cache.stats.stores == 1
 
-    def test_sampling_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        sampling = profile_for("mcf", "ref", SCALE).sampling
-        assert cache.get_sampling("mcf", "ref", SCALE) is None
-        cache.put_sampling("mcf", "ref", SCALE, sampling)
-        loaded = cache.get_sampling("mcf", "ref", SCALE)
-        assert loaded is not None
-        np.testing.assert_array_equal(loaded.reuse.distance, sampling.reuse.distance)
-
     def test_key_depends_on_every_spec_field(self, tmp_path):
         cache = ResultCache(tmp_path)
         base = cache.stats_key(SPEC)
@@ -137,12 +128,6 @@ class TestResultCache:
         assert cache.stats_key(ExperimentSpec("mcf", "intel-i7-2600k", "swnt")) == (
             "a63a3b2f90977b2e69db02ba49d965defbadfaf6c9351d1373e257e1750118ee"
         )
-        assert cache.sampling_key("mcf", "ref", SCALE) == (
-            "e79430de7ff9eb1443b73f251b06d257014383cc3dbfa734e2cf73a0c1c40f5b"
-        )
-        assert cache.sampling_key("lbm", "train", 1.0) == (
-            "a1998033187a4764035a9a014a325ad4bae44e9f85cd4f0192cca41026953744"
-        )
 
     def test_key_invalidated_by_settings_change(self, tmp_path, monkeypatch):
         """Changing a code-relevant setting (profiling rate, machine
@@ -151,11 +136,9 @@ class TestResultCache:
 
         cache = ResultCache(tmp_path)
         base = cache.stats_key(SPEC)
-        sampling = cache.sampling_key("mcf", "ref", SCALE)
         with monkeypatch.context() as patch:
             patch.setattr(cache_module, "PROFILE_RATE", cache_module.PROFILE_RATE * 2)
             assert cache.stats_key(SPEC) != base
-            assert cache.sampling_key("mcf", "ref", SCALE) != sampling
         assert cache.stats_key(SPEC) == base
 
         import dataclasses
@@ -224,9 +207,8 @@ class TestResultCache:
     def test_counters_summary(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.get_stats(SPEC)
-        counters = cache.counters()
-        assert counters["stats"] == (0, 1, 0)
-        assert "stats 0 hit/1 miss" in cache.describe()
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.stores) == (0, 1, 0)
+        assert "stats 0 hit/1 miss/0 stored" in cache.describe()
 
 
 class TestEntryIntegrity:

@@ -57,17 +57,11 @@ class TestMachineConfig:
         assert m.peak_bandwidth_gbs == pytest.approx(15.6)
 
     def test_levels_ordering(self, amd):
-        l1, l2, llc = amd.levels
-        assert l1.size_bytes < l2.size_bytes < llc.size_bytes
+        assert amd.l1.size_bytes < amd.l2.size_bytes < amd.llc.size_bytes
 
     def test_bytes_per_cycle(self, intel):
         bpc = intel.bytes_per_cycle()
         assert bpc == pytest.approx(15.6 / 3.4, rel=1e-6)
-
-    def test_llc_share(self, amd):
-        assert amd.llc_share(4) == amd.llc.size_bytes // 4
-        with pytest.raises(ConfigError):
-            amd.llc_share(0)
 
     def test_avg_memory_latency_positive(self, amd, intel):
         assert amd.avg_memory_latency > amd.l2.hit_latency

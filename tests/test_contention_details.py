@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.config import amd_phenom_ii
 from repro.errors import SimulationError
 from repro.multicore.contention import AppProfile, _miss_scale, solve_mix
 from repro.multicore.coordinator import throttle_factor

@@ -108,6 +108,16 @@ class TestDiskCache:
         warm.run(GRID)
         assert warm.stats.computed == 0
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_run_stores_one_stats_entry_per_cell(self, tmp_path, jobs):
+        """The engine is the cache's only writer and stores cells only:
+        profiles are sampled in-process, serially and in workers alike."""
+        runner.clear_memo()
+        ExperimentEngine(jobs=jobs, cache_dir=tmp_path, use_cache=True).run(GRID)
+        files = [p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()]
+        assert len(files) == len(GRID)
+        assert {path.parts[0] for path in files} == {"stats"}
+
     def test_cache_disabled_never_touches_disk(self, tmp_path):
         engine = ExperimentEngine(jobs=1, cache_dir=tmp_path, use_cache=False)
         engine.run(GRID[:1])

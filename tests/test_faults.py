@@ -303,13 +303,10 @@ class TestCacheFaultDegradation:
         engine.run([spec])
         cache = ResultCache(tmp_path)
         faults.disarm()
-        # The sampling store consumed the one-shot corrupt fault before
-        # the stats store?  Locate the stats entry state directly.
-        if cache.has_stats(spec):
-            # Stats entry survived; corrupt it by hand to model the torn
-            # write landing there instead.
-            path = cache._path("stats", cache.stats_key(spec))
-            path.write_text("")
+        # The cell's stats entry is the run's only store, so the one-shot
+        # fault tore it: the zero-length file is published but absent.
+        path = cache._path("stats", cache.stats_key(spec))
+        assert path.exists() and path.stat().st_size == 0
         assert not cache.has_stats(spec)
         assert cache.get_stats(spec) is None
         # Second engine pass over the memo-resident cell re-persists it.

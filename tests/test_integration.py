@@ -5,8 +5,6 @@ These run the full machinery on reduced-scale workloads and assert the
 harness verifies at full scale.
 """
 
-import pytest
-
 from repro.api import CONFIGS, ExperimentSpec, plan, profile, run_many
 from repro.cachesim import FunctionalCacheSim
 from repro.config import amd_phenom_ii, get_machine

@@ -58,13 +58,7 @@ def two_kernel_program():
 class TestProgram:
     def test_pc_assignment_in_order(self):
         p = two_kernel_program()
-        assert p.pc_of("a", "x") == 0
-        assert p.pc_of("a", "y") == 1
-        assert p.pc_of("b", "z") == 2
-
-    def test_unknown_label(self):
-        with pytest.raises(ProgramError):
-            two_kernel_program().pc_of("a", "nope")
+        assert p.pc_map() == {("a", "x"): 0, ("a", "y"): 1, ("b", "z"): 2}
 
     def test_refs_per_pc(self):
         p = two_kernel_program()

@@ -102,7 +102,7 @@ class TestTransforms:
                 ),
             ),
         )
-        converted = convert_nt_stores(p, [p.pc_of("k", "y")])
+        converted = convert_nt_stores(p, [p.pc_map()[("k", "y")]])
         body = converted.kernels[0].body
         assert isinstance(body[1], Store) and body[1].nt
         # trace matches the trace-level transform
@@ -186,7 +186,7 @@ class TestAnalysis:
             store_pcs=program.store_pcs(),
         )
         # lbm's f_out stream store is the canonical candidate
-        assert program.pc_of("collide", "f_out") in plan.nt_stores
+        assert program.pc_map()[("collide", "f_out")] in plan.nt_stores
 
     def test_end_to_end_traffic_reduction(self, amd):
         from repro.workloads import build_program, workload_seed

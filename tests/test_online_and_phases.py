@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cachesim import CacheHierarchy
-from repro.config import amd_phenom_ii
 from repro.core import OnlineOptimizer
 from repro.errors import AnalysisError, SamplingError
 from repro.sampling import (

@@ -140,7 +140,6 @@ class TestTenancy:
         caches = TenantCaches(tmp_path)
         assert caches.get("a") is caches.get("a")
         assert caches.get("a") is not caches.get("b")
-        assert caches.known() == ["a", "b"]
 
     def test_quota_eviction_stays_per_tenant(self, tmp_path):
         caches = TenantCaches(tmp_path, quota_bytes=1)
@@ -174,6 +173,17 @@ class TestEnginePool:
         assert [r.tenant for r in responses] == ["a", "b", "a"]
         assert all(r.status == "ok" for r in responses)
         assert pool.batches == 1 and pool.requests == 3
+
+    def test_plan_only_batch_writes_nothing(self, tmp_path):
+        """Only the engine writes a tenant's cache, and a plan-only
+        request resolves no cell: it profiles and plans in-process."""
+        from repro.experiments import runner
+
+        runner.clear_memo()
+        pool = EnginePool(jobs=1, tenants=TenantCaches(tmp_path))
+        (response,) = pool.resolve([workload_request(tenant="acme", want_stats=False)])
+        assert response.ok and response.plan is not None and response.stats is None
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
     def test_bad_request_does_not_sink_neighbours(self):
         pool = EnginePool(jobs=1)
@@ -445,7 +455,6 @@ class TestDaemonEndToEnd:
                 assert response.tenant == tenants[i % len(tenants)]
                 assert response.request_id == f"c-{i}"
                 assert response.plan is not None
-            assert server.tenants.known() == sorted(tenants)
 
         # Persistent isolation: every tenant namespace holds its own
         # entries; the parent cache root holds none of them directly.

@@ -115,10 +115,7 @@ def scenario_cache_corruption(tmp: Path, rng: random.Random) -> dict:
     if proc.returncode != 0:
         return {"ok": False, "stage": "warmup", "stderr": proc.stderr[-2000:]}
 
-    entries = sorted(
-        p for kind in ("stats", "sampling")
-        for p in (cache_dir / kind).glob("*/*.json")
-    )
+    entries = sorted((cache_dir / "stats").glob("*/*.json"))
     if len(entries) < 3:
         return {"ok": False, "stage": "seed", "entries": len(entries)}
     corruptions = {"bitflip": entries[0], "truncate": entries[1], "zero": entries[2]}
